@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         if exc.record is not None:
             save_trajectory(exc.record, out / "last_good.csv")
         return 2
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -119,7 +119,6 @@ SCHEMA = {
         "beta_schedule": ("beta_schedule", _parse_floats),
         "tolerance": ("tolerance", _parse_float),
         "max_iterations": ("max_iterations", _parse_int),
-        "target": ("target", _parse_str),
         "amplitude": ("amplitude", _parse_float),
         "trials": ("trials", _parse_int),
     },
@@ -167,7 +166,6 @@ class RunConfig:
     beta_schedule: tuple = (1e1, 1e2, 1e3, 1e4)
     tolerance: float = 1e-3
     max_iterations: int = 500
-    target: str = "observable"
     amplitude: float = 1.0
     trials: int = 100
 

@@ -34,6 +34,9 @@ from .dynamics import (
     TrajectoryRecord,
     UnifiedStepper,
     dense_nse,
+    indexed_step,
+    initial_state,
+    march,
     solve_skeleton,
 )
 from .noise import Control, sine_control, zero_control
@@ -111,16 +114,16 @@ class TailEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _skeleton_march(delta, hv, cfg, xi, u_fields, observe):
+    """March the controlled system under control values ``hv``; returns y(T)."""
+    step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=hv)
+    return march(step, initial_state(delta, xi.coeffs), cfg.steps, observe, cfg.lattice)
+
+
 def _skeleton_forward(delta, hv, cfg, xi, u_fields):
     """March the controlled system, returning all states (steps+1 arrays)."""
-    stepper = SkeletonStepper(cfg, delta)
-    y = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs.copy()
-    states = [y]
-    for m in range(cfg.steps):
-        y = stepper.step(y, u_n=None if u_fields is None else u_fields[m], h_n=hv[m])
-        if not np.isfinite(y.view(float)).all():
-            raise FloatingPointError(f"skeleton forward pass produced non-finite values at step {m}")
-        states.append(y)
+    states = []
+    _skeleton_march(delta, hv, cfg, xi, u_fields, lambda m, y, nh: states.append(y))
     return states
 
 
@@ -143,14 +146,8 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
         coeff = noise.coefficients(w_m)
         for j in range(J):
             grad[m, j] = dt * coeff[j] * float(phi_h(s, noise.outputs[j]))
-        # transpose of the drift linearization
-        if delta == 0:
-            y_m = states[m]
-            dn_star = lat.adjoint_b_first(y_m, s) - lat.bilinear_b(y_m, s)
-        else:
-            u_m = u_fields[m]
-            dn_star = lat.adjoint_b_first(u_m, s) - lat.bilinear_b(u_m, s)
-        p = s - dt * dn_star
+        # transpose of the drift linearization around w_m
+        p = s - dt * (lat.adjoint_b_first(w_m, s) - lat.bilinear_b(w_m, s))
         if delta == 0 and noise.probes is not None:
             # multiplicative coefficient depends on the state
             w = noise.sigma * hv[m] * np.array(
@@ -248,8 +245,7 @@ def _gramian_cg_field(problem, cfg, xi, nse):
 
     def apply_gram(mu):
         hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu, noise) / cfg.dt
-        states = _skeleton_forward(1, hv, cfg, xi, u_fields)
-        return states[-1], hv
+        return _skeleton_march(1, hv, cfg, xi, u_fields, None), hv
 
     mu = np.zeros_like(x)
     r = x.copy()
@@ -272,9 +268,8 @@ def _gramian_cg_field(problem, cfg, xi, nse):
             break
         d = r + (rr_new / rr) * d
         rr = rr_new
-    best_hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu, noise) / cfg.dt
-    states = _skeleton_forward(1, best_hv, cfg, xi, u_fields)
-    residual = float(lat.norm_h(states[-1] - x))
+    y_final, best_hv = apply_gram(mu)
+    residual = float(lat.norm_h(y_final - x))
     converged = residual <= tol * x_norm
     cost = 0.5 * cfg.dt * float(np.sum(best_hv**2))
     result_cost = cost if converged else math.inf
@@ -312,11 +307,10 @@ def _penalized_descent(problem, cfg, xi, nse):
             options={"maxiter": problem.max_iterations, "ftol": 1e-14, "gtol": 1e-12},
         )
         hv = res.x.reshape(shape)
-        h_beta = Control(cfg.dt, hv)
-        states = _skeleton_forward(
-            problem.delta, hv, cfg, xi, None if problem.delta == 0 else nse.fields
+        y_final = _skeleton_march(
+            problem.delta, hv, cfg, xi, None if problem.delta == 0 else nse.fields, None
         )
-        rho, _ = _terminal_pieces(problem.target, cfg.lattice, states[-1])
+        rho, _ = _terminal_pieces(problem.target, cfg.lattice, y_final)
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
         history.append({"beta": beta, "cost": cost, "residual": abs(rho)})
     # extrapolate cost(beta) = cost_inf - a / beta using the last two weights
@@ -401,6 +395,11 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
     return z * z / (n + z * z)
 
 
+# convergence_study batches hold about this many bytes of states and increments
+# (one step's temporaries take about ten times the states on top)
+_BATCH_BYTES = 1 << 24
+
+
 def _chunk_increments(J, dt, steps, master_seed, start, stop):
     out = np.empty((stop - start, steps, J))
     root = np.sqrt(dt)
@@ -410,32 +409,28 @@ def _chunk_increments(J, dt, steps, master_seed, start, stop):
     return out
 
 
-def _mc_chunk(args):
-    delta, cfg, xi_coeffs, u_fields, event, master_seed, start, stop = args
-    lat = cfg.lattice
-    stepper = UnifiedStepper(cfg, delta)
-    steps = cfg.steps
+def _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop, observe):
+    """March trajectories ``start..stop-1`` of the stochastic system as one
+    batch, trajectory ``i`` driven by the stream ``(master_seed, i)``."""
     inc = None
     if cfg.noise is not None:
-        inc = _chunk_increments(cfg.noise.rank, cfg.dt, steps, master_seed, start, stop)
-    B = stop - start
-    y0 = np.zeros_like(xi_coeffs) if delta == 1 else xi_coeffs
-    y = np.broadcast_to(y0, (B,) + y0.shape).copy()
-    run_max = lat.norm_h(y)
-    for m in range(steps):
-        y = stepper.step(
-            y,
-            u_n=None if u_fields is None else u_fields[m],
-            dw=None if inc is None else inc[:, m, :],
-        )
-        if not np.isfinite(y.view(float)).all():
-            raise FloatingPointError(f"Monte Carlo batch became non-finite at step {m}")
-        run_max = np.maximum(run_max, lat.norm_h(y))
+        inc = _chunk_increments(cfg.noise.rank, cfg.dt, cfg.steps, master_seed, start, stop)
+        inc = inc.transpose(1, 0, 2)  # step-major: inc[m] is the batch's increment
+    step = indexed_step(UnifiedStepper(cfg, delta).step, u_n=u_fields, dw=inc)
+    y0 = initial_state(delta, xi_coeffs)
+    y0 = np.broadcast_to(y0, (stop - start,) + y0.shape)  # a read-only view, never written
+    return march(step, y0, cfg.steps, observe, cfg.lattice)
+
+
+def _mc_chunk(args):
+    delta, cfg, xi_coeffs, u_fields, event, master_seed, start, stop = args
+    peak = np.zeros(stop - start)
+    y = _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop,
+                     lambda m, y, nh: np.maximum(peak, nh, out=peak))
     if isinstance(event, SupNormEvent):
-        hit = run_max > event.threshold
+        hit = peak > event.threshold
     else:
-        terminal = lat.inner_h(y, event.g.coeffs)
-        hit = terminal > event.level
+        hit = cfg.lattice.inner_h(y, event.g.coeffs) > event.level
     return int(np.sum(hit))
 
 
@@ -506,33 +501,29 @@ def convergence_study(
 
     Shared-seed batches: sample ``i`` uses the same Wiener stream at every
     alpha, so the decay across the grid is not masked by sampling noise.
+    Samples are marched in batches of about ``_BATCH_BYTES``, so memory stays
+    bounded; sums are kept per sample, so the rows do not depend on batching.
     """
     lat = cfg.lattice
-    steps = cfg.steps
-    S = cfg.implicit_multiplier()
-    # reference trajectory, one deterministic run
-    u_path = [xi.coeffs.copy()]
-    u = xi.coeffs.copy()
-    for _ in range(steps):
-        u = S * (u - cfg.dt * lat.bilinear_b(u, u))
-        u_path.append(u)
-    J = cfg.noise.rank if cfg.noise is not None else 1
-    inc = _chunk_increments(J, cfg.dt, steps, master_seed, 0, n_samples)
+    u_path = dense_nse(xi, cfg).fields
+    J = cfg.noise.rank if cfg.noise is not None else 0
+    chunk = max(1, _BATCH_BYTES // (xi.coeffs.nbytes + 8 * cfg.steps * J))
     rows = []
     for alpha in alpha_grid:
         run_cfg = replace(cfg, alpha=float(alpha))
-        stepper = UnifiedStepper(run_cfg, 0)
-        y = np.broadcast_to(xi.coeffs, (n_samples,) + xi.coeffs.shape).copy()
+        # per-sample sums: the means do not depend on the chunking
         sup_sq = np.zeros(n_samples)
         diss = np.zeros(n_samples)
-        for m in range(steps):
-            if cfg.noise is not None:
-                y = stepper.step(y, dw=inc[:, m, :])
-            else:
-                y = stepper.step(y)
-            diff = y - u_path[m + 1]
-            sup_sq = np.maximum(sup_sq, lat.norm_h(diff) ** 2)
-            diss += cfg.dt * lat.norm_v(diff) ** 2
+        for start in range(0, n_samples, chunk):
+            stop = min(start + chunk, n_samples)
+            sup, dis = sup_sq[start:stop], diss[start:stop]
+
+            def observe(m, y, nh):
+                diff = y - u_path[m]
+                np.maximum(sup, lat.norm_h(diff) ** 2, out=sup)
+                np.add(dis, cfg.dt * lat.norm_v(diff) ** 2, out=dis)
+
+            _march_batch(0, run_cfg, xi.coeffs, None, master_seed, start, stop, observe)
         rows.append(
             {
                 "alpha": float(alpha),
@@ -576,15 +567,15 @@ def weak_continuity_probe(
     rows = []
     for osc in n_list:
         h_n = sine_control(J, cfg.dt, steps, osc, direction=direction, amplitude=amplitude)
-        stepper = SkeletonStepper(cfg, delta)
-        y = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs.copy()
-        sup = 0.0
-        diss = 0.0
-        for m in range(steps):
-            y = stepper.step(y, u_n=None if u_fields is None else u_fields[m], h_n=h_n.values[m])
-            diff = y - base_states[m + 1]
+        sup = diss = 0.0
+
+        def observe(m, y, nh):
+            nonlocal sup, diss
+            diff = y - base_states[m]
             sup = max(sup, float(lat.norm_h(diff)))
             diss += cfg.dt * float(lat.norm_v(diff)) ** 2
+
+        _skeleton_march(delta, h_n.values, cfg, xi, u_fields, observe)
         rows.append(
             {
                 "oscillation": int(osc),

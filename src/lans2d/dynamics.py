@@ -7,6 +7,10 @@ This keeps the linear part unconditionally stable and makes the discrete
 difference-quotient identity between the smoothed system, the limit system
 and the unified fluctuation system exact (see ``solve_unified``).
 
+Every forward run, single path or Monte Carlo batch, goes through the one
+loop ``march``, which hands each state and its H-norm to an observer and
+applies the blowup rule of ``BlowupError`` to each trajectory.
+
 Systems
 -------
 * ``solve_nse``       du/dt + nu A u + B(u, u) = 0
@@ -34,7 +38,8 @@ _BLOWUP_FACTOR = 1.0e6
 
 
 class BlowupError(RuntimeError):
-    """Numeric abort: the solution became non-finite or grew past the sentinel."""
+    """Numeric abort: an H-norm became non-finite or exceeded
+    ``_BLOWUP_FACTOR * max(1, |y0|)`` (``record``: last good single-path record)."""
 
     def __init__(self, message, record=None, step=None):
         super().__init__(message)
@@ -147,7 +152,46 @@ class TrajectoryRecord:
         }
 
 
+def march(step, y: np.ndarray, steps: int, observe, lattice: TorusLattice) -> np.ndarray:
+    """The forward time loop ``y_{m+1} = step(m, y_m)`` from ``y_0 = y``;
+    returns ``y_steps``.
+
+    Batched over leading axes of ``y``.  ``observe(m, y_m, |y_m|_H)``, if
+    given, sees every state from ``y_0`` on; a trajectory that breaks the
+    ``BlowupError`` rule raises before it is observed.
+    """
+    nh = lattice.norm_h(y)
+    limit = _BLOWUP_FACTOR * np.maximum(1.0, nh)
+    if observe is not None:
+        observe(0, y, nh)
+    for m in range(1, steps + 1):
+        y = step(m - 1, y)
+        nh = lattice.norm_h(y)
+        if not (nh <= limit).all():  # NaN fails every comparison
+            bad = np.flatnonzero(~(nh <= limit))[0]
+            where = f" in trajectory {bad}" if np.ndim(nh) else ""
+            size = np.ravel(nh)[bad]
+            raise BlowupError(f"solution blew up at step {m}{where}: |y| = {size:.3e}", step=m)
+        if observe is not None:
+            observe(m, y, nh)
+    return y
+
+
+def indexed_step(step, **series):
+    """``step(m, y)`` for one run: calls ``step(y, key=series[key][m], ...)``
+    for every series given (reference states, increments, controls)."""
+    series = {k: v for k, v in series.items() if v is not None}
+    return lambda m, y: step(y, **{k: v[m] for k, v in series.items()})
+
+
+def initial_state(delta: int, coeffs: np.ndarray) -> np.ndarray:
+    """Initial value ``(1 - delta) xi`` of the unified and skeleton systems."""
+    return np.zeros_like(coeffs) if delta == 1 else coeffs
+
+
 class _Recorder:
+    """Observer that builds a ``TrajectoryRecord`` every ``record_stride`` steps."""
+
     def __init__(self, cfg: SolverConfig, alpha: float):
         self.cfg = cfg
         self.alpha = alpha
@@ -155,14 +199,16 @@ class _Recorder:
         self.fields = [] if cfg.store_fields else None
         self._dissipation = 0.0
 
-    def accumulate(self, y):
-        self._dissipation += self.cfg.dt * float(self.cfg.lattice.norm_v(y)) ** 2
-
-    def record(self, t, y):
-        lat = self.cfg.lattice
-        self.times.append(t)
-        self.nh.append(float(lat.norm_h(y)))
-        self.nv.append(float(lat.norm_v(y)))
+    def __call__(self, m, y, nh):
+        cfg, lat = self.cfg, self.cfg.lattice
+        nv = float(lat.norm_v(y))
+        if m:
+            self._dissipation += cfg.dt * nv**2
+        if m % cfg.record_stride and m != cfg.steps:
+            return
+        self.times.append(m * cfg.dt)
+        self.nh.append(float(nh))
+        self.nv.append(nv)
         self.na.append(float(lat.norm_a(y)))
         self.nal.append(float(lat.norm_alpha(y, self.alpha)))
         self.diss.append(self._dissipation)
@@ -185,21 +231,11 @@ class _Recorder:
 
 def _drive(cfg: SolverConfig, y0: np.ndarray, step_fn, alpha_for_norms: float) -> TrajectoryRecord:
     rec = _Recorder(cfg, alpha_for_norms)
-    lat = cfg.lattice
-    y = y0.copy()
-    scale = max(1.0, float(lat.norm_h(y)))
-    rec.record(0.0, y)
-    stride, steps = cfg.record_stride, cfg.steps
-    for m in range(steps):
-        y = step_fn(m, y)
-        nh = float(lat.norm_h(y))
-        if not np.isfinite(nh) or nh > _BLOWUP_FACTOR * scale:
-            raise BlowupError(
-                f"solution blew up at step {m + 1}: |y| = {nh:.3e}", rec.build(), m + 1
-            )
-        rec.accumulate(y)
-        if (m + 1) % stride == 0 or m + 1 == steps:
-            rec.record((m + 1) * cfg.dt, y)
+    try:
+        march(step_fn, y0, cfg.steps, rec, cfg.lattice)
+    except BlowupError as exc:
+        exc.record = rec.build()  # the last good record
+        raise
     return rec.build()
 
 
@@ -346,18 +382,8 @@ def solve_unified(
     stepper = UnifiedStepper(cfg, delta)
     u_fields = _dense_fields(nse, cfg, "solve_unified") if delta == 1 else None
     inc = None if (wiener is None or cfg.noise is None) else wiener.increments
-    hv = None if h is None else h.values
-    y0 = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs
-
-    def step(m, y):
-        return stepper.step(
-            y,
-            u_n=None if u_fields is None else u_fields[m],
-            dw=None if inc is None else inc[m],
-            h_n=None if hv is None else hv[m],
-        )
-
-    return _drive(cfg, y0, step, alpha_for_norms=cfg.alpha)
+    step = indexed_step(stepper.step, u_n=u_fields, dw=inc, h_n=None if h is None else h.values)
+    return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=cfg.alpha)
 
 
 class SkeletonStepper:
@@ -408,17 +434,9 @@ def solve_skeleton(
         raise ValueError("control grid does not match the config")
     if cfg.noise is None:
         raise ValueError("solve_skeleton needs the noise operator that shapes the control")
-    stepper = SkeletonStepper(cfg, delta)
     u_fields = _dense_fields(nse, cfg, "solve_skeleton") if delta == 1 else None
-    hv = h.values
-    y0 = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs
-
-    def step(m, y):
-        return stepper.step(
-            y, u_n=None if u_fields is None else u_fields[m], h_n=hv[m]
-        )
-
-    return _drive(cfg, y0, step, alpha_for_norms=0.0)
+    step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=h.values)
+    return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=0.0)
 
 
 # ---------------------------------------------------------------------------

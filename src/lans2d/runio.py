@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import TrajectoryRecord
-from .noise import Control, WienerPath
+from .noise import Control
 from .spectral import SpectralField, TorusLattice, make_lattice
 
 FLOAT_FMT = "%.17g"
@@ -158,7 +158,7 @@ def load_field(path, lattice: TorusLattice | None = None) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories, controls, Wiener paths
+# Trajectories and controls
 # ---------------------------------------------------------------------------
 
 TRAJ_COLUMNS = ["time", "norm_h", "norm_v", "norm_a", "norm_alpha", "dissipation"]
@@ -177,11 +177,6 @@ def save_trajectory(traj: TrajectoryRecord, path, fmt: str = "csv") -> Path:
         return write_csv(path, rows, columns=TRAJ_COLUMNS,
                          units="time: viscous units; norms: L2 velocity units")
     return write_ndjson(path, rows)
-
-
-def load_trajectory_scalars(path) -> dict[str, np.ndarray]:
-    rows = read_csv(path)
-    return {c: np.array([r[c] for r in rows]) for c in TRAJ_COLUMNS}
 
 
 def save_control(h: Control, path) -> Path:
@@ -211,12 +206,3 @@ def load_control(path, dt: float | None = None) -> Control:
         raise ValueError("control table carries no dt; pass dt explicitly")
     return Control(use_dt, vals)
 
-
-def save_wiener(w: WienerPath, path) -> Path:
-    rows = [
-        {"step": m, "j": j, "value": w.increments[m, j]}
-        for m in range(w.steps)
-        for j in range(w.rank)
-    ]
-    return write_csv(path, rows, columns=["step", "j", "value"],
-                     units="value: Wiener increment ~ N(0, dt); dt=" + (FLOAT_FMT % w.dt))

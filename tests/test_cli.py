@@ -178,6 +178,17 @@ class TestCli:
         assert code == 2
         assert (out / "last_good.csv").exists()
 
+    def test_overflowing_noise_exits_2(self, tmp_path):
+        # finite states whose H-norm overflows are a numeric abort, not a result
+        with np.errstate(over="ignore"):
+            code, out = run_cli(
+                ["mc-tails", "--preset", "ou-toy", "--alphas", "0.1",
+                 "--set", "noise.sigma=1e300", "--set", "experiment.samples=50"],
+                tmp_path, "overflow",
+            )
+        assert code == 2
+        assert not (out / "tails.csv").exists()
+
     def test_skeleton_and_rate(self, tmp_path):
         code, out = run_cli(
             ["skeleton", "--preset", "unified-default", "--n", "8",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lans2d import (
+    BlowupError,
     Control,
     RateProblem,
     ScalingLaw,
@@ -36,6 +37,7 @@ from lans2d import (
     zero_control,
     zero_field,
 )
+from lans2d import deviations
 
 
 def implicit_decay(lam, dt, viscosity=1.0):
@@ -129,6 +131,12 @@ class TestSkeletonGradient:
             vp, _ = skeleton_gradient(0, Control(cfg.dt, h.values + eps * d), target, cfg, xi, beta=20.0)
             vm, _ = skeleton_gradient(0, Control(cfg.dt, h.values - eps * d), target, cfg, xi, beta=20.0)
             assert float(np.sum(grad * d)) == pytest.approx((vp - vm) / (2 * eps), rel=2e-5, abs=1e-10)
+
+    def test_forward_blowup_raises(self, small):
+        lat, rng, xi, noise, cfg, g = small
+        h = Control(cfg.dt, np.full((cfg.steps, noise.rank), 1e300))
+        with np.errstate(over="ignore"), pytest.raises(BlowupError):
+            skeleton_gradient(0, h, TerminalObservable(g, 0.0), cfg, xi, beta=1.0)
 
 
 class TestRateFunction:
@@ -300,8 +308,28 @@ class TestMcTail:
                     workers=3, chunk_size=37)
         assert a.hits == b.hits
 
+    def test_blowup_raises_through_the_process_pool(self):
+        # the states stay finite while their H-norm overflows to inf
+        lat, cfg, xi, g = self.ou_cfg(0.1, sigma=1e300)
+        with np.errstate(over="ignore"), pytest.raises(BlowupError):
+            mc_tail(0, 0.1, TerminalObservableEvent(g, 0.2), 50, cfg, xi,
+                    workers=2, chunk_size=25)
+
 
 class TestConvergenceStudy:
+    def test_chunked_rows_match_one_chunk(self, monkeypatch):
+        lat = make_lattice(8)
+        xi = random_field(lat, np.random.default_rng(34), norm=1.0)
+        noise = additive_noise(lat, [0.1, 0.05], [(1, 0), (1, 1)])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.1, noise=noise)
+        whole = convergence_study((0.4, 0.1), 7, cfg, xi, master_seed=8)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 3 * xi.coeffs.nbytes)
+        chunked = convergence_study((0.4, 0.1), 7, cfg, xi, master_seed=8)
+        for a, b in zip(whole, chunked):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert b[key] == pytest.approx(a[key], rel=1e-12, abs=0)
+
     def test_repeatable_single_sample(self):
         lat = make_lattice(8)
         rng = np.random.default_rng(30)

@@ -27,6 +27,7 @@ from lans2d import (
     zero_control,
     zero_field,
 )
+from lans2d.dynamics import march
 
 
 def cfg_for(lat, dt=1e-3, T=0.5, alpha=0.1, noise=None, **kw):
@@ -78,6 +79,17 @@ class TestNse:
         traj = solve_nse(xi, cfg_for(lat, T=0.5))
         exact = math.exp(-2.0 * 0.5) * norm_h(xi)
         assert traj.norm_h[-1] == pytest.approx(exact, rel=0.01)
+
+    def test_taylor_green_exact_discrete(self):
+        # B(xi, xi) vanishes on the vortex, so step m is (1 + 2 nu dt)^-m xi
+        lat = make_lattice(32)
+        xi = taylor_green(lat)
+        cfg = cfg_for(lat, dt=1e-3, T=0.5, store_fields=True)
+        traj = solve_nse(xi, cfg)
+        scale = norm_h(xi)
+        for m, y in enumerate(traj.fields):
+            exact = (1.0 + 2.0 * cfg.viscosity * cfg.dt) ** -m * xi.coeffs
+            assert float(lat.norm_h(y - exact)) <= 1e-12 * scale
 
     def test_shear_decay(self):
         lat = make_lattice(16)
@@ -139,6 +151,36 @@ class TestNse:
             assert abs(recomputed - traj.norm_alpha[i]) <= 1e-10 * max(1.0, recomputed)
             direct = math.sqrt(traj.norm_h[i] ** 2 + 0.3**2 * traj.norm_a[i] ** 2)
             assert direct == pytest.approx(traj.norm_alpha[i], abs=1e-10)
+
+
+class TestMarch:
+    def test_observer_sees_each_state_and_its_norm(self):
+        lat = make_lattice(8)
+        y0 = np.stack([random_field(lat, np.random.default_rng(i)).coeffs for i in range(3)])
+        seen = []
+        final = march(lambda m, y: 0.5 * y, y0, 4, lambda m, y, nh: seen.append((m, nh)), lat)
+        assert [m for m, _ in seen] == [0, 1, 2, 3, 4]
+        for m, nh in seen:
+            assert nh.shape == (3,)
+            np.testing.assert_array_equal(nh, lat.norm_h(0.5**m * y0))
+        np.testing.assert_array_equal(final, 0.0625 * y0)
+
+    def test_blowup_is_judged_per_trajectory(self):
+        # each trajectory has its own limit 1e6 * max(1, |y0_i|): trajectory 1
+        # crosses its limit at step 2, still far below trajectory 0's limit
+        lat = make_lattice(8)
+        y0 = np.stack([1e3 * single_shear(lat).coeffs, single_shear(lat).coeffs])
+        scale = np.array([1.0, 2e3])[:, None, None, None]
+        with pytest.raises(BlowupError, match="step 2 in trajectory 1") as exc:
+            march(lambda m, y: scale * y, y0, 3, None, lat)
+        assert exc.value.step == 2
+
+    def test_overflowing_norm_is_a_blowup(self):
+        # the state stays finite while its H-norm overflows to inf
+        lat = make_lattice(8)
+        y0 = single_shear(lat).coeffs
+        with np.errstate(over="ignore"), pytest.raises(BlowupError, match="inf"):
+            march(lambda m, y: 1e300 * y, y0, 1, None, lat)
 
 
 class TestLans:
