@@ -38,10 +38,7 @@ from .noise import (
     NoiseOperator,
     WienerPath,
     additive_noise,
-    apply_g,
-    apply_g_alpha,
     control_cost,
-    hs_norms,
     projection_multiplicative_noise,
     sample_wiener,
     sine_control,
@@ -53,21 +50,10 @@ from .spectral import (
     LatticeMismatchError,
     SpectralField,
     TorusLattice,
-    apply_j_alpha,
-    apply_j_alpha_inverse,
-    apply_stokes,
-    bilinear_b,
-    bilinear_btilde,
-    btilde_alpha,
     calibrate_estimates,
     eigenmode_field,
     identity_report,
-    inner_h,
     make_lattice,
-    norm_alpha,
-    norm_h,
-    norm_v,
-    project_leray,
     random_field,
     single_shear,
     taylor_green,

@@ -33,6 +33,7 @@ from .dynamics import (
     SolverConfig,
     TrajectoryRecord,
     UnifiedStepper,
+    _dense_fields,
     dense_nse,
     indexed_step,
     initial_state,
@@ -183,11 +184,7 @@ def skeleton_gradient(
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
-    u_fields = None
-    if delta == 1:
-        if nse is None or nse.fields is None:
-            raise ValueError("delta=1 needs the dense reference record")
-        u_fields = nse.fields
+    u_fields = _dense_fields(nse, cfg, "skeleton_gradient") if delta == 1 else None
     lat = cfg.lattice
     hv = h.values
     states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
@@ -348,8 +345,9 @@ def rate_function(
     if cfg.noise is None:
         raise ValueError("rate_function needs the noise operator in the config")
     if problem.delta == 1:
-        if nse is None or nse.fields is None:
+        if nse is None:
             nse = dense_nse(xi, cfg)
+        _dense_fields(nse, cfg, "rate_function")
         if isinstance(problem.target, TerminalObservable):
             return _exact_lq_observable(problem, cfg, xi, nse)
         return _gramian_cg_field(problem, cfg, xi, nse)
@@ -395,9 +393,16 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
     return z * z / (n + z * z)
 
 
-# convergence_study batches hold about this many bytes of states and increments
+# Monte Carlo batches hold about this many bytes of states and increments
 # (one step's temporaries take about ten times the states on top)
 _BATCH_BYTES = 1 << 24
+
+
+def _batch_size(cfg):
+    """Trajectories per batch: states and increments within ``_BATCH_BYTES``."""
+    J = cfg.noise.rank if cfg.noise is not None else 0
+    state_bytes = 2 * cfg.lattice.n**2 * np.dtype(np.complex128).itemsize
+    return max(1, _BATCH_BYTES // (state_bytes + 8 * cfg.steps * J))
 
 
 def _chunk_increments(J, dt, steps, master_seed, start, stop):
@@ -443,24 +448,25 @@ def mc_tail(
     xi: SpectralField,
     master_seed: int = 0,
     workers: int = 1,
-    chunk_size: int = 20000,
     nse: Optional[TrajectoryRecord] = None,
 ) -> TailEstimate:
     """Empirical tail probability of ``event`` under the stochastic system.
 
-    Trajectory ``i`` always consumes the stream derived from
-    ``(master_seed, i)``, so the estimate is independent of worker count and
-    chunking; chunks are merged by summing hit counts.
+    Trajectories are marched in batches of about ``_BATCH_BYTES``, so memory
+    stays bounded whatever the sample count.  Trajectory ``i`` always consumes
+    the stream derived from ``(master_seed, i)``, so the estimate is
+    independent of worker count and batching; batches are merged by summing
+    hit counts.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     run_cfg = replace(cfg, alpha=float(alpha))
     u_fields = None
     if delta == 1:
-        if nse is None or nse.fields is None:
+        if nse is None:
             nse = dense_nse(xi, run_cfg)
-        u_fields = nse.fields
-    bounds = list(range(0, n_samples, chunk_size)) + [n_samples]
+        u_fields = _dense_fields(nse, run_cfg, "mc_tail")
+    bounds = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
     tasks = [
         (delta, run_cfg, xi.coeffs, u_fields, event, master_seed, a, b)
         for a, b in zip(bounds[:-1], bounds[1:])
@@ -506,8 +512,7 @@ def convergence_study(
     """
     lat = cfg.lattice
     u_path = dense_nse(xi, cfg).fields
-    J = cfg.noise.rank if cfg.noise is not None else 0
-    chunk = max(1, _BATCH_BYTES // (xi.coeffs.nbytes + 8 * cfg.steps * J))
+    chunk = _batch_size(cfg)
     rows = []
     for alpha in alpha_grid:
         run_cfg = replace(cfg, alpha=float(alpha))
@@ -558,9 +563,11 @@ def weak_continuity_probe(
 
     J = cfg.noise.rank
     steps = cfg.steps
-    if delta == 1 and (nse is None or nse.fields is None):
-        nse = dense_nse(xi, cfg)
-    u_fields = nse.fields if delta == 1 else None
+    u_fields = None
+    if delta == 1:
+        if nse is None:
+            nse = dense_nse(xi, cfg)
+        u_fields = _dense_fields(nse, cfg, "weak_continuity_probe")
     zero = zero_control(J, cfg.dt, steps)
     base_states = _skeleton_forward(delta, zero.values, cfg, xi, u_fields)
     lat = cfg.lattice

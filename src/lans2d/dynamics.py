@@ -15,10 +15,11 @@ Systems
 -------
 * ``solve_nse``       du/dt + nu A u + B(u, u) = 0
 * ``solve_lans``      du + [nu A u + Btilde_a(u, v)] dt = sqrt(a) G_a(u) dW,
-  with v = (I + a^2 A) u
+  with v = (I + a^2 A) u; the delta=0 case of ``solve_unified``
 * ``solve_unified``   the delta-parameterized fluctuation system with control
-  and noise (delta=0 reproduces ``solve_lans``; delta=1 evolves the rescaled
-  difference from the limit system)
+  and noise.  delta=1 evolves y = (u_a - u) / lam_delta, so its drift is the
+  difference quotient [Btilde_a(w, (I + a^2 A) w) - B(u, u)] / lam_delta at
+  w = u + lam_delta y; with u = 0 and lam_delta = 1 it is the delta=0 drift
 * ``solve_skeleton``  the deterministic controlled system whose solution map
   defines the deviation rate function (no smoothing; alpha-free)
 """
@@ -278,29 +279,19 @@ def _check_wiener(cfg, wiener):
 
 
 def solve_lans(xi: SpectralField, cfg: SolverConfig, wiener: Optional[WienerPath] = None) -> TrajectoryRecord:
-    """Smoothed stochastic system in velocity form, noise scaled by sqrt(alpha)."""
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ValueError("solve_lans needs alpha in (0, 1]")
-    _check_wiener(cfg, wiener)
-    lat = cfg.lattice
-    S = cfg.implicit_multiplier()
-    dt, alpha = cfg.dt, cfg.alpha
-    sqrt_alpha = math.sqrt(alpha)
-    noise = cfg.noise
-    inc = None if (noise is None or wiener is None) else wiener.increments
-
-    def step(m, u):
-        v = lat.unsmooth(u, alpha)
-        rhs = u - dt * lat.btilde_alpha(u, v, alpha)
-        if inc is not None:
-            rhs = rhs + sqrt_alpha * noise.apply_smoothed(u, inc[m], alpha)
-        return S * rhs
-
-    return _drive(cfg, xi.coeffs, step, alpha_for_norms=alpha)
+    """Smoothed stochastic system in velocity form, noise scaled by sqrt(alpha):
+    the delta=0 unified system."""
+    return solve_unified(0, xi, cfg, wiener=wiener)
 
 
 class UnifiedStepper:
     """One step of the delta-parameterized controlled/stochastic system.
+
+    Drift and noise are evaluated at one coefficient argument
+    ``w = u_n + lam_delta y`` (``w = y`` for delta=0, where ``u_n = 0`` and
+    ``lam_delta = 1``).  The drift is the difference quotient
+    ``[J_a Btilde(w, (I + a^2 A) w) - B(u_n, u_n)] / lam_delta`` of the smoothed
+    and the limit drifts, so for delta=1 ``y`` is exactly ``(u_a - u) / lam_delta``.
 
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.
@@ -325,27 +316,27 @@ class UnifiedStepper:
             return y
         return u_n + self.lam_delta * y
 
-    def step(self, y, u_n=None, dw=None, h_n=None):
-        lat, dt, alpha = self.lat, self.dt, self.alpha
-        ld = self.lam_delta
-        z = lat.unsmooth(y, alpha)
-        drift = ld * lat.btilde_alpha(y, z, alpha)
+    def drift(self, w, u_n):
+        """Drift at the coefficient argument ``w``: ``J_a Btilde(w, (I + a^2 A) w)``,
+        and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``."""
+        lat, alpha = self.lat, self.alpha
+        drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha), alpha)
         if self.delta == 1:
-            if u_n is None:
-                raise ValueError("delta=1 needs the reference-system state u_n")
-            jinv_u = lat.unsmooth(u_n, alpha)
-            drift = drift + lat.btilde_alpha(u_n, z, alpha) + lat.btilde_alpha(y, jinv_u, alpha)
-            drift = drift + (1.0 / ld) * (
-                lat.btilde_alpha(u_n, jinv_u, alpha) - lat.bilinear_b(u_n, u_n)
-            )
-        rhs = y - dt * drift
-        if (dw is not None or h_n is not None) and self.noise is not None:
-            arg = self.coefficient_argument(y, u_n)
+            drift = (drift - lat.bilinear_b(u_n, u_n)) / self.lam_delta
+        return drift
+
+    def step(self, y, u_n=None, dw=None, h_n=None):
+        if self.delta == 1 and u_n is None:
+            raise ValueError("delta=1 needs the reference-system state u_n")
+        alpha = self.alpha
+        w = self.coefficient_argument(y, u_n)
+        rhs = y - self.dt * self.drift(w, u_n)
+        if self.noise is not None:
             if h_n is not None:
-                rhs = rhs + dt * self.noise.apply_smoothed(arg, h_n, alpha)
+                rhs = rhs + self.dt * self.noise.apply_smoothed(w, h_n, alpha)
             if dw is not None:
-                rhs = rhs + self.sqrt_alpha * (1.0 / ld) * self.noise.apply_smoothed(
-                    arg, dw, alpha
+                rhs = rhs + self.sqrt_alpha * (1.0 / self.lam_delta) * self.noise.apply_smoothed(
+                    w, dw, alpha
                 )
         return self.S * rhs
 
@@ -370,7 +361,7 @@ def solve_unified(
 ) -> TrajectoryRecord:
     """Unified fluctuation system; initial value ``(1 - delta) xi``.
 
-    delta=0 reproduces ``solve_lans`` step for step; delta=1 evolves
+    delta=0 is the smoothed stochastic system (``solve_lans``); delta=1 evolves
     ``(u_smoothed - u) / lam_delta`` exactly for the discrete scheme, with the
     reference states taken from the dense ``nse`` record at left endpoints.
     """

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import SpectralField, TorusLattice, eigenmode_field
+from .spectral import TorusLattice, eigenmode_field
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "projection-multiplicative"
@@ -142,20 +142,6 @@ def projection_multiplicative_noise(
     return NoiseOperator(
         lattice, MULTIPLICATIVE, sigma, outputs, probes, np.asarray(offsets, float)
     )
-
-
-def apply_g(noise: NoiseOperator, u: SpectralField | None, coords) -> SpectralField:
-    c = noise.apply(None if u is None else u.coeffs, np.asarray(coords, float))
-    return SpectralField(noise.lattice, c)
-
-
-def apply_g_alpha(noise: NoiseOperator, u: SpectralField | None, coords, alpha: float) -> SpectralField:
-    c = noise.apply_smoothed(None if u is None else u.coeffs, np.asarray(coords, float), alpha)
-    return SpectralField(noise.lattice, c)
-
-
-def hs_norms(noise: NoiseOperator, u: SpectralField | None) -> tuple[float, float]:
-    return noise.hs_norms(None if u is None else u.coeffs)
 
 
 # ---------------------------------------------------------------------------

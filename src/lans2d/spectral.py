@@ -264,59 +264,6 @@ class SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations
-# ---------------------------------------------------------------------------
-
-
-def project_leray(f: SpectralField) -> SpectralField:
-    return SpectralField(f.lattice, f.lattice.leray(f.coeffs))
-
-
-def apply_stokes(u: SpectralField, s: float) -> SpectralField:
-    return SpectralField(u.lattice, u.lattice.stokes(u.coeffs, s))
-
-
-def apply_j_alpha(u: SpectralField, alpha: float) -> SpectralField:
-    return SpectralField(u.lattice, u.lattice.smooth(u.coeffs, alpha))
-
-
-def apply_j_alpha_inverse(u: SpectralField, alpha: float) -> SpectralField:
-    return SpectralField(u.lattice, u.lattice.unsmooth(u.coeffs, alpha))
-
-
-def inner_h(u: SpectralField, v: SpectralField) -> float:
-    u.same_lattice(v)
-    return float(u.lattice.inner_h(u.coeffs, v.coeffs))
-
-
-def norm_h(u: SpectralField) -> float:
-    return float(u.lattice.norm_h(u.coeffs))
-
-
-def norm_v(u: SpectralField) -> float:
-    return float(u.lattice.norm_v(u.coeffs))
-
-
-def norm_alpha(u: SpectralField, alpha: float) -> float:
-    return float(u.lattice.norm_alpha(u.coeffs, alpha))
-
-
-def bilinear_b(u: SpectralField, v: SpectralField) -> SpectralField:
-    u.same_lattice(v)
-    return SpectralField(u.lattice, u.lattice.bilinear_b(u.coeffs, v.coeffs))
-
-
-def bilinear_btilde(u: SpectralField, v: SpectralField) -> SpectralField:
-    u.same_lattice(v)
-    return SpectralField(u.lattice, u.lattice.bilinear_btilde(u.coeffs, v.coeffs))
-
-
-def btilde_alpha(u: SpectralField, v: SpectralField, alpha: float) -> SpectralField:
-    u.same_lattice(v)
-    return SpectralField(u.lattice, u.lattice.btilde_alpha(u.coeffs, v.coeffs, alpha))
-
-
-# ---------------------------------------------------------------------------
 # Canonical fields
 # ---------------------------------------------------------------------------
 
@@ -376,7 +323,7 @@ def random_field(
     c = lattice.clean(c)
     f = SpectralField(lattice, c)
     if norm is not None:
-        h = norm_h(f)
+        h = float(lattice.norm_h(c))
         if h > 0:
             f = f * (norm / h)
     return f
@@ -419,7 +366,7 @@ def verify_operator_bounds(
         w = random_field(lattice, rng, norm=None)
         gap = phi.coeffs - lattice.smooth(phi.coeffs, alpha)
         lhs = abs(float(lattice.inner_h(gap, w.coeffs)))
-        rhs = 0.5 * alpha * norm_h(phi) * norm_v(w)
+        rhs = 0.5 * alpha * float(lattice.norm_h(phi.coeffs)) * float(lattice.norm_v(w.coeffs))
         worst = max(worst, lhs / rhs)
     ok = d1 <= 1.0 and d2 <= 0.5 + 1e-15 and worst <= 1.0 + 1e-12
     return OperatorBoundsReport(alpha, d1, d2, worst, trials, ok)
@@ -446,7 +393,7 @@ def identity_report(lattice: TorusLattice, trials: int = 100, seed: int = 0) -> 
         u = random_field(lat, rng)
         v = random_field(lat, rng)
         w = random_field(lat, rng)
-        scale = norm_h(u) * norm_h(v) * norm_h(w)
+        scale = float(lat.norm_h(u.coeffs) * lat.norm_h(v.coeffs) * lat.norm_h(w.coeffs))
         buv = lat.bilinear_b(u.coeffs, v.coeffs)
         buw = lat.bilinear_b(u.coeffs, w.coeffs)
         bwv = lat.bilinear_b(w.coeffs, v.coeffs)
@@ -474,7 +421,7 @@ def identity_report(lattice: TorusLattice, trials: int = 100, seed: int = 0) -> 
         )
         diag = lat.bilinear_btilde(u.coeffs, u.coeffs) - lat.bilinear_b(u.coeffs, u.coeffs)
         worst["btilde_diag_equals_b"] = max(
-            worst["btilde_diag_equals_b"], float(lat.norm_h(diag)) / norm_h(u) ** 2
+            worst["btilde_diag_equals_b"], float(lat.norm_h(diag) / lat.norm_h(u.coeffs) ** 2)
         )
         zu = lat.unsmooth(u.coeffs, alpha)
         worst["cancel_btilde_alpha"] = max(

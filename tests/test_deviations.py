@@ -1,6 +1,7 @@
 """Rate machinery: adjoint gradients, LQ oracle, Monte Carlo tails, probes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from lans2d import (
     convergence_study,
     dense_nse,
     eigenmode_field,
-    inner_h,
     ldp_speed,
     make_lattice,
     mc_tail,
@@ -194,7 +194,7 @@ class TestRateFunction:
             lattice=lat, dt=cfg.dt, t_final=cfg.t_final, alpha=0.0, noise=noise,
             record_stride=cfg.steps, store_fields=True), h0)
         g = eigenmode_field(lat, (1, 0))
-        b = float(inner_h(ref.field_at(-1, lat), g))
+        b = float(lat.inner_h(ref.fields[-1], g.coeffs))
         problem = RateProblem(0, TerminalObservable(g, b), tolerance=1e-2)
         res = rate_function(problem, cfg, xi)
         assert res.converged
@@ -214,7 +214,7 @@ class TestRateFunction:
                              noise=noise, record_stride=cfg.steps, store_fields=True)
         image = solve_skeleton(0, xi, dense, zero_control(1, cfg.dt, cfg.steps))
         g = eigenmode_field(lat, (1, 0))
-        b = float(inner_h(image.field_at(-1, lat), g))
+        b = float(lat.inner_h(image.fields[-1], g.coeffs))
         res = rate_function(RateProblem(0, TerminalObservable(g, b)), cfg, xi)
         assert res.converged
         assert res.cost <= 1e-10
@@ -300,20 +300,100 @@ class TestMcTail:
         assert est.wilson_low <= p_exact <= est.wilson_high
         assert est.rate_estimate == pytest.approx(-alpha * math.log(p_exact), rel=0.05)
 
-    def test_worker_count_invariance(self):
+    @staticmethod
+    def sample_bytes(cfg):
+        """Bytes of one trajectory's state and increments."""
+        return 2 * cfg.lattice.n**2 * 16 + 8 * cfg.steps * cfg.noise.rank
+
+    def test_worker_count_invariance(self, monkeypatch):
         lat, cfg, xi, g = self.ou_cfg(0.2)
-        a = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4,
-                    workers=1, chunk_size=100)
-        b = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4,
-                    workers=3, chunk_size=37)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 100 * self.sample_bytes(cfg))
+        a = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4, workers=1)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 37 * self.sample_bytes(cfg))
+        b = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4, workers=3)
         assert a.hits == b.hits
 
-    def test_blowup_raises_through_the_process_pool(self):
+    def test_blowup_raises_through_the_process_pool(self, monkeypatch):
         # the states stay finite while their H-norm overflows to inf
         lat, cfg, xi, g = self.ou_cfg(0.1, sigma=1e300)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 25 * self.sample_bytes(cfg))
         with np.errstate(over="ignore"), pytest.raises(BlowupError):
-            mc_tail(0, 0.1, TerminalObservableEvent(g, 0.2), 50, cfg, xi,
-                    workers=2, chunk_size=25)
+            mc_tail(0, 0.1, TerminalObservableEvent(g, 0.2), 50, cfg, xi, workers=2)
+
+    def test_batches_stay_within_the_byte_budget(self, monkeypatch):
+        # at n=32 one trajectory holds 32 KiB of state, so 3000 of them are
+        # split into batches of at most _BATCH_BYTES; the hits do not depend on
+        # the split (one batch of 3000 would peak near 1 GB, so the reference
+        # split is a finer one)
+        lat = make_lattice(32)
+        noise = additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
+        cfg = SolverConfig(lattice=lat, dt=1e-3, t_final=2e-3, alpha=0.1, noise=noise)
+        xi = random_field(lat, np.random.default_rng(35))
+        g = eigenmode_field(lat, (1, 0))
+        free = solve_lans(xi, replace(cfg, noise=None, store_fields=True))
+        event = TerminalObservableEvent(g, float(lat.inner_h(free.fields[-1], g.coeffs)))
+        sizes = []
+        draw = deviations._chunk_increments
+
+        def recording(J, dt, steps, master_seed, start, stop):
+            sizes.append(stop - start)
+            return draw(J, dt, steps, master_seed, start, stop)
+
+        monkeypatch.setattr(deviations, "_chunk_increments", recording)
+        batched = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6)
+        assert len(sizes) > 1 and sum(sizes) == 3000
+        assert max(sizes) * self.sample_bytes(cfg) <= deviations._BATCH_BYTES
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 128 * self.sample_bytes(cfg))
+        del sizes[:]
+        finer = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6)
+        assert len(sizes) == math.ceil(3000 / 128)
+        assert 0 < batched.hits < 3000
+        assert batched.hits == finer.hits
+
+    def test_presets_fit_in_one_batch(self):
+        # the benchmark's Monte Carlo sizes: 1000 ou-toy trajectories, and 64
+        # trajectories of the fluctuation system at n=16 over 100 steps
+        _, ou, _, _ = self.ou_cfg(0.1)
+        assert deviations._batch_size(ou) >= 1000
+        lat = make_lattice(16)
+        noise = additive_noise(lat, [0.25, 0.25, 0.2, 0.2], [(1, 0), (0, 1), (1, 1), (2, -1)])
+        fluct = SolverConfig(lattice=lat, dt=2e-3, t_final=0.2, alpha=0.1, noise=noise)
+        assert deviations._batch_size(fluct) >= 64
+
+
+class TestReferenceRecord:
+    @pytest.fixture
+    def mismatched(self):
+        # a reference at dt=1e-2 with as many records as the dt=5e-3 problem
+        lat = make_lattice(8)
+        xi = random_field(lat, np.random.default_rng(36), norm=0.5)
+        noise = additive_noise(lat, [0.5], [(1, 0)])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.1, noise=noise)
+        coarse = dense_nse(xi, SolverConfig(lattice=lat, dt=1e-2, t_final=0.1, alpha=0.1))
+        assert len(coarse) == cfg.steps + 1
+        return lat, cfg, xi, eigenmode_field(lat, (1, 0)), coarse
+
+    def test_skeleton_gradient(self, mismatched):
+        lat, cfg, xi, g, coarse = mismatched
+        h = zero_control(1, cfg.dt, cfg.steps)
+        with pytest.raises(ValueError, match="reference record"):
+            skeleton_gradient(1, h, TerminalObservable(g, 0.1), cfg, xi, 10.0, nse=coarse)
+
+    def test_rate_function(self, mismatched):
+        lat, cfg, xi, g, coarse = mismatched
+        for target in (TerminalObservable(g, 0.1), TerminalField(g)):
+            with pytest.raises(ValueError, match="reference record"):
+                rate_function(RateProblem(1, target), cfg, xi, nse=coarse)
+
+    def test_mc_tail(self, mismatched):
+        lat, cfg, xi, g, coarse = mismatched
+        with pytest.raises(ValueError, match="reference record"):
+            mc_tail(1, 0.1, SupNormEvent(1.0), 4, cfg, xi, nse=coarse)
+
+    def test_weak_continuity_probe(self, mismatched):
+        lat, cfg, xi, g, coarse = mismatched
+        with pytest.raises(ValueError, match="reference record"):
+            weak_continuity_probe(1, [2], cfg, xi, nse=coarse)
 
 
 class TestConvergenceStudy:

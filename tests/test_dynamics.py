@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lans2d import (
     BlowupError,
@@ -15,7 +16,6 @@ from lans2d import (
     dense_nse,
     energy_report,
     make_lattice,
-    norm_h,
     random_field,
     sample_wiener,
     single_shear,
@@ -27,7 +27,7 @@ from lans2d import (
     zero_control,
     zero_field,
 )
-from lans2d.dynamics import march
+from lans2d.dynamics import UnifiedStepper, march
 
 
 def cfg_for(lat, dt=1e-3, T=0.5, alpha=0.1, noise=None, **kw):
@@ -77,7 +77,7 @@ class TestNse:
         lat = make_lattice(32)
         xi = taylor_green(lat)
         traj = solve_nse(xi, cfg_for(lat, T=0.5))
-        exact = math.exp(-2.0 * 0.5) * norm_h(xi)
+        exact = math.exp(-2.0 * 0.5) * float(lat.norm_h(xi.coeffs))
         assert traj.norm_h[-1] == pytest.approx(exact, rel=0.01)
 
     def test_taylor_green_exact_discrete(self):
@@ -86,7 +86,7 @@ class TestNse:
         xi = taylor_green(lat)
         cfg = cfg_for(lat, dt=1e-3, T=0.5, store_fields=True)
         traj = solve_nse(xi, cfg)
-        scale = norm_h(xi)
+        scale = float(lat.norm_h(xi.coeffs))
         for m, y in enumerate(traj.fields):
             exact = (1.0 + 2.0 * cfg.viscosity * cfg.dt) ** -m * xi.coeffs
             assert float(lat.norm_h(y - exact)) <= 1e-12 * scale
@@ -190,7 +190,8 @@ class TestLans:
         xi = taylor_green(lat)
         for alpha in (0.1, 0.9):
             traj = solve_lans(xi, cfg_for(lat, T=0.5, alpha=alpha))
-            assert traj.norm_h[-1] == pytest.approx(math.exp(-1.0) * norm_h(xi), rel=0.01)
+            exact = math.exp(-1.0) * float(lat.norm_h(xi.coeffs))
+            assert traj.norm_h[-1] == pytest.approx(exact, rel=0.01)
 
     def test_sqrt_alpha_noise_scaling(self):
         # the deviation of the momentum state v = (I + a^2 A) u scales as
@@ -253,6 +254,19 @@ class TestUnified:
         unified = solve_unified(0, xi, cfg, wiener=w)
         for a, b in zip(lans.fields, unified.fields):
             assert float(lat.norm_h(a - b)) <= 1e-12
+        # solve_lans is solve_unified(0): the reference is the smoothed
+        # stochastic step written out on its own, matched bit for bit
+        S, dt, alpha = cfg.implicit_multiplier(), cfg.dt, cfg.alpha
+
+        def step(m, u):
+            rhs = u - dt * lat.btilde_alpha(u, lat.unsmooth(u, alpha), alpha)
+            rhs = rhs + math.sqrt(alpha) * noise.apply_smoothed(u, w.increments[m], alpha)
+            return S * rhs
+
+        states = []
+        march(step, xi.coeffs, cfg.steps, lambda m, y, nh: states.append(y), lat)
+        for a, b in zip(lans.fields, states):
+            assert np.array_equal(a, b)
 
     def test_delta1_difference_quotient(self, setup):
         lat, xi, noise = setup
@@ -263,12 +277,48 @@ class TestUnified:
             lans = solve_lans(xi, cfg, w)
             unified = solve_unified(1, xi, cfg, wiener=w, nse=nse)
             lam_delta = ScalingLaw(cfg.scaling.kappa, 1).lam_delta(alpha)
-            for i, (ua, u, y) in enumerate(zip(lans.fields, nse.fields[:: 1], unified.fields)):
-                pass
             # records share the stride-1 grid: compare every snapshot
             for ua, u, y in zip(lans.fields, nse.fields, unified.fields):
                 gap = float(lat.norm_h((ua - u) / lam_delta - y))
                 assert gap <= 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 32).map(lambda k: 2 * k),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        kappa=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        batch=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drift_is_the_expanded_difference_quotient(self, n, alpha, kappa, batch, seed):
+        # reference: the delta=1 drift expanded by bilinearity into four
+        # Btilde terms and one B term
+        lat = make_lattice(n)
+        rng = np.random.default_rng(seed)
+        u = random_field(lat, rng).coeffs
+        y = np.stack([random_field(lat, rng).coeffs for _ in range(batch or 1)])
+        if batch is None:
+            y = y[0]
+        cfg = cfg_for(lat, alpha=alpha, scaling=ScalingLaw(kappa, 1))
+        stepper = UnifiedStepper(cfg, 1)
+        ld = stepper.lam_delta
+        z = lat.unsmooth(y, alpha)
+        jinv_u = lat.unsmooth(u, alpha)
+        expanded = (
+            ld * lat.btilde_alpha(y, z, alpha)
+            + lat.btilde_alpha(u, z, alpha)
+            + lat.btilde_alpha(y, jinv_u, alpha)
+            + (lat.btilde_alpha(u, jinv_u, alpha) - lat.bilinear_b(u, u)) / ld
+        )
+        w = stepper.coefficient_argument(y, u)
+        drift = stepper.drift(w, u)
+        assert drift.shape == expanded.shape
+        # a difference quotient rounds at eps times its operands over lam_delta;
+        # max-abs sizes, since the operands over a tiny lam_delta overflow |.|^2
+        size = lambda a: np.abs(a).max(axis=(-3, -2, -1))
+        operands = size(lat.btilde_alpha(w, lat.unsmooth(w, alpha), alpha))
+        scale = size(expanded) + (operands + size(lat.bilinear_b(u, u))) / ld
+        assert np.all(size(drift - expanded) <= 1e-10 * scale)
 
     def test_delta1_zero_reference_zero_trajectory(self, setup):
         lat, _, noise = setup
@@ -383,7 +433,8 @@ class TestEnergyReport:
         xi = taylor_green(lat)
         cfg = cfg_for(lat, dt=1e-3, T=3.0, record_stride=100)
         traj = solve_nse(xi, cfg)
-        assert 2.0 * traj.dissipation[-1] == pytest.approx(norm_h(xi) ** 2, rel=0.02)
+        energy = float(lat.norm_h(xi.coeffs)) ** 2
+        assert 2.0 * traj.dissipation[-1] == pytest.approx(energy, rel=0.02)
 
     def test_uniform_in_alpha_boundedness(self):
         lat = make_lattice(16)

@@ -5,13 +5,10 @@ import pytest
 
 from lans2d import (
     Control,
+    SpectralField,
     additive_noise,
-    apply_g,
-    apply_g_alpha,
     control_cost,
     eigenmode_field,
-    hs_norms,
-    norm_h,
     projection_multiplicative_noise,
     random_field,
     sample_wiener,
@@ -37,57 +34,57 @@ def g_mult(lat16):
 
 class TestApply:
     def test_additive_unit_coordinate(self, lat16, g_add):
-        out = apply_g(g_add, None, [1.0, 0.0])
-        phi1 = eigenmode_field(lat16, (1, 0))
-        assert norm_h(out - 2.0 * phi1) < 1e-14
+        out = g_add.apply(None, [1.0, 0.0])
+        phi1 = eigenmode_field(lat16, (1, 0)).coeffs
+        assert lat16.norm_h(out - 2.0 * phi1) < 1e-14
 
     def test_multiplicative_zero_state(self, lat16, g_mult, rng):
         gm0 = projection_multiplicative_noise(
             lat16, [1.5, 0.5], [(1, 0), (0, 1)], [(1, 1), (2, 0)], [0.0, 0.0]
         )
-        out = apply_g(gm0, zero_field(lat16), rng.standard_normal(2))
-        assert norm_h(out) == 0.0
+        out = gm0.apply(zero_field(lat16).coeffs, rng.standard_normal(2))
+        assert lat16.norm_h(out) == 0.0
 
     def test_multiplicative_unit_probe(self, lat16):
         gm = projection_multiplicative_noise(
             lat16, [1.5], [(1, 0)], [(1, 1)], [0.0]
         )
-        psi = eigenmode_field(lat16, (1, 1))
-        out = apply_g(gm, psi, [1.0])
-        phi = eigenmode_field(lat16, (1, 0))
-        assert norm_h(out - 1.5 * phi) < 1e-13
+        psi = eigenmode_field(lat16, (1, 1)).coeffs
+        out = gm.apply(psi, [1.0])
+        phi = eigenmode_field(lat16, (1, 0)).coeffs
+        assert lat16.norm_h(out - 1.5 * phi) < 1e-13
 
     def test_rank_mismatch(self, lat16, g_add):
         with pytest.raises(ValueError, match="coordinates"):
-            apply_g(g_add, None, [1.0, 0.0, 0.0])
+            g_add.apply(None, [1.0, 0.0, 0.0])
 
     def test_output_valid(self, lat16, g_mult, rng):
-        u = random_field(lat16, rng)
-        apply_g(g_mult, u, rng.standard_normal(2)).validate()
+        u = random_field(lat16, rng).coeffs
+        SpectralField(lat16, g_mult.apply(u, rng.standard_normal(2))).validate()
 
     def test_smoothed_variants(self, lat16, g_add, rng):
-        u = random_field(lat16, rng)
+        u = random_field(lat16, rng).coeffs
         coords = rng.standard_normal(2)
-        plain = apply_g(g_add, u, coords)
-        assert norm_h(apply_g_alpha(g_add, u, coords, 0.0) - plain) == 0.0
+        plain = g_add.apply(u, coords)
+        assert lat16.norm_h(g_add.apply_smoothed(u, coords, 0.0) - plain) == 0.0
         single = additive_noise(lat16, [0.9], [(1, 0)])
-        out = apply_g_alpha(single, u, [1.0], 1.0)
-        phi = eigenmode_field(lat16, (1, 0))
-        assert norm_h(out - 0.45 * phi) < 1e-14  # eigenvalue 1: factor 1/2
+        out = single.apply_smoothed(u, [1.0], 1.0)
+        phi = eigenmode_field(lat16, (1, 0)).coeffs
+        assert lat16.norm_h(out - 0.45 * phi) < 1e-14  # eigenvalue 1: factor 1/2
 
     def test_linearity_in_coordinates(self, lat16, g_mult, rng):
-        u = random_field(lat16, rng)
+        u = random_field(lat16, rng).coeffs
         a = rng.standard_normal(2)
         b = rng.standard_normal(2)
-        lhs = apply_g_alpha(g_mult, u, a + b, 0.3)
-        rhs = apply_g_alpha(g_mult, u, a, 0.3) + apply_g_alpha(g_mult, u, b, 0.3)
-        assert norm_h(lhs - rhs) < 1e-12
+        lhs = g_mult.apply_smoothed(u, a + b, 0.3)
+        rhs = g_mult.apply_smoothed(u, a, 0.3) + g_mult.apply_smoothed(u, b, 0.3)
+        assert lat16.norm_h(lhs - rhs) < 1e-12
 
 
 class TestHilbertSchmidt:
     def test_rank_one_additive(self, lat16):
         g = additive_noise(lat16, [2.0], [(1, 0)])
-        h, v = hs_norms(g, None)
+        h, v = g.hs_norms(None)
         assert h == pytest.approx(2.0)
         assert v == pytest.approx(2.0)  # eigenvalue 1 mode: ||phi||_V = |phi|
 
@@ -95,26 +92,26 @@ class TestHilbertSchmidt:
         gm0 = projection_multiplicative_noise(
             lat16, [1.0], [(1, 0)], [(1, 1)], [0.0]
         )
-        assert hs_norms(gm0, zero_field(lat16)) == (0.0, 0.0)
+        assert gm0.hs_norms(zero_field(lat16).coeffs) == (0.0, 0.0)
 
     def test_lipschitz_certificate(self, lat16, g_mult, rng):
         C = g_mult.lipschitz_constant()
         for _ in range(100):
-            u = random_field(lat16, rng, norm=None)
-            v = random_field(lat16, rng, norm=None)
-            hu, vu = hs_norms(g_mult, u)
-            hv, vv = hs_norms(g_mult, v)
-            gap = norm_h(u - v)
+            u = random_field(lat16, rng, norm=None).coeffs
+            v = random_field(lat16, rng, norm=None).coeffs
+            hu, vu = g_mult.hs_norms(u)
+            hv, vv = g_mult.hs_norms(v)
+            gap = lat16.norm_h(u - v)
             assert abs(hu - hv) <= C * gap * (1 + 1e-12)
             assert abs(vu - vv) <= C * gap * (1 + 1e-12)
 
     def test_growth_certificate(self, lat16, g_mult, rng):
         C = g_mult.lipschitz_constant()
         for _ in range(50):
-            u = random_field(lat16, rng, norm=None)
-            h, v = hs_norms(g_mult, u)
-            assert h <= C * (1.0 + norm_h(u)) * (1 + 1e-12)
-            assert v <= C * (1.0 + norm_h(u)) * (1 + 1e-12)
+            u = random_field(lat16, rng, norm=None).coeffs
+            h, v = g_mult.hs_norms(u)
+            assert h <= C * (1.0 + lat16.norm_h(u)) * (1 + 1e-12)
+            assert v <= C * (1.0 + lat16.norm_h(u)) * (1 + 1e-12)
 
     def test_offsets_bounded(self, lat16):
         with pytest.raises(ValueError, match="c_j"):

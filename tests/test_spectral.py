@@ -5,20 +5,9 @@ import pytest
 
 from lans2d import (
     SpectralField,
-    apply_j_alpha,
-    apply_j_alpha_inverse,
-    apply_stokes,
-    bilinear_b,
-    bilinear_btilde,
-    btilde_alpha,
     calibrate_estimates,
     eigenmode_field,
-    inner_h,
     make_lattice,
-    norm_alpha,
-    norm_h,
-    norm_v,
-    project_leray,
     random_field,
     single_shear,
     taylor_green,
@@ -63,11 +52,11 @@ class TestLeray:
         assert np.abs(out).max() < 1e-14 * np.abs(c).max()
 
     def test_idempotent_and_identity_on_h(self, lat16, rng):
-        u = random_field(lat16, rng)
-        once = project_leray(u)
-        twice = project_leray(once)
-        assert np.abs(once.coeffs - u.coeffs).max() < 1e-14
-        assert np.abs(twice.coeffs - once.coeffs).max() < 1e-15
+        u = random_field(lat16, rng).coeffs
+        once = lat16.leray(u)
+        twice = lat16.leray(once)
+        assert np.abs(once - u).max() < 1e-14
+        assert np.abs(twice - once).max() < 1e-15
 
     def test_hand_example(self):
         lat = make_lattice(16)
@@ -80,114 +69,117 @@ class TestLeray:
 
 class TestDiagonalOperators:
     def test_stokes_identity_and_composition(self, lat16, rng):
-        u = random_field(lat16, rng)
-        assert np.abs(apply_stokes(u, 0.0).coeffs - u.coeffs).max() == 0.0
-        ab = apply_stokes(apply_stokes(u, 0.7), 0.3)
-        direct = apply_stokes(u, 1.0)
-        assert np.abs(ab.coeffs - direct.coeffs).max() < 1e-12 * np.abs(direct.coeffs).max()
+        u = random_field(lat16, rng).coeffs
+        assert np.abs(lat16.stokes(u, 0.0) - u).max() == 0.0
+        ab = lat16.stokes(lat16.stokes(u, 0.7), 0.3)
+        direct = lat16.stokes(u, 1.0)
+        assert np.abs(ab - direct).max() < 1e-12 * np.abs(direct).max()
 
     def test_stokes_single_modes(self, lat16):
-        m10 = eigenmode_field(lat16, (1, 0))
-        assert norm_h(apply_stokes(m10, 1.0)) == pytest.approx(norm_h(m10))
-        m11 = eigenmode_field(lat16, (1, 1))
-        assert norm_h(apply_stokes(m11, 0.5)) == pytest.approx(np.sqrt(2) * norm_h(m11))
+        m10 = eigenmode_field(lat16, (1, 0)).coeffs
+        assert lat16.norm_h(lat16.stokes(m10, 1.0)) == pytest.approx(lat16.norm_h(m10))
+        m11 = eigenmode_field(lat16, (1, 1)).coeffs
+        assert lat16.norm_h(lat16.stokes(m11, 0.5)) == pytest.approx(
+            np.sqrt(2) * lat16.norm_h(m11))
 
     def test_smoother(self, lat16, rng):
-        u = random_field(lat16, rng)
-        assert np.abs(apply_j_alpha(u, 0.0).coeffs - u.coeffs).max() == 0.0
-        m10 = eigenmode_field(lat16, (1, 0))
-        assert norm_h(apply_j_alpha(m10, 1.0)) == pytest.approx(0.5 * norm_h(m10))
-        rt = apply_j_alpha_inverse(apply_j_alpha(u, 0.37), 0.37)
-        assert np.abs(rt.coeffs - u.coeffs).max() < 1e-14 * np.abs(u.coeffs).max()
+        u = random_field(lat16, rng).coeffs
+        assert np.abs(lat16.smooth(u, 0.0) - u).max() == 0.0
+        m10 = eigenmode_field(lat16, (1, 0)).coeffs
+        assert lat16.norm_h(lat16.smooth(m10, 1.0)) == pytest.approx(0.5 * lat16.norm_h(m10))
+        rt = lat16.unsmooth(lat16.smooth(u, 0.37), 0.37)
+        assert np.abs(rt - u).max() < 1e-14 * np.abs(u).max()
 
 
 class TestNorms:
     def test_zero_field(self, lat16):
-        z = zero_field(lat16)
-        assert norm_h(z) == 0.0 and norm_v(z) == 0.0 and norm_alpha(z, 0.3) == 0.0
+        z = zero_field(lat16).coeffs
+        assert lat16.norm_h(z) == 0.0 and lat16.norm_v(z) == 0.0
+        assert lat16.norm_alpha(z, 0.3) == 0.0
 
     def test_single_mode_alpha_norm(self, lat16):
-        u = eigenmode_field(lat16, (1, 0))  # unit H norm, eigenvalue 1
-        assert norm_h(u) == pytest.approx(1.0)
-        assert norm_alpha(u, 0.5) == pytest.approx(np.sqrt(1.25))
+        u = eigenmode_field(lat16, (1, 0)).coeffs  # unit H norm, eigenvalue 1
+        assert lat16.norm_h(u) == pytest.approx(1.0)
+        assert lat16.norm_alpha(u, 0.5) == pytest.approx(np.sqrt(1.25))
 
     def test_poincare(self, lat32, rng):
         for _ in range(100):
-            u = random_field(lat32, rng, norm=None)
-            assert norm_h(u) <= norm_v(u) * (1 + 1e-12)
+            u = random_field(lat32, rng, norm=None).coeffs
+            assert lat32.norm_h(u) <= lat32.norm_v(u) * (1 + 1e-12)
 
     def test_parseval(self, lat32, rng):
-        u = random_field(lat32, rng)
-        phys = lat32.to_physical(u.coeffs)
+        u = random_field(lat32, rng).coeffs
+        phys = lat32.to_physical(u)
         phys_sq = float(np.sum(phys**2)) * (2 * np.pi / lat32.n) ** 2
-        assert phys_sq == pytest.approx(norm_h(u) ** 2, rel=1e-12)
+        assert phys_sq == pytest.approx(float(lat32.norm_h(u)) ** 2, rel=1e-12)
 
     def test_lattice_mismatch(self, lat16, lat32, rng):
         with pytest.raises(LatticeMismatchError):
-            inner_h(random_field(lat16, rng), random_field(lat32, rng))
+            random_field(lat16, rng) + random_field(lat32, rng)
 
 
 class TestBilinear:
     def test_shear_self_advection_vanishes(self, lat32):
-        u = single_shear(lat32)  # (sin y, 0) direction, unit norm
-        assert norm_h(bilinear_b(u, u)) <= 1e-12
-        assert norm_h(bilinear_btilde(u, u)) <= 1e-12
+        u = single_shear(lat32).coeffs  # (sin y, 0) direction, unit norm
+        assert lat32.norm_h(lat32.bilinear_b(u, u)) <= 1e-12
+        assert lat32.norm_h(lat32.bilinear_btilde(u, u)) <= 1e-12
 
     def test_taylor_green_nonlinearity_is_gradient(self, lat32):
-        u = taylor_green(lat32)
-        assert norm_h(bilinear_b(u, u)) <= 1e-12
+        u = taylor_green(lat32).coeffs
+        assert lat32.norm_h(lat32.bilinear_b(u, u)) <= 1e-12
 
     def test_skew_symmetry(self, lat32, rng):
         for _ in range(20):
-            u, v, w = (random_field(lat32, rng) for _ in range(3))
-            lhs = inner_h(bilinear_b(u, v), w)
-            rhs = -inner_h(bilinear_b(u, w), v)
+            u, v, w = (random_field(lat32, rng).coeffs for _ in range(3))
+            lhs = float(lat32.inner_h(lat32.bilinear_b(u, v), w))
+            rhs = -float(lat32.inner_h(lat32.bilinear_b(u, w), v))
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
     def test_btilde_cancellation(self, lat32, rng):
         for _ in range(20):
-            u, v = (random_field(lat32, rng) for _ in range(2))
-            assert abs(inner_h(bilinear_btilde(u, v), u)) <= 1e-10
+            u, v = (random_field(lat32, rng).coeffs for _ in range(2))
+            assert abs(lat32.inner_h(lat32.bilinear_btilde(u, v), u)) <= 1e-10
 
     def test_btilde_diagonal_equals_b(self, lat32, rng):
-        u = random_field(lat32, rng)
-        gap = bilinear_btilde(u, u) - bilinear_b(u, u)
-        assert norm_h(gap) <= 1e-10
+        u = random_field(lat32, rng).coeffs
+        gap = lat32.bilinear_btilde(u, u) - lat32.bilinear_b(u, u)
+        assert lat32.norm_h(gap) <= 1e-10
 
     def test_btilde_decomposition(self, lat32, rng):
         for _ in range(20):
-            u, v, w = (random_field(lat32, rng) for _ in range(3))
-            lhs = inner_h(bilinear_btilde(u, v), w)
-            rhs = inner_h(bilinear_b(u, v), w) - inner_h(bilinear_b(w, v), u)
+            u, v, w = (random_field(lat32, rng).coeffs for _ in range(3))
+            lhs = float(lat32.inner_h(lat32.bilinear_btilde(u, v), w))
+            rhs = float(lat32.inner_h(lat32.bilinear_b(u, v), w)
+                        - lat32.inner_h(lat32.bilinear_b(w, v), u))
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
 
     def test_btilde_alpha_weighted_cancellation(self, lat32, rng):
         alpha = 0.45
         for _ in range(10):
-            u, v = (random_field(lat32, rng) for _ in range(2))
-            smoothed = btilde_alpha(u, v, alpha)
-            weighted = apply_j_alpha_inverse(u, alpha)
-            assert abs(inner_h(smoothed, weighted)) <= 1e-10
+            u, v = (random_field(lat32, rng).coeffs for _ in range(2))
+            smoothed = lat32.btilde_alpha(u, v, alpha)
+            weighted = lat32.unsmooth(u, alpha)
+            assert abs(lat32.inner_h(smoothed, weighted)) <= 1e-10
 
     def test_output_is_valid_field(self, lat16, rng):
-        u, v = (random_field(lat16, rng) for _ in range(2))
-        bilinear_b(u, v).validate()
-        bilinear_btilde(u, v).validate()
-        btilde_alpha(u, v, 0.8).validate()
+        u, v = (random_field(lat16, rng).coeffs for _ in range(2))
+        SpectralField(lat16, lat16.bilinear_b(u, v)).validate()
+        SpectralField(lat16, lat16.bilinear_btilde(u, v)).validate()
+        SpectralField(lat16, lat16.btilde_alpha(u, v, 0.8)).validate()
 
 
 class TestAdjoints:
     def test_adjoint_b_first(self, lat16, rng):
-        a, v, p = (random_field(lat16, rng) for _ in range(3))
-        lhs = inner_h(bilinear_b(v, a), p)
-        adj = SpectralField(lat16, lat16.adjoint_b_first(a.coeffs, p.coeffs))
-        assert lhs == pytest.approx(inner_h(v, adj), rel=1e-10, abs=1e-12)
+        a, v, p = (random_field(lat16, rng).coeffs for _ in range(3))
+        lhs = float(lat16.inner_h(lat16.bilinear_b(v, a), p))
+        adj = lat16.adjoint_b_first(a, p)
+        assert lhs == pytest.approx(float(lat16.inner_h(v, adj)), rel=1e-10, abs=1e-12)
 
     def test_adjoint_b_second(self, lat16, rng):
-        a, v, p = (random_field(lat16, rng) for _ in range(3))
-        lhs = inner_h(bilinear_b(a, v), p)
-        adj = SpectralField(lat16, lat16.adjoint_b_second(a.coeffs, p.coeffs))
-        assert lhs == pytest.approx(inner_h(v, adj), rel=1e-10, abs=1e-12)
+        a, v, p = (random_field(lat16, rng).coeffs for _ in range(3))
+        lhs = float(lat16.inner_h(lat16.bilinear_b(a, v), p))
+        adj = lat16.adjoint_b_second(a, p)
+        assert lhs == pytest.approx(float(lat16.inner_h(v, adj)), rel=1e-10, abs=1e-12)
 
 
 class TestOperatorBounds:
