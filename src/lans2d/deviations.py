@@ -282,7 +282,8 @@ def _target_scale(target):
     return max(1.0, float(target.x.lattice.norm_h(target.x.coeffs)))
 
 
-def _penalized_descent(problem, cfg, xi, nse):
+def _penalized_descent(problem, cfg, xi):
+    """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``."""
     from scipy.optimize import minimize
 
     noise = cfg.noise
@@ -294,8 +295,7 @@ def _penalized_descent(problem, cfg, xi, nse):
     for beta in problem.beta_schedule:
         def fun(flat):
             val, grad = skeleton_gradient(
-                problem.delta, Control(cfg.dt, flat.reshape(shape)), problem.target,
-                cfg, xi, beta, nse=nse,
+                0, Control(cfg.dt, flat.reshape(shape)), problem.target, cfg, xi, beta
             )
             return val, grad.ravel()
 
@@ -304,9 +304,7 @@ def _penalized_descent(problem, cfg, xi, nse):
             options={"maxiter": problem.max_iterations, "ftol": 1e-14, "gtol": 1e-12},
         )
         hv = res.x.reshape(shape)
-        y_final = _skeleton_march(
-            problem.delta, hv, cfg, xi, None if problem.delta == 0 else nse.fields, None
-        )
+        y_final = _skeleton_march(0, hv, cfg, xi, None, None)
         rho, _ = _terminal_pieces(problem.target, cfg.lattice, y_final)
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
         history.append({"beta": beta, "cost": cost, "residual": abs(rho)})
@@ -351,7 +349,7 @@ def rate_function(
         if isinstance(problem.target, TerminalObservable):
             return _exact_lq_observable(problem, cfg, xi, nse)
         return _gramian_cg_field(problem, cfg, xi, nse)
-    return _penalized_descent(problem, cfg, xi, nse)
+    return _penalized_descent(problem, cfg, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 Fields live on ``[0, 2*pi]**2`` and are stored as truncated Fourier
 coefficients ``uhat[c, i1, i2]`` (component ``c`` in {0, 1}, numpy FFT index
-ordering per axis).  The physical field is ``u(x) = sum_k uhat(k) e^{i k.x}``,
-so the L2 pairing carries the ``(2*pi)**2`` area factor and Parseval is exact.
+ordering per axis), the full ``(2, n, n)`` spectrum of a real field.  The
+physical field is ``u(x) = sum_k uhat(k) e^{i k.x}``, so the L2 pairing
+carries the ``(2*pi)**2`` area factor and Parseval is exact.
 
-Everything diagonal in Fourier space (Stokes powers, the Helmholtz smoother)
-is applied exactly; quadratic terms are formed pseudo-spectrally with the
-two-thirds dealiasing rule.  All operations accept leading batch axes on the
-raw coefficient arrays, i.e. shape ``(..., 2, n, n)``.
+Every field is supported on the dealiased band ``3 max(|k1|, |k2|) < n``
+(Orszag's two-thirds rule): the product of two band fields has no alias
+inside the band.  Everything diagonal in Fourier space (Stokes powers, the
+Helmholtz smoother, the Leray projector) is applied exactly.  Quadratic terms
+are formed pseudo-spectrally by one kernel: one real inverse transform of the
+stacked values and derivatives the term needs, their product on the grid,
+one real forward transform and the projection.  The transforms read and
+write only the band columns ``k2 = 0..K``; the ``k2 < 0`` half follows by
+Hermitian symmetry.  All operations accept leading batch axes on the raw
+coefficient arrays, i.e. shape ``(..., 2, n, n)``, and broadcast them.
 """
 
 from __future__ import annotations
@@ -41,9 +48,14 @@ class TorusLattice:
     eigenvalue : ndarray, shape (n, n)
         Stokes eigenvalues ``|k|**2 = k1**2 + k2**2``.
     dealias_mask : ndarray of bool, shape (n, n)
-        True where ``max(|k1|, |k2|) <= n // 3`` (two-thirds rule).
+        True on the band ``3 max(|k1|, |k2|) < n`` (two-thirds rule), i.e.
+        ``max(|k1|, |k2|) <= K`` with band edge ``K = (n - 1) // 3``.
     active : ndarray of bool, shape (n, n)
         Retained modes: dealias-kept and k != 0 (zero-mean constraint).
+
+    Coefficient arrays keep the full ``(..., 2, n, n)`` layout.  The
+    transforms and the quadratic terms read only the band columns
+    ``k2 = 0..K`` of their inputs and write only the band of their outputs.
     """
 
     n: int
@@ -60,8 +72,11 @@ class TorusLattice:
         k1 = np.broadcast_to(k1d[:, None], (self.n, self.n)).copy()
         k2 = np.broadcast_to(k1d[None, :], (self.n, self.n)).copy()
         lam = (k1**2 + k2**2).astype(np.float64)
-        mask = np.maximum(np.abs(k1), np.abs(k2)) <= self.n // 3
+        mask = 3 * np.maximum(np.abs(k1), np.abs(k2)) < self.n
         nonzero = lam > 0
+        lam_safe = np.where(nonzero, lam, 1.0)
+        edge = (self.n - 1) // 3
+        keep = mask[:, : edge + 1].astype(np.float64)
         for name, arr in (
             ("k1", k1),
             ("k2", k2),
@@ -69,19 +84,55 @@ class TorusLattice:
             ("dealias_mask", mask),
             ("active", mask & nonzero),
             ("_nonzero", nonzero),
-            ("_lam_safe", np.where(nonzero, lam, 1.0)),
+            ("_lam_safe", lam_safe),
+            # Leray projector I - k k^T / |k|^2, zero on the mean mode
+            ("_p11", np.where(nonzero, 1.0 - k1 * k1 / lam_safe, 0.0)),
+            ("_p12", np.where(nonzero, -k1 * k2 / lam_safe, 0.0)),
+            ("_p22", np.where(nonzero, 1.0 - k2 * k2 / lam_safe, 0.0)),
+            # band weights on the columns k2 = 0..K: value, i k1, i k2
+            ("_keep", keep),
+            ("_ik", np.stack([1j * k1[:, : edge + 1], 1j * k2[:, : edge + 1]]) * keep),
+            ("_flip", (-np.arange(self.n)) % self.n),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_edge", edge)
 
     # -- transforms ---------------------------------------------------------
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Collocation samples of a Hermitian coefficient array (real output)."""
-        return np.fft.ifft2(coeffs, axes=(-2, -1)).real * (self.n * self.n)
+        """Collocation samples of a real field's coefficients, shape ``(..., n, n)``.
+
+        Reads only the columns ``k2 = 0..K`` (the last axis may hold just
+        those); the ``k2 < 0`` half is implied by Hermitian symmetry.
+        """
+        n, K = self.n, self._edge
+        # numpy transforms short strided rows slowly: transform k1 along a
+        # contiguous last axis, then k2 -> x2 on the transposed-back result
+        c = _transposed(coeffs[..., : K + 1])
+        np.fft.ifft(c, axis=-1, norm="forward", out=c)
+        half = np.zeros(c.shape[:-2] + (n, n // 2 + 1), np.complex128)
+        half[..., : K + 1] = np.swapaxes(c, -1, -2)
+        del c  # freed before irfft allocates the samples
+        return np.fft.irfft(half, n=n, axis=-1, norm="forward")
 
     def to_spectral(self, phys: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(phys, axes=(-2, -1)) / (self.n * self.n)
+        """Band-limited coefficients of real grid samples, shape ``(..., n, n)``.
+
+        Only the band is computed and written; everything outside it is 0 and
+        the ``k2 < 0`` half is the conjugate mirror of the computed columns,
+        so the result is a real field's spectrum by construction.
+        """
+        n, K = self.n, self._edge
+        half = _transposed(np.fft.rfft(phys, axis=-1, norm="forward")[..., : K + 1])
+        np.fft.fft(half, axis=-1, norm="forward", out=half)
+        half = np.swapaxes(half, -1, -2)
+        out = np.zeros(half.shape[:-1] + (n,), np.complex128)
+        out[..., : K + 1, : K + 1] = half[..., : K + 1, :]
+        out[..., n - K :, 1 : K + 1] = half[..., n - K :, 1:]
+        out[..., n - K :, 0] = np.conj(half[..., K:0:-1, 0])
+        out[..., n - K :] = np.conj(out[..., self._flip, K:0:-1])
+        return out
 
     def grid(self):
         """Physical collocation points (X, Y), each shape (n, n)."""
@@ -92,13 +143,10 @@ class TorusLattice:
 
     def leray(self, coeffs: np.ndarray) -> np.ndarray:
         """Helmholtz-Leray projection ``I - k k^T / |k|^2``; zeroes the mean mode."""
-        kdot = self.k1 * coeffs[..., 0, :, :] + self.k2 * coeffs[..., 1, :, :]
-        fac = kdot / self._lam_safe
-        out = np.stack(
-            [coeffs[..., 0, :, :] - self.k1 * fac, coeffs[..., 1, :, :] - self.k2 * fac],
-            axis=-3,
-        )
-        out[..., ~self._nonzero] = 0.0
+        c0, c1 = coeffs[..., 0, :, :], coeffs[..., 1, :, :]
+        out = np.empty(coeffs.shape, np.result_type(coeffs, 1.0))
+        np.add(self._p11 * c0, self._p12 * c1, out=out[..., 0, :, :])
+        np.add(self._p12 * c0, self._p22 * c1, out=out[..., 1, :, :])
         return out
 
     def stokes(self, coeffs: np.ndarray, power: float) -> np.ndarray:
@@ -141,38 +189,46 @@ class TorusLattice:
 
     # -- quadratic terms ------------------------------------------------------
 
-    def _gradients(self, coeffs):
-        dx = self.to_physical(1j * self.k1 * coeffs)
-        dy = self.to_physical(1j * self.k2 * coeffs)
-        return dx, dy
+    def _quadratic(self, a: np.ndarray, b: np.ndarray, advect: bool, transpose: bool):
+        """``P(a . grad b)`` if ``advect``, plus ``P((grad a)^T b)`` if ``transpose``.
+
+        Each term contracts one value field ``x`` with one gradient ``g``,
+        ``sum_j x_j g_j`` where ``g_j`` is a vector field: ``(x, g_j) = (a,
+        d_j b)`` for the advection and ``(b, grad a_j)`` for the transpose.
+        The values and gradients of every term are written on the band into
+        one preallocated stack, brought to the grid by one inverse transform,
+        multiplied there, and the product is brought back by one forward
+        transform (which keeps only the band) and projected.
+        """
+        K = self._edge
+        a_half, b_half = a[..., : K + 1], b[..., : K + 1]
+        ik = self._ik[:, None, :, :]  # (derivative, 1, n, K + 1)
+        # per term: the value field, the differentiated field broadcast so
+        # that slot j of the gradient is g_j, and the matching weights
+        terms = []
+        if advect:  # g_j = d_j b
+            terms.append((a_half, b_half[..., None, :, :, :], ik))
+        if transpose:  # g_j = grad a_j
+            terms.append((b_half, a_half[..., :, None, :, :], ik.swapaxes(0, 1)))
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        spec = np.empty(shape[:-3] + (3 * len(terms), 2, self.n, K + 1), np.complex128)
+        for t, (x, y, weight) in enumerate(terms):
+            np.multiply(x, self._keep, out=spec[..., 3 * t, :, :, :])
+            np.multiply(y, weight, out=spec[..., 3 * t + 1 : 3 * t + 3, :, :, :])
+        phys = self.to_physical(spec)
+        w = 0.0
+        for t in range(len(terms)):
+            for j in (0, 1):
+                w = w + phys[..., 3 * t, j : j + 1, :, :] * phys[..., 3 * t + 1 + j, :, :, :]
+        return self.leray(self.to_spectral(w))
 
     def bilinear_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """Pseudo-spectral ``B(u, v) = P(u . grad v)``, dealiased then projected."""
-        up = self.to_physical(cu)
-        dvx, dvy = self._gradients(cv)
-        w = up[..., 0:1, :, :] * dvx + up[..., 1:2, :, :] * dvy
-        return self.leray(self.to_spectral(w) * self.dealias_mask)
+        return self._quadratic(cu, cv, advect=True, transpose=False)
 
     def bilinear_btilde(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """``Btilde(u, v) = P(u . grad v + sum_j v_j grad u_j)``."""
-        up = self.to_physical(cu)
-        vp = self.to_physical(cv)
-        dvx, dvy = self._gradients(cv)
-        dux, duy = self._gradients(cu)
-        w0 = (
-            up[..., 0, :, :] * dvx[..., 0, :, :]
-            + up[..., 1, :, :] * dvy[..., 0, :, :]
-            + vp[..., 0, :, :] * dux[..., 0, :, :]
-            + vp[..., 1, :, :] * dux[..., 1, :, :]
-        )
-        w1 = (
-            up[..., 0, :, :] * dvx[..., 1, :, :]
-            + up[..., 1, :, :] * dvy[..., 1, :, :]
-            + vp[..., 0, :, :] * duy[..., 0, :, :]
-            + vp[..., 1, :, :] * duy[..., 1, :, :]
-        )
-        w = np.stack([w0, w1], axis=-3)
-        return self.leray(self.to_spectral(w) * self.dealias_mask)
+        return self._quadratic(cu, cv, advect=True, transpose=True)
 
     def btilde_alpha(self, cu: np.ndarray, cv: np.ndarray, alpha: float) -> np.ndarray:
         return self.smooth(self.bilinear_btilde(cu, cv), alpha)
@@ -181,12 +237,7 @@ class TorusLattice:
 
     def adjoint_b_first(self, ca: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Adjoint of ``v -> B(v, a)``: returns ``P((grad a)^T p)`` dealiased."""
-        dax, day = self._gradients(ca)
-        pp = self.to_physical(cp)
-        q0 = pp[..., 0, :, :] * dax[..., 0, :, :] + pp[..., 1, :, :] * dax[..., 1, :, :]
-        q1 = pp[..., 0, :, :] * day[..., 0, :, :] + pp[..., 1, :, :] * day[..., 1, :, :]
-        q = np.stack([q0, q1], axis=-3)
-        return self.leray(self.to_spectral(q) * self.dealias_mask)
+        return self._quadratic(ca, cp, advect=False, transpose=True)
 
     def adjoint_b_second(self, ca: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Adjoint of ``v -> B(a, v)``: returns ``-B(a, p)`` (a divergence-free)."""
@@ -202,6 +253,11 @@ class TorusLattice:
         """Symmetrize, dealias, project and zero the mean: a valid field."""
         c = self.hermitian_symmetrize(coeffs) * self.dealias_mask
         return self.leray(c)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """Fresh contiguous copy of ``a`` with its last two axes swapped."""
+    return np.swapaxes(a, -1, -2).copy()
 
 
 def make_lattice(n: int) -> TorusLattice:
@@ -276,7 +332,7 @@ def taylor_green(lattice: TorusLattice, amplitude: float = 1.0) -> SpectralField
     """``(sin x cos y, -cos x sin y)``: Stokes eigenfield with eigenvalue 2."""
     X, Y = lattice.grid()
     phys = amplitude * np.stack([np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)])
-    return SpectralField(lattice, lattice.leray(lattice.to_spectral(phys) * lattice.dealias_mask))
+    return SpectralField(lattice, lattice.leray(lattice.to_spectral(phys)))
 
 
 def single_shear(lattice: TorusLattice, k: tuple[int, int] = (0, 1), amplitude: float = 1.0) -> SpectralField:
@@ -295,7 +351,7 @@ def eigenmode_field(
     k1, k2 = int(k[0]), int(k[1])
     if (k1, k2) == (0, 0):
         raise ValueError("mode (0, 0) is excluded (zero-mean constraint)")
-    if max(abs(k1), abs(k2)) > lattice.n // 3:
+    if 3 * max(abs(k1), abs(k2)) >= lattice.n:
         raise ValueError(f"mode {k} lies outside the dealiased band of n={lattice.n}")
     c = np.zeros((2, lattice.n, lattice.n), np.complex128)
     kperp = np.array([-k2, k1], float) / np.hypot(k1, k2)

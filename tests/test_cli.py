@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lans2d
 from lans2d import (
     Control,
     make_lattice,
@@ -282,3 +286,35 @@ class TestCli:
         # the echo reparses to the same resolved document
         cfg = parse_config_text("\n".join(text.splitlines()[1:]))
         assert cfg.n == 16
+
+
+SCIPY_GUARD = """
+import sys, tempfile
+import numpy as np
+from lans2d import (SolverConfig, SupNormEvent, additive_noise, dense_nse, make_lattice,
+                    mc_tail, random_field, solve_unified)
+from lans2d.cli import main
+lat = make_lattice(8)
+noise = additive_noise(lat, [0.1], [(1, 0)])
+cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.2, noise=noise, store_fields=True)
+xi = random_field(lat, np.random.default_rng(0))
+mc_tail(0, 0.2, SupNormEvent(1.0), 16, cfg, xi, master_seed=1)
+solve_unified(1, xi, cfg, nse=dense_nse(xi, cfg))
+with tempfile.TemporaryDirectory() as out:
+    code = main(["mdp-check", "--preset", "unified-default", "--n", "8", "--dt", "0.005",
+                 "--t-final", "0.05", "--alphas", "0.2", "--out-dir", out])
+assert code == 0, code
+print("loaded:", [m for m in ("scipy.fft", "scipy.special") if m in sys.modules])
+"""
+
+
+class TestImports:
+    def test_solvers_and_cli_do_not_load_scipy_fft(self):
+        # scipy.fft pulls in scipy.special (about +25 MB of resident memory);
+        # only the L-BFGS rate path may import scipy
+        src = os.path.dirname(os.path.dirname(lans2d.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", SCIPY_GUARD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded: []"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lans2d import (
     SpectralField,
@@ -30,9 +31,13 @@ class TestLattice:
         assert lat.eigenvalue[lat.active].min() >= 1.0
 
     def test_two_thirds_rule_n6(self):
+        # keep 3 max(|k1|, |k2|) < n: at n=6 mode 2 would alias (2 + 2 = 4 = -2)
         lat = make_lattice(6)
-        assert lat.dealias_mask[2 % 6, 0]
-        assert not lat.dealias_mask[3 % 6, 0]
+        assert lat.dealias_mask[1, 0]
+        assert not lat.dealias_mask[2, 0]
+        assert not lat.dealias_mask[-2, 0]
+        with pytest.raises(ValueError, match="dealiased band"):
+            eigenmode_field(lat, (2, 0))
 
     @pytest.mark.parametrize("bad", [5, 2, 0, -4])
     def test_rejects_bad_sizes(self, bad):
@@ -166,6 +171,115 @@ class TestBilinear:
         SpectralField(lat16, lat16.bilinear_b(u, v)).validate()
         SpectralField(lat16, lat16.bilinear_btilde(u, v)).validate()
         SpectralField(lat16, lat16.btilde_alpha(u, v, 0.8)).validate()
+
+
+def band_quadratic(lat, a, b, advect, transpose):
+    """Exact alias-free reference for the quadratic terms, by direct sums.
+
+    ``P(a . grad b)`` and/or ``P((grad a)^T b)`` as the convolution
+    ``sum_{p+q=k}`` over band modes ``|p|, |q|, |k| <= K`` (max norm, with
+    ``3K < n``), projected by ``I - k k^T / |k|^2``.
+    """
+    n = lat.n
+    K = (n - 1) // 3
+    band = np.arange(-K, K + 1)
+    q1, q2 = np.meshgrid(band, band, indexing="ij")
+
+    def on_band(f):  # (..., 2, 2K+1, 2K+1), mode p at index p + K
+        return f[..., :, band[:, None] % n, band[None, :] % n]
+
+    ga, gb = on_band(a), on_band(b)
+    big = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (4 * K + 1, 4 * K + 1), complex)
+    for p1 in band:
+        for p2 in band:
+            ap = ga[..., :, p1 + K, p2 + K][..., :, None, None]  # a(p)
+            term = 0.0
+            if advect:  # sum_i a_i(p) (i q_i) b(q)
+                term = term + (ap[..., 0, :, :] * 1j * q1 + ap[..., 1, :, :] * 1j * q2)[..., None, :, :] * gb
+            if transpose:  # component c: (i p_c) sum_j a_j(p) b_j(q)
+                dot = ap[..., 0, :, :] * gb[..., 0, :, :] + ap[..., 1, :, :] * gb[..., 1, :, :]
+                term = term + dot[..., None, :, :] * (1j * np.array([p1, p2]))[:, None, None]
+            big[..., :, p1 + K : p1 + 3 * K + 1, p2 + K : p2 + 3 * K + 1] += term
+    w = big[..., :, K : 3 * K + 1, K : 3 * K + 1]  # k = p + q back on the band
+    lam = (q1**2 + q2**2).astype(float)
+    kdot = (q1 * w[..., 0, :, :] + q2 * w[..., 1, :, :]) / np.where(lam > 0, lam, 1.0)
+    w = np.stack([w[..., 0, :, :] - q1 * kdot, w[..., 1, :, :] - q2 * kdot], axis=-3)
+    w[..., :, K, K] = 0.0
+    out = np.zeros(w.shape[:-2] + (n, n), complex)
+    out[..., :, band[:, None] % n, band[None, :] % n] = w
+    return out
+
+
+class TestExactQuadratic:
+    TERMS = {
+        "bilinear_b": (True, False),
+        "bilinear_btilde": (True, True),
+        "adjoint_b_first": (False, True),
+    }
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("name", sorted(TERMS))
+    def test_matches_band_convolution(self, n, name):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(100 + n)
+        a, b = (random_field(lat, rng).coeffs for _ in range(2))
+        batch = np.stack([random_field(lat, rng).coeffs for _ in range(3)])
+        for x, y in ((a, b), (batch, b), (a, batch), (batch, batch[::-1])):
+            got = getattr(lat, name)(x, y)
+            want = band_quadratic(lat, x, y, *self.TERMS[name])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def _fields(lat, rng, batch):
+    if batch is None:
+        return random_field(lat, rng).coeffs
+    return np.stack([random_field(lat, rng).coeffs for _ in range(batch)])
+
+
+class TestIdentityProperties:
+    """The bilinear identities of ``identity_report`` at every even n, batched."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 32).map(lambda h: 2 * h),
+        shapes=st.sampled_from([(None, None, None), (4, 4, 4), (None, 3, 3), (3, None, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_identities(self, n, shapes, seed):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(seed)
+        u, v, w = (_fields(lat, rng, batch) for batch in shapes)
+        ip, nh = lat.inner_h, lat.norm_h
+        scale = nh(u) * nh(v) * nh(w)
+        buv, bwv = lat.bilinear_b(u, v), lat.bilinear_b(w, v)
+        btuv = lat.bilinear_btilde(u, v)
+        alpha = 0.3
+        residuals = {
+            "skew_symmetry": ip(buv, w) + ip(lat.bilinear_b(u, w), v),
+            "cancel_b": ip(buv, v) * nh(w),
+            "cancel_btilde": ip(btuv, u) * nh(w),
+            "btilde_decomposition": ip(btuv, w) - ip(buv, w) + ip(bwv, u),
+            "cancel_btilde_alpha": ip(lat.btilde_alpha(u, v, alpha), lat.unsmooth(u, alpha)) * nh(w),
+            "adjoint_b_first": ip(lat.bilinear_b(v, u), w) - ip(v, lat.adjoint_b_first(u, w)),
+            "adjoint_b_second": ip(bwv, u) - ip(v, lat.adjoint_b_second(w, u)),
+        }
+        for name, r in residuals.items():
+            assert np.all(np.abs(r) <= 1e-13 * scale), name
+        diag = lat.bilinear_btilde(u, u) - lat.bilinear_b(u, u)
+        assert np.all(nh(diag) <= 1e-13 * nh(u) ** 2)
+
+    def test_batch_splits_are_bit_identical(self):
+        lat = make_lattice(16)
+        rng = np.random.default_rng(7)
+        u, v = _fields(lat, rng, 100), _fields(lat, rng, 100)
+        whole = lat.bilinear_btilde(u, v)
+        split = np.concatenate(
+            [lat.bilinear_btilde(u[:37], v[:37]), lat.bilinear_btilde(u[37:], v[37:])]
+        )
+        single = np.stack([lat.bilinear_btilde(u[i], v[i]) for i in range(100)])
+        assert np.array_equal(whole, split)
+        assert np.array_equal(whole, single)
 
 
 class TestAdjoints:
