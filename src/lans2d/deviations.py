@@ -391,9 +391,12 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
     return z * z / (n + z * z)
 
 
-# Monte Carlo batches hold about this many bytes of states and increments
-# (one step's temporaries take about ten times the states on top)
-_BATCH_BYTES = 1 << 24
+# Monte Carlo batches hold about this many bytes of states and increments, a
+# core's L2 cache on a 2-vCPU Xeon VM.  The first step of a batch makes the
+# kernel scratch and the stepper's buffers and peaks at about ten times the
+# states; later steps allocate only the new state (and numpy's iteration
+# buffers), 1.3-1.5 times the states
+_BATCH_BYTES = 1 << 21
 
 
 def _batch_size(cfg):
@@ -425,8 +428,10 @@ def _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop, obse
     return march(step, y0, cfg.steps, observe, cfg.lattice)
 
 
-def _mc_chunk(args):
-    delta, cfg, xi_coeffs, u_fields, event, master_seed, start, stop = args
+def _mc_chunk(shared, start, stop):
+    """Hits among trajectories ``start..stop-1``; ``shared`` is ``(delta,
+    cfg, xi_coeffs, u_fields, event, master_seed)``."""
+    delta, cfg, xi_coeffs, u_fields, event, master_seed = shared
     peak = np.zeros(stop - start)
     y = _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop,
                      lambda m, y, nh: np.maximum(peak, nh, out=peak))
@@ -435,6 +440,19 @@ def _mc_chunk(args):
     else:
         hit = cfg.lattice.inner_h(y, event.g.coeffs) > event.level
     return int(np.sum(hit))
+
+
+# a pool worker's ``shared`` argument of ``_mc_chunk``, set once per worker
+_worker_shared = None
+
+
+def _set_worker_shared(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _worker_chunk(bounds):
+    return _mc_chunk(_worker_shared, *bounds)
 
 
 def mc_tail(
@@ -464,17 +482,17 @@ def mc_tail(
         if nse is None:
             nse = dense_nse(xi, run_cfg)
         u_fields = _dense_fields(nse, run_cfg, "mc_tail")
-    bounds = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
-    tasks = [
-        (delta, run_cfg, xi.coeffs, u_fields, event, master_seed, a, b)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            counts = pool.map(_mc_chunk, tasks)
+    shared = (delta, run_cfg, xi.coeffs, u_fields, event, master_seed)
+    starts = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
+    bounds = list(zip(starts[:-1], starts[1:]))
+    if workers > 1 and len(bounds) > 1:
+        # the shared arguments (the dense reference among them) go to each
+        # worker once, not with every batch
+        with multiprocessing.Pool(processes=min(workers, len(bounds)),
+                                  initializer=_set_worker_shared, initargs=(shared,)) as pool:
+            counts = pool.map(_worker_chunk, bounds)
     else:
-        counts = [_mc_chunk(t) for t in tasks]
+        counts = [_mc_chunk(shared, a, b) for a, b in bounds]
     hits = int(sum(counts))
     p_hat = hits / n_samples
     speed = ScalingLaw(run_cfg.scaling.kappa, delta).speed(alpha)

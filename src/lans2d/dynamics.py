@@ -295,6 +295,11 @@ class UnifiedStepper:
 
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.
+
+    A step allocates only the state it returns: ``w`` and ``(I + a^2 A) w``
+    live in two buffers of the stepper (replaced when the state shape
+    changes), the noise term is formed in the second once the drift is
+    done, and the drift array is updated in place into the new state.
     """
 
     def __init__(self, cfg: SolverConfig, delta: int):
@@ -308,21 +313,36 @@ class UnifiedStepper:
         self.alpha = cfg.alpha
         self.delta = delta
         self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.scaling.kappa, 1).lam_delta(cfg.alpha)
-        self.sqrt_alpha = math.sqrt(cfg.alpha)
+        self.noise_scale = math.sqrt(cfg.alpha) * (1.0 / self.lam_delta)
         self.noise = cfg.noise
+        self._buffers = [None, None]
+
+    def _buffer(self, shape, which):
+        """The stepper's ``w`` (0) or ``(I + a^2 A) w`` and noise-term (1)
+        array for ``shape``."""
+        buf = self._buffers[which]
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[which] = np.empty(shape, np.complex128)
+        return buf
 
     def coefficient_argument(self, y, u_n):
+        """``w``: ``y`` itself for delta=0; for delta=1 the stepper's buffer,
+        overwritten by the next call."""
         if self.delta == 0:
             return y
-        return u_n + self.lam_delta * y
+        w = self._buffer(np.broadcast_shapes(u_n.shape, y.shape), 0)
+        np.multiply(y, self.lam_delta, out=w)
+        return np.add(u_n, w, out=w)
 
     def drift(self, w, u_n):
         """Drift at the coefficient argument ``w``: ``J_a Btilde(w, (I + a^2 A) w)``,
-        and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``."""
+        and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``.
+        Returns a fresh array."""
         lat, alpha = self.lat, self.alpha
-        drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha), alpha)
+        drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha, out=self._buffer(w.shape, 1)), alpha)
         if self.delta == 1:
-            drift = (drift - lat.bilinear_b(u_n, u_n)) / self.lam_delta
+            np.subtract(drift, lat.bilinear_b(u_n, u_n), out=drift)
+            np.divide(drift, self.lam_delta, out=drift)
         return drift
 
     def step(self, y, u_n=None, dw=None, h_n=None):
@@ -330,15 +350,16 @@ class UnifiedStepper:
             raise ValueError("delta=1 needs the reference-system state u_n")
         alpha = self.alpha
         w = self.coefficient_argument(y, u_n)
-        rhs = y - self.dt * self.drift(w, u_n)
+        # S (y - dt drift + dt G h + noise_scale G dW), in place on the drift
+        rhs = self.drift(w, u_n)
+        np.multiply(rhs, self.dt, out=rhs)
+        np.subtract(y, rhs, out=rhs)
         if self.noise is not None:
-            if h_n is not None:
-                rhs = rhs + self.dt * self.noise.apply_smoothed(w, h_n, alpha)
-            if dw is not None:
-                rhs = rhs + self.sqrt_alpha * (1.0 / self.lam_delta) * self.noise.apply_smoothed(
-                    w, dw, alpha
-                )
-        return self.S * rhs
+            for coords, scale in ((h_n, self.dt), (dw, self.noise_scale)):
+                if coords is not None:
+                    g = self.noise.apply_smoothed(w, coords, alpha, out=self._buffer(w.shape, 1))
+                    rhs += np.multiply(g, scale, out=g)
+        return np.multiply(self.S, rhs, out=rhs)
 
 
 def _dense_fields(nse: Optional[TrajectoryRecord], cfg: SolverConfig, what: str):

@@ -83,16 +83,18 @@ class NoiseOperator:
         ).real
         return self.sigma * (proj + self.offsets)
 
-    def apply(self, u: np.ndarray | None, coords: np.ndarray) -> np.ndarray:
-        """``G(u) . coords`` as a raw coefficient array (batch axes allowed)."""
+    def apply(self, u: np.ndarray | None, coords: np.ndarray, out=None) -> np.ndarray:
+        """``G(u) . coords`` as a raw coefficient array (batch axes allowed),
+        written into ``out`` if given."""
         coords = np.asarray(coords, float)
         if coords.shape[-1] != self.rank:
             raise ValueError(f"expected {self.rank} noise coordinates, got {coords.shape[-1]}")
         w = self.coefficients(u) * coords
-        return np.einsum("...k,kcij->...cij", w, self.outputs)
+        return np.einsum("...k,kcij->...cij", w, self.outputs, out=out)
 
-    def apply_smoothed(self, u, coords, alpha: float) -> np.ndarray:
-        return self.lattice.smooth(self.apply(u, coords), alpha)
+    def apply_smoothed(self, u, coords, alpha: float, out=None) -> np.ndarray:
+        g = self.apply(u, coords, out=out)
+        return self.lattice.smooth(g, alpha, out=g)
 
     def hs_norms(self, u: np.ndarray | None) -> tuple[float, float]:
         """Hilbert-Schmidt norms of G(u) into H and into V (exact, finite rank)."""

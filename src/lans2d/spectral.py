@@ -16,10 +16,18 @@ one real forward transform and the projection.  The transforms read and
 write only the band columns ``k2 = 0..K``; the ``k2 < 0`` half follows by
 Hermitian symmetry.  All operations accept leading batch axes on the raw
 coefficient arrays, i.e. shape ``(..., 2, n, n)``, and broadcast them.
+
+The quadratic kernel allocates only the array it returns: its stack, grid
+samples and transform intermediates live in a scratch kept on the lattice,
+one per field count (3 for ``B`` and ``adjoint_b_first``, 6 for ``B~``),
+made for the first batch shape and replaced when the shape changes.  So a
+lattice is not to be shared between threads that use it at the same time;
+pickling it sends only ``n``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,46 +100,65 @@ class TorusLattice:
             # band weights on the columns k2 = 0..K: value, i k1, i k2
             ("_keep", keep),
             ("_ik", np.stack([1j * k1[:, : edge + 1], 1j * k2[:, : edge + 1]]) * keep),
-            ("_flip", (-np.arange(self.n)) % self.n),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_edge", edge)
+        object.__setattr__(self, "_scratch", {})  # field count -> _KernelScratch
+
+    def __reduce__(self):
+        # rebuilt from n: neither the tables nor the kernel scratch are pickled
+        return (TorusLattice, (self.n,))
 
     # -- transforms ---------------------------------------------------------
 
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_physical(self, coeffs: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
         """Collocation samples of a real field's coefficients, shape ``(..., n, n)``.
 
         Reads only the columns ``k2 = 0..K`` (the last axis may hold just
-        those); the ``k2 < 0`` half is implied by Hermitian symmetry.
+        those); the ``k2 < 0`` half is implied by Hermitian symmetry.  ``out``
+        (the samples), ``half`` (``(..., n, n // 2 + 1)`` complex) and
+        ``band`` (``(..., K + 1, n)`` complex) are written if given, else
+        allocated.
         """
         n, K = self.n, self._edge
+        lead = coeffs.shape[:-2]
+        band = _buffer(band, lead + (K + 1, n))
+        half = _buffer(half, lead + (n, n // 2 + 1))
+        out = _buffer(out, lead + (n, n), np.float64)
         # numpy transforms short strided rows slowly: transform k1 along a
         # contiguous last axis, then k2 -> x2 on the transposed-back result
-        c = _transposed(coeffs[..., : K + 1])
-        np.fft.ifft(c, axis=-1, norm="forward", out=c)
-        half = np.zeros(c.shape[:-2] + (n, n // 2 + 1), np.complex128)
-        half[..., : K + 1] = np.swapaxes(c, -1, -2)
-        del c  # freed before irfft allocates the samples
-        return np.fft.irfft(half, n=n, axis=-1, norm="forward")
+        np.copyto(band, np.swapaxes(coeffs[..., : K + 1], -1, -2))
+        np.fft.ifft(band, axis=-1, norm="forward", out=band)
+        np.copyto(half[..., : K + 1], np.swapaxes(band, -1, -2))
+        half[..., K + 1 :] = 0
+        return np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out)
 
-    def to_spectral(self, phys: np.ndarray) -> np.ndarray:
+    def to_spectral(self, phys: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
         """Band-limited coefficients of real grid samples, shape ``(..., n, n)``.
 
         Only the band is computed and written; everything outside it is 0 and
         the ``k2 < 0`` half is the conjugate mirror of the computed columns,
-        so the result is a real field's spectrum by construction.
+        so the result is a real field's spectrum by construction.  ``out``,
+        ``half`` and ``band`` are as for :meth:`to_physical`.
         """
         n, K = self.n, self._edge
-        half = _transposed(np.fft.rfft(phys, axis=-1, norm="forward")[..., : K + 1])
-        np.fft.fft(half, axis=-1, norm="forward", out=half)
-        half = np.swapaxes(half, -1, -2)
-        out = np.zeros(half.shape[:-1] + (n,), np.complex128)
-        out[..., : K + 1, : K + 1] = half[..., : K + 1, :]
-        out[..., n - K :, 1 : K + 1] = half[..., n - K :, 1:]
-        out[..., n - K :, 0] = np.conj(half[..., K:0:-1, 0])
-        out[..., n - K :] = np.conj(out[..., self._flip, K:0:-1])
+        lead = phys.shape[:-2]
+        half = _buffer(half, lead + (n, n // 2 + 1))
+        band = _buffer(band, lead + (K + 1, n))
+        out = _buffer(out, lead + (n, n))
+        np.fft.rfft(phys, axis=-1, norm="forward", out=half)
+        np.copyto(band, np.swapaxes(half[..., : K + 1], -1, -2))
+        np.fft.fft(band, axis=-1, norm="forward", out=band)
+        h = np.swapaxes(band, -1, -2)  # rows k1, columns k2 = 0..K
+        out.fill(0)
+        out[..., : K + 1, : K + 1] = h[..., : K + 1, :]
+        out[..., n - K :, 1 : K + 1] = h[..., n - K :, 1:]
+        # k2 < 0: u(-k) = conj u(k), for the rows k1 = 0, 1..K and -K..-1
+        np.conjugate(h[..., K:0:-1, 0], out=out[..., n - K :, 0])
+        np.conjugate(h[..., :1, K:0:-1], out=out[..., :1, n - K :])
+        np.conjugate(h[..., n - 1 : n - K - 1 : -1, K:0:-1], out=out[..., 1 : K + 1, n - K :])
+        np.conjugate(h[..., K:0:-1, K:0:-1], out=out[..., n - K :, n - K :])
         return out
 
     def grid(self):
@@ -141,12 +168,20 @@ class TorusLattice:
 
     # -- diagonal operators --------------------------------------------------
 
-    def leray(self, coeffs: np.ndarray) -> np.ndarray:
-        """Helmholtz-Leray projection ``I - k k^T / |k|^2``; zeroes the mean mode."""
+    def leray(self, coeffs: np.ndarray, work=None) -> np.ndarray:
+        """Helmholtz-Leray projection ``I - k k^T / |k|^2``; zeroes the mean mode.
+
+        ``work`` (shape ``coeffs.shape[:-3] + (n, n)``) holds one product if
+        given, else it is allocated.
+        """
         c0, c1 = coeffs[..., 0, :, :], coeffs[..., 1, :, :]
         out = np.empty(coeffs.shape, np.result_type(coeffs, 1.0))
-        np.add(self._p11 * c0, self._p12 * c1, out=out[..., 0, :, :])
-        np.add(self._p12 * c0, self._p22 * c1, out=out[..., 1, :, :])
+        work = _buffer(work, c0.shape, out.dtype)
+        for o, (p0, p1) in zip((out[..., 0, :, :], out[..., 1, :, :]),
+                               ((self._p11, self._p12), (self._p12, self._p22))):
+            np.multiply(p0, c0, out=o)
+            np.multiply(p1, c1, out=work)
+            np.add(o, work, out=o)
         return out
 
     def stokes(self, coeffs: np.ndarray, power: float) -> np.ndarray:
@@ -156,13 +191,13 @@ class TorusLattice:
         mult = np.where(self._nonzero, self._lam_safe**power, 0.0)
         return coeffs * mult
 
-    def smooth(self, coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    def smooth(self, coeffs: np.ndarray, alpha: float, out=None) -> np.ndarray:
         """Helmholtz smoother ``(I + alpha^2 A)^{-1}``, exact per mode."""
-        return coeffs / (1.0 + alpha * alpha * self.eigenvalue)
+        return np.divide(coeffs, 1.0 + alpha * alpha * self.eigenvalue, out=out)
 
-    def unsmooth(self, coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    def unsmooth(self, coeffs: np.ndarray, alpha: float, out=None) -> np.ndarray:
         """Inverse smoother ``I + alpha^2 A``."""
-        return coeffs * (1.0 + alpha * alpha * self.eigenvalue)
+        return np.multiply(coeffs, 1.0 + alpha * alpha * self.eigenvalue, out=out)
 
     # -- pairings ------------------------------------------------------------
 
@@ -196,31 +231,38 @@ class TorusLattice:
         ``sum_j x_j g_j`` where ``g_j`` is a vector field: ``(x, g_j) = (a,
         d_j b)`` for the advection and ``(b, grad a_j)`` for the transpose.
         The values and gradients of every term are written on the band into
-        one preallocated stack, brought to the grid by one inverse transform,
-        multiplied there, and the product is brought back by one forward
-        transform (which keeps only the band) and projected.
+        one stack, brought to the grid by one inverse transform, multiplied
+        there, and the product is brought back by one forward transform
+        (which keeps only the band) and projected.  Everything but the
+        projected result lives in the lattice's scratch.
         """
         K = self._edge
         a_half, b_half = a[..., : K + 1], b[..., : K + 1]
-        ik = self._ik[:, None, :, :]  # (derivative, 1, n, K + 1)
-        # per term: the value field, the differentiated field broadcast so
-        # that slot j of the gradient is g_j, and the matching weights
+        # per term: the value field and, per gradient slot j, the field and
+        # the weights whose product is g_j
         terms = []
         if advect:  # g_j = d_j b
-            terms.append((a_half, b_half[..., None, :, :, :], ik))
+            terms.append((a_half, [(b_half, self._ik[j]) for j in (0, 1)]))
         if transpose:  # g_j = grad a_j
-            terms.append((b_half, a_half[..., :, None, :, :], ik.swapaxes(0, 1)))
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        spec = np.empty(shape[:-3] + (3 * len(terms), 2, self.n, K + 1), np.complex128)
-        for t, (x, y, weight) in enumerate(terms):
-            np.multiply(x, self._keep, out=spec[..., 3 * t, :, :, :])
-            np.multiply(y, weight, out=spec[..., 3 * t + 1 : 3 * t + 3, :, :, :])
-        phys = self.to_physical(spec)
-        w = 0.0
+            terms.append((b_half, [(a_half[..., j : j + 1, :, :], self._ik) for j in (0, 1)]))
+        batch, fields = np.broadcast_shapes(a.shape, b.shape)[:-3], 3 * len(terms)
+        s = self._scratch.get(fields)
+        if s is None or s.batch != batch:
+            s = self._scratch[fields] = _KernelScratch(self.n, K, batch, fields)
+        for t, (x, grad) in enumerate(terms):
+            np.multiply(x, self._keep, out=s.stack[3 * t])
+            for j, (y, weight) in enumerate(grad):
+                np.multiply(y, weight, out=s.stack[3 * t + 1 + j])
+        phys = self.to_physical(s.stack, out=s.phys, half=s.half, band=s.band)
+        w = phys[1]  # the products accumulate in place of the first gradient
         for t in range(len(terms)):
             for j in (0, 1):
-                w = w + phys[..., 3 * t, j : j + 1, :, :] * phys[..., 3 * t + 1 + j, :, :, :]
-        return self.leray(self.to_spectral(w))
+                g = phys[3 * t + 1 + j]
+                np.multiply(phys[3 * t][..., j : j + 1, :, :], g, out=g)
+                if (t, j) != (0, 0):
+                    np.add(w, g, out=w)
+        spec = self.to_spectral(w, out=s.spectrum, half=s.product_half, band=s.product_band)
+        return self.leray(spec, work=s.work)
 
     def bilinear_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """Pseudo-spectral ``B(u, v) = P(u . grad v)``, dealiased then projected."""
@@ -231,7 +273,8 @@ class TorusLattice:
         return self._quadratic(cu, cv, advect=True, transpose=True)
 
     def btilde_alpha(self, cu: np.ndarray, cv: np.ndarray, alpha: float) -> np.ndarray:
-        return self.smooth(self.bilinear_btilde(cu, cv), alpha)
+        b = self.bilinear_btilde(cu, cv)
+        return self.smooth(b, alpha, out=b)
 
     # -- adjoints of the linearized quadratic terms (H pairing) ---------------
 
@@ -255,9 +298,44 @@ class TorusLattice:
         return self.leray(c)
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """Fresh contiguous copy of ``a`` with its last two axes swapped."""
-    return np.swapaxes(a, -1, -2).copy()
+def _buffer(buf, shape, dtype=np.complex128):
+    """``buf``, or a fresh array of ``shape`` when none is given."""
+    return np.empty(shape, dtype) if buf is None else buf
+
+
+class _KernelScratch:
+    """Work arrays of ``_quadratic`` for one batch shape and field count.
+
+    Views into two arenas.  Each arena holds runs of arrays: the arrays of a
+    run are alive together and lie end to end, the runs of an arena are alive
+    one after another and all start at its beginning.  Arena one holds the
+    stack (field-major, ``(fields, *batch, 2, n, K + 1)``, written straight
+    into the transposed layout of the inverse transform's band copy), then
+    the grid samples, then the band copy of the product's forward transform.
+    Arena two holds the half spectrum of the inverse transform, then the
+    product's half spectrum and its band-limited spectrum, then the Leray
+    product.
+    """
+
+    def __init__(self, n, K, batch, fields):
+        self.batch = batch
+        lead, prod, c16 = (fields,) + batch + (2,), batch + (2,), np.complex128
+        for runs in (
+            [[("band", lead + (K + 1, n), c16)], [("phys", lead + (n, n), np.float64)],
+             [("product_band", prod + (K + 1, n), c16)]],
+            [[("half", lead + (n, n // 2 + 1), c16)],
+             [("product_half", prod + (n, n // 2 + 1), c16), ("spectrum", prod + (n, n), c16)],
+             [("work", batch + (n, n), c16)]],
+        ):
+            sizes = [[math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in run]
+                     for run in runs]
+            arena = np.empty(max(map(sum, sizes)), np.uint8)
+            for run, run_sizes in zip(runs, sizes):
+                start = 0
+                for (name, shape, dtype), size in zip(run, run_sizes):
+                    setattr(self, name, arena[start : start + size].view(dtype).reshape(shape))
+                    start += size
+        self.stack = np.swapaxes(self.band, -1, -2)
 
 
 def make_lattice(n: int) -> TorusLattice:

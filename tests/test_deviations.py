@@ -313,6 +313,23 @@ class TestMcTail:
         b = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4, workers=3)
         assert a.hits == b.hits
 
+    def test_worker_count_invariance_delta1(self, monkeypatch):
+        # the fluctuation system's shared dense reference reaches each worker
+        # once; batches of 7 and 3 over 2 workers give the one-process hits
+        lat = make_lattice(8)
+        noise = additive_noise(lat, [0.5, 0.4], [(1, 0), (1, 1)])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.1, noise=noise)
+        xi = random_field(lat, np.random.default_rng(21))
+        g = eigenmode_field(lat, (1, 0))
+        nse = dense_nse(xi, cfg)
+        event = TerminalObservableEvent(g, 0.0)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 7 * self.sample_bytes(cfg))
+        a = mc_tail(1, 0.1, event, 20, cfg, xi, master_seed=3, workers=1, nse=nse)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 3 * self.sample_bytes(cfg))
+        b = mc_tail(1, 0.1, event, 20, cfg, xi, master_seed=3, workers=2, nse=nse)
+        assert 0 < a.hits < 20
+        assert a.hits == b.hits
+
     def test_blowup_raises_through_the_process_pool(self, monkeypatch):
         # the states stay finite while their H-norm overflows to inf
         lat, cfg, xi, g = self.ou_cfg(0.1, sigma=1e300)

@@ -1,6 +1,7 @@
 """Time integrators: exact-solution regressions, scheme algebra, energy laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,46 @@ class TestUnified:
         nse = dense_nse(xi0, cfg)
         traj = solve_unified(1, xi0, cfg, nse=nse)
         assert traj.norm_h.max() == 0.0
+
+    @pytest.fixture
+    def batched_step(self):
+        """A delta=1 stepper at n=16 with a 64-trajectory state, its
+        reference state and increments, as in a Monte Carlo batch."""
+        lat = make_lattice(16)
+        rng = np.random.default_rng(16)
+        noise = additive_noise(lat, [0.25, 0.25, 0.2, 0.2], [(1, 0), (0, 1), (1, 1), (2, -1)])
+        stepper = UnifiedStepper(cfg_for(lat, dt=2e-3, T=0.2, alpha=0.1, noise=noise), 1)
+        y = 0.1 * np.stack([random_field(lat, rng).coeffs for _ in range(64)])
+        u_n = random_field(lat, rng).coeffs
+        dw = 0.05 * rng.standard_normal((3, 64, 4))
+        return stepper, y, u_n, dw
+
+    def test_batched_step_allocates_little(self, batched_step):
+        # w, (I + a^2 A) w and the noise term live in the stepper's buffers
+        # and the drift array becomes the new state, so after a warm-up step
+        # the traced peak is the new state and numpy's iteration buffers
+        # (1.76 times the state here)
+        stepper, y, u_n, dw = batched_step
+        stepper.step(y, u_n=u_n, dw=dw[0])
+        tracemalloc.start()
+        try:
+            stepper.step(y, u_n=u_n, dw=dw[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * y.nbytes
+
+    def test_step_leaves_returned_states_alone(self, batched_step):
+        # march observers and the skeleton's forward pass keep the states
+        stepper, y, u_n, dw = batched_step
+        states = [y]
+        for m in range(3):
+            states.append(stepper.step(states[-1], u_n=u_n, dw=dw[m]))
+        kept = [s.copy() for s in states]
+        for m in range(3):
+            stepper.step(states[m], u_n=u_n, dw=dw[m])
+        assert all(np.array_equal(s, k) for s, k in zip(states, kept))
+        assert len({id(s) for s in states}) == 4
 
     def test_delta1_missing_reference(self, setup):
         lat, xi, noise = setup

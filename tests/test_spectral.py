@@ -1,5 +1,8 @@
 """Operator algebra: lattice bookkeeping, projections, bilinear identities."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,6 +283,48 @@ class TestIdentityProperties:
         single = np.stack([lat.bilinear_btilde(u[i], v[i]) for i in range(100)])
         assert np.array_equal(whole, split)
         assert np.array_equal(whole, single)
+        # the kernel's scratch is reused across calls: shapes and terms
+        # interleaved on one lattice give what a fresh lattice gives, and no
+        # later call touches an array returned earlier
+        shapes = [(u[0], v[0]), (u, v), (u[:37], v[:37]), (u[1], v[1]),
+                  (u[2], v[:37]), (u[:37], v[3]), (u[:6].reshape(2, 3, 2, 16, 16), v[4])]
+        returned = [(whole, whole.copy())]
+        for x, y in shapes:
+            for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first"):
+                got = getattr(lat, name)(x, y)
+                assert np.array_equal(got, getattr(make_lattice(16), name)(x, y)), name
+                returned.append((got, got.copy()))
+        assert all(np.array_equal(got, kept) for got, kept in returned)
+        assert sorted(lat._scratch) == [3, 6]  # at most one scratch per field count
+
+
+class TestScratch:
+    def test_batched_btilde_allocates_little_beyond_its_result(self):
+        # the stack, grid samples and transform intermediates come from the
+        # lattice's scratch, made by the warm-up call; numpy reports its
+        # arrays to tracemalloc, so the traced peak is what a call allocates
+        lat = make_lattice(16)
+        rng = np.random.default_rng(8)
+        u, v = _fields(lat, rng, 64), _fields(lat, rng, 64)
+        lat.bilinear_btilde(u, v)
+        tracemalloc.start()
+        try:
+            result = lat.bilinear_btilde(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * result.nbytes
+
+    def test_pickle_sends_only_n(self):
+        lat = make_lattice(32)
+        rng = np.random.default_rng(9)
+        u, v = _fields(lat, rng, 20), _fields(lat, rng, 20)
+        before = lat.bilinear_btilde(u, v)  # fills the scratch
+        data = pickle.dumps(lat)
+        assert len(data) < 1024
+        copy = pickle.loads(data)
+        assert copy == lat and copy is not lat
+        assert np.array_equal(copy.bilinear_btilde(u, v), before)
 
 
 class TestAdjoints:
