@@ -68,7 +68,8 @@ def _build_parser():
         p.add_argument("--preset", type=str, default=None,
                        help="named preset: taylor-green, single-shear, ou-toy, unified-default")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--workers", type=int, default=1, help="Monte Carlo worker processes")
+        p.add_argument("--workers", type=int, default=None,
+                       help="Monte Carlo worker processes (default: the CPUs available)")
         p.add_argument("--out-dir", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "ndjson"), default="csv")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",

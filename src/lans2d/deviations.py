@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -137,23 +138,18 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
     lat = cfg.lattice
     S = cfg.implicit_multiplier()
     dt = cfg.dt
-    J = noise.rank
-    grad = np.zeros((cfg.steps, J))
-    phi_h = lat.inner_h  # pairing for the control columns
+    grad = np.zeros((cfg.steps, noise.rank))
     p = p_terminal
     for m in range(cfg.steps - 1, -1, -1):
         s = S * p
         w_m = states[m] if delta == 0 else u_fields[m]
-        coeff = noise.coefficients(w_m)
-        for j in range(J):
-            grad[m, j] = dt * coeff[j] * float(phi_h(s, noise.outputs[j]))
+        pairings = lat.inner_h(s, noise.outputs)  # (s, phi_j) for every direction j
+        grad[m] = dt * noise.coefficients(w_m) * pairings
         # transpose of the drift linearization around w_m
-        p = s - dt * (lat.adjoint_b_first(w_m, s) - lat.bilinear_b(w_m, s))
+        p = s - dt * lat.linearized_b_adjoint(w_m, s)
         if delta == 0 and noise.probes is not None:
             # multiplicative coefficient depends on the state
-            w = noise.sigma * hv[m] * np.array(
-                [float(phi_h(noise.outputs[j], s)) for j in range(J)]
-            )
+            w = noise.sigma * hv[m] * pairings
             p = p + dt * np.einsum("k,kcij->cij", w, noise.probes)
     return grad
 
@@ -455,6 +451,13 @@ def _worker_chunk(bounds):
     return _mc_chunk(_worker_shared, *bounds)
 
 
+def _available_cpus():
+    """CPUs this process may run on (all CPUs where affinity is not known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_tail(
     delta: int,
     alpha: float,
@@ -463,7 +466,7 @@ def mc_tail(
     cfg: SolverConfig,
     xi: SpectralField,
     master_seed: int = 0,
-    workers: int = 1,
+    workers: Optional[int] = None,
     nse: Optional[TrajectoryRecord] = None,
 ) -> TailEstimate:
     """Empirical tail probability of ``event`` under the stochastic system.
@@ -472,10 +475,16 @@ def mc_tail(
     stays bounded whatever the sample count.  Trajectory ``i`` always consumes
     the stream derived from ``(master_seed, i)``, so the estimate is
     independent of worker count and batching; batches are merged by summing
-    hit counts.
+    hit counts.  ``workers`` processes share the batches; None means the CPUs
+    this process may run on.  Either way there are no more workers than
+    batches.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if workers is None:
+        workers = _available_cpus()
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     run_cfg = replace(cfg, alpha=float(alpha))
     u_fields = None
     if delta == 1:

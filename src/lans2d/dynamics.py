@@ -284,7 +284,30 @@ def solve_lans(xi: SpectralField, cfg: SolverConfig, wiener: Optional[WienerPath
     return solve_unified(0, xi, cfg, wiener=wiener)
 
 
-class UnifiedStepper:
+class _Stepper:
+    """What the unified and the skeleton steppers share: the scheme's
+    constants and work buffers that are replaced when the state shape
+    changes."""
+
+    def __init__(self, cfg: SolverConfig, delta: int):
+        if delta not in (0, 1):
+            raise ValueError("delta must be 0 or 1")
+        self.lat = cfg.lattice
+        self.S = cfg.implicit_multiplier()
+        self.dt = cfg.dt
+        self.delta = delta
+        self.noise = cfg.noise
+        self._buffers = [None, None]
+
+    def _buffer(self, shape, which):
+        """Work buffer ``which`` (0 or 1) for states of ``shape``."""
+        buf = self._buffers[which]
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[which] = np.empty(shape, np.complex128)
+        return buf
+
+
+class UnifiedStepper(_Stepper):
     """One step of the delta-parameterized controlled/stochastic system.
 
     Drift and noise are evaluated at one coefficient argument
@@ -296,34 +319,19 @@ class UnifiedStepper:
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.
 
-    A step allocates only the state it returns: ``w`` and ``(I + a^2 A) w``
-    live in two buffers of the stepper (replaced when the state shape
-    changes), the noise term is formed in the second once the drift is
-    done, and the drift array is updated in place into the new state.
+    A step allocates only the state it returns: ``w`` lives in buffer 0 and
+    ``(I + a^2 A) w`` in buffer 1, the noise term is formed in buffer 1 once
+    the drift is done, and the drift array is updated in place into the new
+    state.
     """
 
     def __init__(self, cfg: SolverConfig, delta: int):
         if not 0.0 < cfg.alpha <= 1.0:
             raise ValueError("the unified system needs alpha in (0, 1]")
-        if delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
-        self.lat = cfg.lattice
-        self.S = cfg.implicit_multiplier()
-        self.dt = cfg.dt
+        super().__init__(cfg, delta)
         self.alpha = cfg.alpha
-        self.delta = delta
         self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.scaling.kappa, 1).lam_delta(cfg.alpha)
         self.noise_scale = math.sqrt(cfg.alpha) * (1.0 / self.lam_delta)
-        self.noise = cfg.noise
-        self._buffers = [None, None]
-
-    def _buffer(self, shape, which):
-        """The stepper's ``w`` (0) or ``(I + a^2 A) w`` and noise-term (1)
-        array for ``shape``."""
-        buf = self._buffers[which]
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[which] = np.empty(shape, np.complex128)
-        return buf
 
     def coefficient_argument(self, y, u_n):
         """``w``: ``y`` itself for delta=0; for delta=1 the stepper's buffer,
@@ -398,38 +406,41 @@ def solve_unified(
     return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=cfg.alpha)
 
 
-class SkeletonStepper:
+class SkeletonStepper(_Stepper):
     """One step of the deterministic controlled system (alpha-free).
 
-    delta=0: controlled limit system around the state itself; delta=1: the
-    linearization around the reference flow, driven through the fixed
-    coefficient G(u).
-    """
+    delta=0: the controlled limit system around the state itself, drift
+    ``B(y, y)``.  delta=1: the linearization around the reference flow,
+    driven through the fixed coefficient ``G(u_n)``; its drift
+    ``B(u_n, y) + B(y, u_n)`` is the alpha -> 0 limit of the unified delta=1
+    drift, the difference quotient of ``B`` at ``u_n`` in the direction
+    ``y`` (``Btilde(w, w) = B(w, w)``, ``J_a -> I`` and ``lam_delta -> 0``),
+    formed by one stacked kernel call.
 
-    def __init__(self, cfg: SolverConfig, delta: int):
-        if delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
-        self.lat = cfg.lattice
-        self.S = cfg.implicit_multiplier()
-        self.dt = cfg.dt
-        self.delta = delta
-        self.noise = cfg.noise
+    Like ``UnifiedStepper`` a step allocates only the state it returns: the
+    coefficient argument is ``y`` or ``u_n`` itself, so only buffer 1 is
+    used, for the noise term, and the drift array becomes the new state.
+    """
 
     def coefficient_argument(self, y, u_n):
         return y if self.delta == 0 else u_n
 
     def drift(self, y, u_n):
-        lat = self.lat
+        """``B(y, y)`` (delta=0) or ``B(u_n, y) + B(y, u_n)``; a fresh array."""
         if self.delta == 0:
-            return lat.bilinear_b(y, y)
-        return lat.bilinear_b(u_n, y) + lat.bilinear_b(y, u_n)
+            return self.lat.bilinear_b(y, y)
+        return self.lat.linearized_b(u_n, y)
 
     def step(self, y, u_n=None, h_n=None):
-        rhs = y - self.dt * self.drift(y, u_n)
+        # S (y - dt drift + dt G h), in place on the drift
+        rhs = self.drift(y, u_n)
+        np.multiply(rhs, self.dt, out=rhs)
+        np.subtract(y, rhs, out=rhs)
         if h_n is not None and self.noise is not None:
             arg = self.coefficient_argument(y, u_n)
-            rhs = rhs + self.dt * self.noise.apply(arg, h_n)
-        return self.S * rhs
+            g = self.noise.apply(arg, h_n, out=self._buffer(arg.shape, 1))
+            rhs += np.multiply(g, self.dt, out=g)
+        return np.multiply(self.S, rhs, out=rhs)
 
 
 def solve_skeleton(

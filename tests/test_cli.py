@@ -166,6 +166,11 @@ class TestCli:
         code = main(["simulate-nse", "--config", str(bad), "--out-dir", str(tmp_path / "x")])
         assert code == 1
 
+    def test_zero_workers_exits_1(self, tmp_path):
+        code = main(["mc-tails", "--preset", "ou-toy", "--alphas", "0.2", "--workers", "0",
+                     "--set", "experiment.samples=20", "--out-dir", str(tmp_path / "w")])
+        assert code == 1
+
     def test_unknown_key_exits_1(self, tmp_path):
         bad = tmp_path / "bad2.cfg"
         bad.write_text("[lattice]\nnn = 8\n")

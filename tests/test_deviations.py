@@ -330,6 +330,34 @@ class TestMcTail:
         assert 0 < a.hits < 20
         assert a.hits == b.hits
 
+    def test_default_workers_are_the_available_cpus(self, monkeypatch):
+        # None runs the batches on one process per available CPU, capped at
+        # the batch count, and gives the one-process hits
+        assert deviations._available_cpus() >= 1
+        lat, cfg, xi, g = self.ou_cfg(0.2)
+        monkeypatch.setattr(deviations, "_BATCH_BYTES", 100 * self.sample_bytes(cfg))
+        a = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4, workers=1)
+        pools = []
+        real_pool = deviations.multiprocessing.Pool
+
+        def spy(processes, **kwargs):
+            pools.append(processes)
+            return real_pool(processes, **kwargs)
+
+        monkeypatch.setattr(deviations.multiprocessing, "Pool", spy)
+        monkeypatch.setattr(deviations, "_available_cpus", lambda: 3)
+        b = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4)
+        monkeypatch.setattr(deviations, "_available_cpus", lambda: 8)
+        c = mc_tail(0, 0.2, SupNormEvent(0.15), 400, cfg, xi, master_seed=4)
+        assert pools == [3, 4]  # 400 samples in batches of 100
+        assert a.hits == b.hits == c.hits
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        lat, cfg, xi, g = self.ou_cfg(0.2)
+        with pytest.raises(ValueError, match="workers"):
+            mc_tail(0, 0.2, SupNormEvent(0.15), 10, cfg, xi, workers=workers)
+
     def test_blowup_raises_through_the_process_pool(self, monkeypatch):
         # the states stay finite while their H-norm overflows to inf
         lat, cfg, xi, g = self.ou_cfg(0.1, sigma=1e300)
@@ -357,12 +385,13 @@ class TestMcTail:
             return draw(J, dt, steps, master_seed, start, stop)
 
         monkeypatch.setattr(deviations, "_chunk_increments", recording)
-        batched = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6)
+        # one process, so that the recording sees every batch
+        batched = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6, workers=1)
         assert len(sizes) > 1 and sum(sizes) == 3000
         assert max(sizes) * self.sample_bytes(cfg) <= deviations._BATCH_BYTES
         monkeypatch.setattr(deviations, "_BATCH_BYTES", 128 * self.sample_bytes(cfg))
         del sizes[:]
-        finer = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6)
+        finer = mc_tail(0, 0.1, event, 3000, cfg, xi, master_seed=6, workers=1)
         assert len(sizes) == math.ceil(3000 / 128)
         assert 0 < batched.hits < 3000
         assert batched.hits == finer.hits

@@ -214,14 +214,18 @@ def band_quadratic(lat, a, b, advect, transpose):
 
 
 class TestExactQuadratic:
-    TERMS = {
-        "bilinear_b": (True, False),
-        "bilinear_btilde": (True, True),
-        "adjoint_b_first": (False, True),
+    FORMS = {  # name -> reference from the band convolution
+        "bilinear_b": lambda lat, x, y: band_quadratic(lat, x, y, True, False),
+        "bilinear_btilde": lambda lat, x, y: band_quadratic(lat, x, y, True, True),
+        "adjoint_b_first": lambda lat, x, y: band_quadratic(lat, x, y, False, True),
+        "linearized_b": lambda lat, x, y: (band_quadratic(lat, x, y, True, False)
+                                           + band_quadratic(lat, y, x, True, False)),
+        "linearized_b_adjoint": lambda lat, x, y: (band_quadratic(lat, x, y, False, True)
+                                                   - band_quadratic(lat, x, y, True, False)),
     }
 
     @pytest.mark.parametrize("n", [4, 6, 8, 12, 16])
-    @pytest.mark.parametrize("name", sorted(TERMS))
+    @pytest.mark.parametrize("name", sorted(FORMS))
     def test_matches_band_convolution(self, n, name):
         lat = make_lattice(n)
         rng = np.random.default_rng(100 + n)
@@ -229,7 +233,7 @@ class TestExactQuadratic:
         batch = np.stack([random_field(lat, rng).coeffs for _ in range(3)])
         for x, y in ((a, b), (batch, b), (a, batch), (batch, batch[::-1])):
             got = getattr(lat, name)(x, y)
-            want = band_quadratic(lat, x, y, *self.TERMS[name])
+            want = self.FORMS[name](lat, x, y)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
@@ -290,12 +294,35 @@ class TestIdentityProperties:
                   (u[2], v[:37]), (u[:37], v[3]), (u[:6].reshape(2, 3, 2, 16, 16), v[4])]
         returned = [(whole, whole.copy())]
         for x, y in shapes:
-            for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first"):
+            for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first",
+                         "linearized_b", "linearized_b_adjoint"):
                 got = getattr(lat, name)(x, y)
                 assert np.array_equal(got, getattr(make_lattice(16), name)(x, y)), name
                 returned.append((got, got.copy()))
         assert all(np.array_equal(got, kept) for got, kept in returned)
         assert sorted(lat._scratch) == [3, 6]  # at most one scratch per field count
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 32).map(lambda h: 2 * h),
+        shapes=st.sampled_from([(None, None), (3, 3), (None, 3), (3, None)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_forms_equal_their_two_call_expansions(self, n, shapes, seed):
+        # one stacked kernel call against the two calls it replaces, relative
+        # to the size of its operands
+        lat = make_lattice(n)
+        rng = np.random.default_rng(seed)
+        u, v = (_fields(lat, rng, batch) for batch in shapes)
+        nh, nv = lat.norm_h, lat.norm_v
+        scale = nh(u) * nv(v) + nv(u) * nh(v)
+        for name, stacked, expansion in (
+            ("linearized_b", lat.linearized_b(u, v), lat.bilinear_b(u, v) + lat.bilinear_b(v, u)),
+            ("linearized_b_adjoint", lat.linearized_b_adjoint(u, v),
+             lat.adjoint_b_first(u, v) - lat.bilinear_b(u, v)),
+        ):
+            assert stacked.shape == expansion.shape
+            assert np.all(nh(stacked - expansion) <= 1e-13 * scale), name
 
 
 class TestScratch:
