@@ -7,7 +7,8 @@ system to a target.  Here this is solved on the discrete grid:
 * delta=1 targets are linear-quadratic.  Scalar terminal observables are
   solved exactly through the discrete controllability Gramian assembled by one
   adjoint sweep; terminal-field targets by conjugate gradients on the Gramian
-  operator (forward + adjoint applications only).
+  operator (forward + adjoint applications only), with the residuals kept
+  orthogonal.
 * delta=0 targets use a quadratic-penalty formulation with an increasing
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
   gradient; results are upper bounds (the problem is nonconvex).
@@ -146,7 +147,7 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
         pairings = lat.inner_h(s, noise.outputs)  # (s, phi_j) for every direction j
         grad[m] = dt * noise.coefficients(w_m) * pairings
         # transpose of the drift linearization around w_m
-        p = s - dt * lat.linearized_b_adjoint(w_m, s)
+        p = s - dt * (lat.adjoint_b_first(w_m, s) - lat.bilinear_b(w_m, s))
         if delta == 0 and noise.probes is not None:
             # multiplicative coefficient depends on the state
             w = noise.sigma * hv[m] * pairings
@@ -230,7 +231,13 @@ def _exact_lq_observable(problem, cfg, xi, nse):
 
 
 def _gramian_cg_field(problem, cfg, xi, nse):
-    """Minimum-energy control onto a terminal field by CG on the Gramian operator."""
+    """Minimum-energy control onto a terminal field by CG on the Gramian operator.
+
+    The Gramian has rank at most ``steps * J`` in the field space, and plain
+    CG loses conjugacy there: it runs past that rank and its result follows
+    the rounding.  So each new residual is orthogonalized (twice) against
+    the earlier ones, which CG keeps orthogonal in exact arithmetic.
+    """
     lat = cfg.lattice
     noise = cfg.noise
     x = problem.target.x.coeffs
@@ -246,6 +253,7 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     rr = float(lat.inner_h(r, r))
     x_norm = math.sqrt(max(float(lat.inner_h(x, x)), 1e-300))
     tol = problem.tolerance
+    residuals = []  # the earlier residuals, normalized
     iterations = 0
     for iterations in range(1, problem.max_iterations + 1):
         q, _ = apply_gram(d)
@@ -254,7 +262,11 @@ def _gramian_cg_field(problem, cfg, xi, nse):
             break
         a = rr / dq
         mu = mu + a * d
+        residuals.append(r / math.sqrt(rr))
         r = r - a * q
+        basis = np.stack(residuals)
+        for _ in range(2):
+            r = r - np.tensordot(lat.inner_h(r, basis), basis, axes=1)
         rr_new = float(lat.inner_h(r, r))
         if math.sqrt(rr_new) <= tol * x_norm:
             rr = rr_new

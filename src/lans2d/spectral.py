@@ -10,22 +10,22 @@ Every field is supported on the dealiased band ``3 max(|k1|, |k2|) < n``
 (Orszag's two-thirds rule): the product of two band fields has no alias
 inside the band.  Everything diagonal in Fourier space (Stokes powers, the
 Helmholtz smoother, the Leray projector) is applied exactly.  Quadratic terms
-are formed pseudo-spectrally by one kernel from a list of one or two signed
-terms, each a value field contracted with a gradient: one real inverse
-transform of the stacked values and derivatives the terms need, their
-products summed on the grid, one real forward transform and the projection.
-The transforms read and write only the band columns ``k2 = 0..K``; the
-``k2 < 0`` half follows by Hermitian symmetry.  All operations accept leading
-batch axes on the raw coefficient arrays, i.e. shape ``(..., 2, n, n)``, and
-broadcast them.
+are formed pseudo-spectrally by one kernel from a list of one or two terms,
+each a value field contracted with a gradient: one real inverse transform of
+the stacked values and derivatives the terms need, their products summed on
+the grid, one real forward transform and the projection.  The transforms
+read and write only the band columns ``k2 = 0..K``; the ``k2 < 0`` half
+follows by Hermitian symmetry.  All operations accept leading batch axes on
+the raw coefficient arrays, i.e. shape ``(..., 2, n, n)``, and broadcast
+them.
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
 one per field count (3 for the one-term forms ``B`` and ``adjoint_b_first``,
-6 for the two-term forms ``B~``, ``linearized_b`` and
-``linearized_b_adjoint``), made for the first batch shape and replaced when
-the shape changes.  So a lattice is not to be shared between threads that
-use it at the same time; pickling it sends only ``n``.
+6 for the two-term forms ``B~`` and ``linearized_b``), made for the first
+batch shape and replaced when the shape changes.  So a lattice is not to be
+shared between threads that use it at the same time; pickling it sends only
+``n``.
 """
 
 from __future__ import annotations
@@ -100,15 +100,13 @@ class TorusLattice:
             ("_p11", np.where(nonzero, 1.0 - k1 * k1 / lam_safe, 0.0)),
             ("_p12", np.where(nonzero, -k1 * k2 / lam_safe, 0.0)),
             ("_p22", np.where(nonzero, 1.0 - k2 * k2 / lam_safe, 0.0)),
-            # band weights on the columns k2 = 0..K: value (either sign), i k1, i k2
+            # band weights on the columns k2 = 0..K: value, i k1, i k2
             ("_keep", keep),
-            ("_keep_negated", -keep),
             ("_ik", np.stack([1j * k1[:, : edge + 1], 1j * k2[:, : edge + 1]]) * keep),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_edge", edge)
-        object.__setattr__(self, "_value_weight", {1: self._keep, -1: self._keep_negated})
         object.__setattr__(self, "_scratch", {})  # field count -> _KernelScratch
 
     def __reduce__(self):
@@ -230,32 +228,26 @@ class TorusLattice:
     # -- quadratic terms ------------------------------------------------------
 
     def _quadratic(self, terms):
-        """``P sum_t sign_t sum_j x_j g_j`` over a short list of terms
-        ``(sign, x, pairing, f)``.
+        """``P sum_t sum_j x_j g_j`` over a short list of terms ``(x, pairing, f)``.
 
         Each term contracts one value field ``x`` with one gradient ``g``,
         ``sum_j x_j g_j`` where ``g_j`` is a vector field: ``d_j f`` for the
         pairing ``"d"`` (advection, ``x . grad f``) and ``grad f_j`` for
-        ``"grad"`` (the transpose, ``(grad f)^T x``).  The sign is folded into
-        the value's band weight.  The values and gradients of every term are
-        written on the band into one stack, brought to the grid by one
-        inverse transform, multiplied there, and the summed product is
-        brought back by one forward transform (which keeps only the band)
-        and projected.  Everything but the projected result lives in the
-        lattice's scratch.
+        ``"grad"`` (the transpose, ``(grad f)^T x``).  The values and gradients
+        of every term are written on the band into one stack, brought to the
+        grid by one inverse transform, multiplied there, and the summed
+        product is brought back by one forward transform (which keeps only
+        the band) and projected.  Everything but the projected result lives
+        in the lattice's scratch.
         """
         K = self._edge
-        shapes = set()
-        for _, x, _, f in terms:
-            shapes.update((x.shape, f.shape))
-        # np.broadcast_shapes takes microseconds, and most calls pass one shape
-        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        shape = np.broadcast_shapes(*(a.shape for x, _, f in terms for a in (x, f)))
         batch, fields = shape[:-3], 3 * len(terms)
         s = self._scratch.get(fields)
         if s is None or s.batch != batch:
             s = self._scratch[fields] = _KernelScratch(self.n, K, batch, fields)
-        for t, (sign, x, pairing, f) in enumerate(terms):
-            np.multiply(x[..., : K + 1], self._value_weight[sign], out=s.stack[3 * t])
+        for t, (x, pairing, f) in enumerate(terms):
+            np.multiply(x[..., : K + 1], self._keep, out=s.stack[3 * t])
             f = f[..., : K + 1]
             for j in (0, 1):
                 if pairing == "d":  # g_j = d_j f
@@ -275,11 +267,11 @@ class TorusLattice:
 
     def bilinear_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """Pseudo-spectral ``B(u, v) = P(u . grad v)``, dealiased then projected."""
-        return self._quadratic([(1, cu, "d", cv)])
+        return self._quadratic([(cu, "d", cv)])
 
     def bilinear_btilde(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """``Btilde(u, v) = P(u . grad v + sum_j v_j grad u_j)``."""
-        return self._quadratic([(1, cu, "d", cv), (1, cv, "grad", cu)])
+        return self._quadratic([(cu, "d", cv), (cv, "grad", cu)])
 
     def btilde_alpha(self, cu: np.ndarray, cv: np.ndarray, alpha: float) -> np.ndarray:
         b = self.bilinear_btilde(cu, cv)
@@ -288,22 +280,17 @@ class TorusLattice:
     def linearized_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """``B(u, v) + B(v, u)``, the derivative of ``B(u, u)`` in the direction
         ``v``, as one stacked call."""
-        return self._quadratic([(1, cu, "d", cv), (1, cv, "d", cu)])
+        return self._quadratic([(cu, "d", cv), (cv, "d", cu)])
 
     # -- adjoints of the linearized quadratic terms (H pairing) ---------------
 
     def adjoint_b_first(self, ca: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Adjoint of ``v -> B(v, a)``: returns ``P((grad a)^T p)`` dealiased."""
-        return self._quadratic([(1, cp, "grad", ca)])
+        return self._quadratic([(cp, "grad", ca)])
 
     def adjoint_b_second(self, ca: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Adjoint of ``v -> B(a, v)``: returns ``-B(a, p)`` (a divergence-free)."""
         return -self.bilinear_b(ca, cp)
-
-    def linearized_b_adjoint(self, ca: np.ndarray, cp: np.ndarray) -> np.ndarray:
-        """Adjoint of ``v -> B(a, v) + B(v, a)``: ``adjoint_b_first(a, p) -
-        B(a, p)``, as one stacked call."""
-        return self._quadratic([(1, cp, "grad", ca), (-1, ca, "d", cp)])
 
     # -- field construction ----------------------------------------------------
 

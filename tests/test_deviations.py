@@ -259,6 +259,27 @@ class TestRateFunction:
         )
         assert math.isinf(res_bad.cost) and not res_bad.converged
 
+    def test_field_target_cg_does_not_follow_the_rounding(self):
+        # the Gramian has rank at most steps * J = 30 here; CG with orthogonal
+        # residuals stops within it, and nudging the last bit of the reference
+        # fields leaves the cost alone (plain CG moved it by 5e-5)
+        lat = make_lattice(12)
+        noise = additive_noise(lat, [0.6, 0.4, 0.3], [(1, 0), (0, 1), (1, 1)])
+        rng = np.random.default_rng(32)
+        xi = random_field(lat, rng)
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.1, noise=noise)
+        nse = dense_nse(xi, cfg)
+        h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, noise.rank)))
+        terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
+        x = solve_skeleton(1, xi, terminal, h0, nse=nse).field_at(-1, lat)
+        problem = RateProblem(1, TerminalField(x), tolerance=1e-6)
+        res = rate_function(problem, cfg, xi, nse=nse)
+        nudged = replace(nse, fields=[f * (1 + 2e-16) for f in nse.fields])
+        res_nudged = rate_function(problem, cfg, xi, nse=nudged)
+        assert res.converged and res_nudged.converged
+        assert res.details["iterations"] <= cfg.steps * noise.rank
+        assert res_nudged.cost == pytest.approx(res.cost, rel=1e-10)
+
 
 class TestMcTail:
     def ou_cfg(self, alpha, dt=0.01, T=1.0, sigma=1.0):

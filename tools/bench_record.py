@@ -1,0 +1,145 @@
+"""Benchmark a change against its parent commit and write the record.
+
+    python3 tools/bench_record.py pairs PARENT CHANGE RUNS --workload W --seeds 211-220
+    python3 tools/bench_record.py record PARENT CHANGE RUNS --claim W --traced-seed S --out FILE
+
+PARENT and CHANGE are checkouts of the two commits; each side runs its own
+``perfbench/run.py`` with the benchmark's run length.  ``pairs`` runs one
+pair per seed, alternating which side goes first, and keeps the full result
+records under ``RUNS/parent`` and ``RUNS/change`` (``RUNS/pairs.jsonl`` holds
+the order).  ``record`` runs the claimed workload once traced on each side
+and writes, per workload, each side's medians and quartiles of the gated
+metrics and ``fail_frac``, the claimed workload's pairs, and the per-layer
+calls and self times averaged over the first traced ops, read from the span
+file.  The benchmark's own traced report averages over however many ops fit
+in the run, so its counts move with the speed when ops differ in work.
+"""
+
+import argparse
+import glob
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from run import quantiles  # noqa: E402
+
+SIDES = ("parent", "change")
+FIRST_OPS = 5
+
+
+def run_bench(tree, results, workload, seed, trace):
+    """Run the benchmark of ``tree`` once; its full record goes to ``results``."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace), "--results-dir", os.path.abspath(results)],
+        cwd=tree, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pairs(args):
+    lo, _, hi = args.seeds.partition("-")
+    for i, seed in enumerate(range(int(lo), int(hi or lo) + 1)):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            line = run_bench(getattr(args, side), os.path.join(args.runs, side), args.workload,
+                             seed, 0)
+            print(args.workload, seed, side, json.dumps(line["metrics"]), flush=True)
+        with open(os.path.join(args.runs, "pairs.jsonl"), "a") as fh:
+            fh.write(json.dumps({"workload": args.workload, "seed": seed, "first": order[0]}) + "\n")
+
+
+def first_ops(spans_path, count=FIRST_OPS):
+    """Per-layer calls and self times per op, averaged over the first ops."""
+    spans = np.load(spans_path)
+    layers, op, parent, layer = spans["layers"], spans["op"], spans["parent"], spans["layer"]
+    duration = spans["end"] - spans["start"]
+    child = np.zeros_like(duration)
+    np.add.at(child, parent[parent >= 0], duration[parent >= 0])
+    self_s = duration - child
+    ops = np.unique(op)[:count]
+    chosen = np.isin(op, ops)
+    return {"ops": ops.tolist(), "layers": {
+        str(name): {"calls": float(np.sum(chosen & (layer == i))) / len(ops),
+                    "self_s": round(float(np.sum(self_s[chosen & (layer == i)])) / len(ops), 5)}
+        for i, name in enumerate(layers) if np.any(chosen & (layer == i))}}
+
+
+def summary(values):
+    q1, median, q3 = quantiles(values)
+    return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def record(args):
+    results = {side: [] for side in SIDES}
+    for side in SIDES:
+        for path in sorted(glob.glob(os.path.join(args.runs, side, "*.json"))):
+            with open(path) as fh:
+                results[side].append(json.load(fh))
+    with open(os.path.join(args.runs, "pairs.jsonl")) as fh:
+        order = [json.loads(line) for line in fh]
+    out = {"settings": {"command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+                        "pairs_alternate_first_side": True},
+           "workloads": {}, "claim": None, "per_layer_first_traced_ops": {}, "env": None}
+    for workload in sorted({p["workload"] for p in order}):
+        seeds = [p["seed"] for p in order if p["workload"] == workload]
+        entry = {"seeds": seeds}
+        by_seed = {}
+        for side in SIDES:
+            runs = [r for r in results[side] if r["workload"] == workload and r["trace"] == 0
+                    and r["seed"] in seeds]
+            by_seed[side] = {r["seed"]: r["metrics"]["op_s_p50"]["value"] for r in runs}
+            entry[side] = {name: summary([r["metrics"][name]["value"] for r in runs])
+                           for name in runs[0]["metrics"]}
+            entry[side]["fail_frac"] = (sum(r["failed"] for r in runs)
+                                        / sum(r["attempted"] for r in runs))
+            out["env"] = runs[0]["env"]
+        out["workloads"][workload] = entry
+        if workload == args.claim:
+            rows = [{"seed": p["seed"], "first": p["first"],
+                     **{side: round(by_seed[side][p["seed"]], 5) for side in SIDES}}
+                    for p in order if p["workload"] == workload]
+            out["claim"] = {
+                "workload": workload, "metric": "op_s_p50", "pairs": rows,
+                "change_wins": sum(r["change"] < r["parent"] for r in rows),
+                "median_gap": round(entry["parent"]["op_s_p50"]["median"]
+                                    - entry["change"]["op_s_p50"]["median"], 5),
+                "parent_quartile_spread": round(entry["parent"]["op_s_p50"]["q3"]
+                                                - entry["parent"]["op_s_p50"]["q1"], 5)}
+    out["settings"]["traced_command"] = (f"python3 perfbench/run.py --workload {args.claim} "
+                                         f"--seed {args.traced_seed} --trace 1")
+    for side in SIDES:
+        tree = getattr(args, side)
+        run_bench(tree, os.path.join(args.runs, side + "-traced"), args.claim, args.traced_seed, 1)
+        spans = os.path.join(tree, ".perfbench", "spans", f"{args.claim}-seed{args.traced_seed}.npz")
+        out["per_layer_first_traced_ops"][side] = first_ops(spans)
+    with open(args.out, "w") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("pairs", "record"):
+        p = sub.add_parser(name)
+        for side in SIDES + ("runs",):
+            p.add_argument(side)
+    sub.choices["pairs"].add_argument("--workload", required=True)
+    sub.choices["pairs"].add_argument("--seeds", required=True, help="first-last, e.g. 211-220")
+    sub.choices["record"].add_argument("--claim", required=True, help="the claimed workload")
+    sub.choices["record"].add_argument("--traced-seed", type=int, required=True)
+    sub.choices["record"].add_argument("--out", required=True)
+    args = ap.parse_args()
+    os.makedirs(args.runs, exist_ok=True)
+    (pairs if args.command == "pairs" else record)(args)
+
+
+if __name__ == "__main__":
+    main()
