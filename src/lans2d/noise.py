@@ -28,13 +28,13 @@ MULTIPLICATIVE = "projection-multiplicative"
 
 @dataclass(frozen=True)
 class NoiseOperator:
-    """Finite-rank noise coefficient G with ``rank`` output directions."""
+    """Finite-rank noise coefficient G: ``rank`` output fields of ``lattice.shape``."""
 
     lattice: TorusLattice
     variant: str
     sigma: np.ndarray            # (J,), positive amplitudes
-    outputs: np.ndarray          # (J, 2, n, n) unit-H-norm divergence-free fields
-    probes: np.ndarray | None = None   # (J, 2, n, n), multiplicative only
+    outputs: np.ndarray          # (J, *lattice.shape) unit-H-norm divergence-free fields
+    probes: np.ndarray | None = None   # (J, *lattice.shape), multiplicative only
     offsets: np.ndarray | None = None  # (J,), multiplicative only, |c_j| <= 1
 
     def __post_init__(self):
@@ -45,9 +45,9 @@ class NoiseOperator:
             raise ValueError("sigma must be a nonempty vector of positive amplitudes")
         object.__setattr__(self, "sigma", sigma)
         J = sigma.size
-        n = self.lattice.n
-        if self.outputs.shape != (J, 2, n, n):
-            raise ValueError("outputs must have shape (J, 2, n, n)")
+        shape = (J,) + self.lattice.shape
+        if self.outputs.shape != shape:
+            raise ValueError(f"outputs must have shape {shape} (J fields)")
         hnorm = self.lattice.norm_h(self.outputs)
         if np.abs(hnorm - 1.0).max() > 1e-8:
             raise ValueError("output directions must have unit H-norm")
@@ -57,8 +57,8 @@ class NoiseOperator:
         if self.variant == MULTIPLICATIVE:
             if self.probes is None or self.offsets is None:
                 raise ValueError("multiplicative noise needs probes and offsets")
-            if self.probes.shape != (J, 2, n, n):
-                raise ValueError("probes must have shape (J, 2, n, n)")
+            if self.probes.shape != shape:
+                raise ValueError(f"probes must have shape {shape} (J fields)")
             offsets = np.asarray(self.offsets, float)
             if offsets.shape != (J,):
                 raise ValueError("offsets must have shape (J,)")
@@ -78,9 +78,7 @@ class NoiseOperator:
             return np.broadcast_to(self.sigma, u.shape[:-3] + (self.rank,))
         if u is None:
             raise ValueError("multiplicative noise needs the current field")
-        proj = (2.0 * np.pi) ** 2 * np.einsum(
-            "...cij,kcij->...k", u, np.conj(self.probes)
-        ).real
+        proj = self.lattice.inner_h(u[..., None, :, :, :], self.probes)
         return self.sigma * (proj + self.offsets)
 
     def apply(self, u: np.ndarray | None, coords: np.ndarray, out=None) -> np.ndarray:

@@ -117,25 +117,19 @@ def write_outputs(records: Sequence[dict], path, fmt: str = "csv",
 
 
 def save_field(field: SpectralField, path) -> Path:
-    """One row per retained wavevector: k1 k2 Re(u1) Im(u1) Re(u2) Im(u2)."""
-    lat = field.lattice
+    """One row per band wavevector: k1 k2 Re(u1) Im(u1) Re(u2) Im(u2)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# n={lat.n}", "# columns: k1 k2 re_u1 im_u1 re_u2 im_u2 (velocity units)"]
-    idx = np.argwhere(lat.dealias_mask)
-    for i1, i2 in idx:
-        c = field.coeffs[:, i1, i2]
-        lines.append(
-            " ".join(
-                [str(int(lat.k1[i1, i2])), str(int(lat.k2[i1, i2]))]
-                + [FLOAT_FMT % v for v in (c[0].real, c[0].imag, c[1].real, c[1].imag)]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    k, values = field.lattice.band_rows(field.coeffs)
+    np.savetxt(path, np.column_stack([k, values.view(np.float64)]),
+               fmt=["%d", "%d"] + [FLOAT_FMT] * 4,
+               header=f"n={field.lattice.n}\ncolumns: k1 k2 re_u1 im_u1 re_u2 im_u2 (velocity units)")
     return path
 
 
 def load_field(path, lattice: TorusLattice | None = None) -> SpectralField:
+    """Read a ``save_field`` table.  A row outside the lattice's band, or a
+    ``k2 < 0`` row that is not the conjugate of its mirror, raises ValueError."""
     lines = Path(path).read_text().splitlines()
     header = [ln for ln in lines if ln.startswith("# n=")]
     if not header:
@@ -145,16 +139,10 @@ def load_field(path, lattice: TorusLattice | None = None) -> SpectralField:
         lattice = make_lattice(n)
     elif lattice.n != n:
         raise ValueError(f"{path}: table was written for n={n}, lattice has n={lattice.n}")
-    coeffs = np.zeros((2, n, n), np.complex128)
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
-        k1, k2 = int(toks[0]), int(toks[1])
-        vals = [float(t) for t in toks[2:6]]
-        coeffs[0, k1 % n, k2 % n] = vals[0] + 1j * vals[1]
-        coeffs[1, k1 % n, k2 % n] = vals[2] + 1j * vals[3]
-    return SpectralField(lattice, coeffs)
+    rows = [ln.split() for ln in lines if ln and not ln.startswith("#")]
+    k = [(int(t[0]), int(t[1])) for t in rows]
+    values = [(complex(float(t[2]), float(t[3])), complex(float(t[4]), float(t[5]))) for t in rows]
+    return SpectralField(lattice, lattice.from_band_rows(k, values))
 
 
 # ---------------------------------------------------------------------------

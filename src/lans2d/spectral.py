@@ -1,23 +1,24 @@
 """Fourier-space machinery for divergence-free velocity fields on the 2D torus.
 
-Fields live on ``[0, 2*pi]**2`` and are stored as truncated Fourier
-coefficients ``uhat[c, i1, i2]`` (component ``c`` in {0, 1}, numpy FFT index
-ordering per axis), the full ``(2, n, n)`` spectrum of a real field.  The
-physical field is ``u(x) = sum_k uhat(k) e^{i k.x}``, so the L2 pairing
-carries the ``(2*pi)**2`` area factor and Parseval is exact.
+Fields live on ``[0, 2*pi]**2``.  The physical field is
+``u(x) = sum_k uhat(k) e^{i k.x}``, so the L2 pairing carries the
+``(2*pi)**2`` area factor and Parseval is exact.
 
-Every field is supported on the dealiased band ``3 max(|k1|, |k2|) < n``
-(Orszag's two-thirds rule): the product of two band fields has no alias
-inside the band.  Everything diagonal in Fourier space (Stokes powers, the
-Helmholtz smoother, the Leray projector) is applied exactly.  Quadratic terms
-are formed pseudo-spectrally by one kernel from a list of one or two terms,
-each a value field contracted with a gradient: one real inverse transform of
-the stacked values and derivatives the terms need, their products summed on
-the grid, one real forward transform and the projection.  The transforms
-read and write only the band columns ``k2 = 0..K``; the ``k2 < 0`` half
-follows by Hermitian symmetry.  All operations accept leading batch axes on
-the raw coefficient arrays, i.e. shape ``(..., 2, n, n)``, and broadcast
-them.
+Every field is real, ``uhat(-k) = conj uhat(k)``, and supported on the
+dealiased band ``max(|k1|, |k2|) <= K = (n - 1) // 3`` (Orszag's two-thirds
+rule): the product of two band fields has no alias inside the band.  A field
+is stored as its band half ``uhat[c, i1, i2]``, shape ``(2, 2K+1, K+1)``:
+component ``c``, rows ``k1 = 0..K, -K..-1`` (numpy FFT order, so mode ``k``
+sits at row ``k1 % (2K+1)``) and columns ``k2 = 0..K``.  The ``k2 = 0``
+column holds both signs of ``k1`` as conjugate pairs; the pairings count the
+other columns twice, for their implied mirrors.  Everything diagonal in
+Fourier space (Stokes powers, the Helmholtz smoother, the Leray projector)
+is applied exactly.  Quadratic terms are formed pseudo-spectrally by one
+kernel from a list of one or two terms, each a value field contracted with
+a gradient: one real inverse transform of the stacked values and
+derivatives the terms need, their products summed on the ``n x n`` grid,
+one real forward transform and the projection.  All operations accept
+leading batch axes, i.e. shape ``(..., 2, 2K+1, K+1)``, and broadcast them.
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
@@ -50,62 +51,61 @@ class TorusLattice:
     Parameters
     ----------
     n : int
-        Modes per dimension; must be even and at least 4.
+        Grid points per dimension; must be even and at least 4.
 
     Attributes
     ----------
-    k1, k2 : ndarray of int, shape (n, n)
-        Integer wavevector components in numpy FFT ordering.
-    eigenvalue : ndarray, shape (n, n)
+    shape : tuple
+        Coefficient shape of one field, the band half ``(2, 2K+1, K+1)``.
+    k1, k2 : ndarray of int, shape (2K+1, K+1)
+        Integer wavevector components of the stored modes.
+    eigenvalue : ndarray, shape (2K+1, K+1)
         Stokes eigenvalues ``|k|**2 = k1**2 + k2**2``.
-    dealias_mask : ndarray of bool, shape (n, n)
-        True on the band ``3 max(|k1|, |k2|) < n`` (two-thirds rule), i.e.
-        ``max(|k1|, |k2|) <= K`` with band edge ``K = (n - 1) // 3``.
-    active : ndarray of bool, shape (n, n)
-        Retained modes: dealias-kept and k != 0 (zero-mean constraint).
-
-    Coefficient arrays keep the full ``(..., 2, n, n)`` layout.  The
-    transforms and the quadratic terms read only the band columns
-    ``k2 = 0..K`` of their inputs and write only the band of their outputs.
+    active : ndarray of bool, shape (2K+1, K+1)
+        Retained modes: every stored mode but ``k = 0`` (zero mean).
     """
 
     n: int
+    shape: tuple = field(init=False, repr=False, compare=False)
     k1: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvalue: np.ndarray = field(init=False, repr=False, compare=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     active: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n % 2 != 0 or self.n < 4:
             raise ValueError(f"lattice size must be even and >= 4, got {self.n}")
-        k1d = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        k1 = np.broadcast_to(k1d[:, None], (self.n, self.n)).copy()
-        k2 = np.broadcast_to(k1d[None, :], (self.n, self.n)).copy()
+        edge = (self.n - 1) // 3
+        rows = 2 * edge + 1
+        k1, k2 = np.meshgrid(np.fft.fftfreq(rows, d=1.0 / rows).astype(np.int64),
+                             np.arange(edge + 1), indexing="ij")
         lam = (k1**2 + k2**2).astype(np.float64)
-        mask = 3 * np.maximum(np.abs(k1), np.abs(k2)) < self.n
         nonzero = lam > 0
         lam_safe = np.where(nonzero, lam, 1.0)
-        edge = (self.n - 1) // 3
-        keep = mask[:, : edge + 1].astype(np.float64)
+        # pairings: (2 pi)^2 per mode, twice on k2 > 0 for the implied k2 < 0
+        w_h = np.where(k2 > 0, 2.0, 1.0) * TWO_PI**2
+        # Leray projector I - k k^T / |k|^2, zero on the mean mode; its tables
+        # are complex like the fields, so that applying it casts nothing
+        k = np.stack([k1, k2])
+        proj = np.where(nonzero, np.eye(2)[:, :, None, None] - k[:, None] * k / lam_safe, 0.0)
+        ik = np.zeros(k.shape, np.complex128)
+        ik.imag = k
         for name, arr in (
             ("k1", k1),
             ("k2", k2),
             ("eigenvalue", lam),
-            ("dealias_mask", mask),
-            ("active", mask & nonzero),
-            ("_nonzero", nonzero),
+            ("active", nonzero),
             ("_lam_safe", lam_safe),
-            # Leray projector I - k k^T / |k|^2, zero on the mean mode
-            ("_p11", np.where(nonzero, 1.0 - k1 * k1 / lam_safe, 0.0)),
-            ("_p12", np.where(nonzero, -k1 * k2 / lam_safe, 0.0)),
-            ("_p22", np.where(nonzero, 1.0 - k2 * k2 / lam_safe, 0.0)),
-            # band weights on the columns k2 = 0..K: value, i k1, i k2
-            ("_keep", keep),
-            ("_ik", np.stack([1j * k1[:, : edge + 1], 1j * k2[:, : edge + 1]]) * keep),
+            ("_p_diag", proj[[0, 1], [0, 1]].astype(np.complex128)),  # p11, p22
+            ("_p_cross", proj[[0, 1], [1, 0]].astype(np.complex128)),  # p12, p21
+            ("_ik", ik),  # i k1, i k2
+            ("_w_h", w_h),
+            ("_w_v", w_h * lam),
+            ("_w_a", w_h * lam**2),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "shape", (2, rows, edge + 1))
         object.__setattr__(self, "_edge", edge)
         object.__setattr__(self, "_scratch", {})  # field count -> _KernelScratch
 
@@ -118,9 +118,7 @@ class TorusLattice:
     def to_physical(self, coeffs: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
         """Collocation samples of a real field's coefficients, shape ``(..., n, n)``.
 
-        Reads only the columns ``k2 = 0..K`` (the last axis may hold just
-        those); the ``k2 < 0`` half is implied by Hermitian symmetry.  ``out``
-        (the samples), ``half`` (``(..., n, n // 2 + 1)`` complex) and
+        ``out`` (the samples), ``half`` (``(..., n, n // 2 + 1)`` complex) and
         ``band`` (``(..., K + 1, n)`` complex) are written if given, else
         allocated.
         """
@@ -129,39 +127,36 @@ class TorusLattice:
         band = _buffer(band, lead + (K + 1, n))
         half = _buffer(half, lead + (n, n // 2 + 1))
         out = _buffer(out, lead + (n, n), np.float64)
-        # numpy transforms short strided rows slowly: transform k1 along a
-        # contiguous last axis, then k2 -> x2 on the transposed-back result
-        np.copyto(band, np.swapaxes(coeffs[..., : K + 1], -1, -2))
+        # numpy transforms short strided rows slowly: transform k1 (padded to
+        # n rows) along a contiguous last axis, then k2 -> x2 transposed back
+        rows = np.swapaxes(coeffs, -1, -2)
+        np.copyto(band[..., : K + 1], rows[..., : K + 1])
+        band[..., K + 1 : n - K] = 0
+        np.copyto(band[..., n - K :], rows[..., K + 1 :])
         np.fft.ifft(band, axis=-1, norm="forward", out=band)
         np.copyto(half[..., : K + 1], np.swapaxes(band, -1, -2))
         half[..., K + 1 :] = 0
         return np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out)
 
     def to_spectral(self, phys: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
-        """Band-limited coefficients of real grid samples, shape ``(..., n, n)``.
+        """Band coefficients of real grid samples, shape ``(..., 2K+1, K+1)``.
 
-        Only the band is computed and written; everything outside it is 0 and
-        the ``k2 < 0`` half is the conjugate mirror of the computed columns,
-        so the result is a real field's spectrum by construction.  ``out``,
+        The ``k2 = 0`` column's rows ``k1 < 0`` are the conjugates of its rows
+        ``k1 > 0``, so the result is a real field's by construction.  ``out``,
         ``half`` and ``band`` are as for :meth:`to_physical`.
         """
         n, K = self.n, self._edge
         lead = phys.shape[:-2]
         half = _buffer(half, lead + (n, n // 2 + 1))
         band = _buffer(band, lead + (K + 1, n))
-        out = _buffer(out, lead + (n, n))
+        out = _buffer(out, lead + (2 * K + 1, K + 1))
         np.fft.rfft(phys, axis=-1, norm="forward", out=half)
         np.copyto(band, np.swapaxes(half[..., : K + 1], -1, -2))
         np.fft.fft(band, axis=-1, norm="forward", out=band)
-        h = np.swapaxes(band, -1, -2)  # rows k1, columns k2 = 0..K
-        out.fill(0)
-        out[..., : K + 1, : K + 1] = h[..., : K + 1, :]
-        out[..., n - K :, 1 : K + 1] = h[..., n - K :, 1:]
-        # k2 < 0: u(-k) = conj u(k), for the rows k1 = 0, 1..K and -K..-1
-        np.conjugate(h[..., K:0:-1, 0], out=out[..., n - K :, 0])
-        np.conjugate(h[..., :1, K:0:-1], out=out[..., :1, n - K :])
-        np.conjugate(h[..., n - 1 : n - K - 1 : -1, K:0:-1], out=out[..., 1 : K + 1, n - K :])
-        np.conjugate(h[..., K:0:-1, K:0:-1], out=out[..., n - K :, n - K :])
+        h = np.swapaxes(band, -1, -2)  # rows k1 in FFT order for n, columns k2 = 0..K
+        out[..., : K + 1, :] = h[..., : K + 1, :]
+        out[..., K + 1 :, 1:] = h[..., n - K :, 1:]
+        np.conjugate(h[..., K:0:-1, 0], out=out[..., K + 1 :, 0])  # u(-k) = conj u(k)
         return out
 
     def grid(self):
@@ -174,24 +169,23 @@ class TorusLattice:
     def leray(self, coeffs: np.ndarray, work=None) -> np.ndarray:
         """Helmholtz-Leray projection ``I - k k^T / |k|^2``; zeroes the mean mode.
 
-        ``work`` (shape ``coeffs.shape[:-3] + (n, n)``) holds one product if
-        given, else it is allocated.
+        ``work`` (``coeffs``' shape, complex) holds the off-diagonal products
+        if given, else it is allocated.
         """
-        c0, c1 = coeffs[..., 0, :, :], coeffs[..., 1, :, :]
-        out = np.empty(coeffs.shape, np.result_type(coeffs, 1.0))
-        work = _buffer(work, c0.shape, out.dtype)
-        for o, (p0, p1) in zip((out[..., 0, :, :], out[..., 1, :, :]),
-                               ((self._p11, self._p12), (self._p12, self._p22))):
-            np.multiply(p0, c0, out=o)
-            np.multiply(p1, c1, out=work)
-            np.add(o, work, out=o)
-        return out
+        # whole-array products: numpy buffers each operand of a broadcast ufunc
+        # that is not one contiguous run, here only the table
+        work = _buffer(work, coeffs.shape)
+        np.copyto(work[..., 0, :, :], coeffs[..., 1, :, :])
+        np.copyto(work[..., 1, :, :], coeffs[..., 0, :, :])
+        np.multiply(self._p_cross, work, out=work)  # p12 u2, p12 u1
+        out = np.multiply(self._p_diag, coeffs)  # p11 u1, p22 u2
+        return np.add(out, work, out=out)
 
     def stokes(self, coeffs: np.ndarray, power: float) -> np.ndarray:
         """Apply ``A**power`` (diagonal: ``|k|**(2*power)``); mean mode stays 0."""
         if power == 0:
             return coeffs.copy()
-        mult = np.where(self._nonzero, self._lam_safe**power, 0.0)
+        mult = np.where(self.active, self._lam_safe**power, 0.0)
         return coeffs * mult
 
     def smooth(self, coeffs: np.ndarray, alpha: float, out=None) -> np.ndarray:
@@ -205,25 +199,25 @@ class TorusLattice:
     # -- pairings ------------------------------------------------------------
 
     def inner_h(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """L2 inner product over the torus; reduces the trailing (2, n, n) axes."""
-        return TWO_PI**2 * np.sum((a * np.conj(b)).real, axis=(-3, -2, -1))
+        """L2 inner product over the torus; reduces the trailing field axes."""
+        return np.sum(self._w_h * (a * np.conj(b)).real, axis=(-3, -2, -1))
+
+    def _weighted_norm(self, a, weight):
+        return np.sqrt(np.sum(weight * (a.real**2 + a.imag**2), axis=(-3, -2, -1)))
 
     def norm_h(self, a: np.ndarray) -> np.ndarray:
-        return np.sqrt(TWO_PI**2 * np.sum((a.real**2 + a.imag**2), axis=(-3, -2, -1)))
+        return self._weighted_norm(a, self._w_h)
 
     def norm_v(self, a: np.ndarray) -> np.ndarray:
-        w = self.eigenvalue * (a.real**2 + a.imag**2)
-        return np.sqrt(TWO_PI**2 * np.sum(w, axis=(-3, -2, -1)))
+        return self._weighted_norm(a, self._w_v)
 
     def norm_a(self, a: np.ndarray) -> np.ndarray:
         """``|A u|`` (H-norm of the Stokes image)."""
-        w = self.eigenvalue**2 * (a.real**2 + a.imag**2)
-        return np.sqrt(TWO_PI**2 * np.sum(w, axis=(-3, -2, -1)))
+        return self._weighted_norm(a, self._w_a)
 
     def norm_alpha(self, a: np.ndarray, alpha: float) -> np.ndarray:
         # |u|^2 + alpha^2 |A u|^2
-        w = (1.0 + alpha * alpha * self.eigenvalue**2) * (a.real**2 + a.imag**2)
-        return np.sqrt(TWO_PI**2 * np.sum(w, axis=(-3, -2, -1)))
+        return self._weighted_norm(a, self._w_h + alpha * alpha * self._w_a)
 
     # -- quadratic terms ------------------------------------------------------
 
@@ -247,8 +241,7 @@ class TorusLattice:
         if s is None or s.batch != batch:
             s = self._scratch[fields] = _KernelScratch(self.n, K, batch, fields)
         for t, (x, pairing, f) in enumerate(terms):
-            np.multiply(x[..., : K + 1], self._keep, out=s.stack[3 * t])
-            f = f[..., : K + 1]
+            np.copyto(s.stack[3 * t], x)
             for j in (0, 1):
                 if pairing == "d":  # g_j = d_j f
                     np.multiply(f, self._ik[j], out=s.stack[3 * t + 1 + j])
@@ -292,16 +285,34 @@ class TorusLattice:
         """Adjoint of ``v -> B(a, v)``: returns ``-B(a, p)`` (a divergence-free)."""
         return -self.bilinear_b(ca, cp)
 
-    # -- field construction ----------------------------------------------------
+    # -- the flat wavevector table ---------------------------------------------
 
-    def hermitian_symmetrize(self, coeffs: np.ndarray) -> np.ndarray:
-        flipped = np.roll(coeffs[..., ::-1, ::-1], 1, axis=(-2, -1))
-        return 0.5 * (coeffs + np.conj(flipped))
+    def band_rows(self, coeffs: np.ndarray):
+        """Every band wavevector ``k`` (rows, 2) of one field and its ``values``
+        (rows, 2): row ``(k1 % m) * m + k2 % m`` lists ``k``, ``m = 2K+1``; a
+        ``k2 < 0`` row holds the conjugate of its mirror (exact zeros as +0)."""
+        K = self._edge
+        mirrors = np.conj(coeffs[:, -self.k1[:, 0] % (2 * K + 1), K:0:-1]) + 0.0
+        k = np.stack(np.broadcast_arrays(self.k1[:, :1], np.r_[0 : K + 1, -K:0]), axis=-1)
+        return k.reshape(-1, 2), np.concatenate([coeffs, mirrors], axis=-1).reshape(2, -1).T.copy()
 
-    def clean(self, coeffs: np.ndarray) -> np.ndarray:
-        """Symmetrize, dealias, project and zero the mean: a valid field."""
-        c = self.hermitian_symmetrize(coeffs) * self.dealias_mask
-        return self.leray(c)
+    def from_band_rows(self, k, values) -> np.ndarray:
+        """The coefficients that rows as :meth:`band_rows`'s list (unlisted
+        modes are 0).  Raises ``ValueError`` naming the first row outside the
+        band or ``k2 < 0`` row that is not the conjugate of its mirror."""
+        K, m = self._edge, 2 * self._edge + 1
+        k, values = np.asarray(k, np.int64).reshape(-1, 2), np.asarray(values).reshape(-1, 2)
+        for k1, k2 in k[np.abs(k).max(axis=1) > K][:1].tolist():
+            raise ValueError(f"k=({k1}, {k2}) lies outside the dealiased band "
+                             f"max(|k1|, |k2|) <= {K} of n={self.n}")
+        coeffs = np.zeros(self.shape, np.complex128)
+        upper = k[:, 1] >= 0
+        coeffs[:, k[upper, 0] % m, k[upper, 1]] = values[upper].T
+        listed = self.band_rows(coeffs)[1][k[:, 0] % m * m + k[:, 1] % m]
+        for k1, k2 in k[(values != listed).any(axis=1)][:1].tolist():
+            raise ValueError(f"k=({k1}, {k2}) is not the conjugate of its "
+                             f"mirror k=({-k1}, {-k2})")
+        return coeffs
 
 
 def _buffer(buf, shape, dtype=np.complex128):
@@ -315,23 +326,25 @@ class _KernelScratch:
     Views into two arenas.  Each arena holds runs of arrays: the arrays of a
     run are alive together and lie end to end, the runs of an arena are alive
     one after another and all start at its beginning.  Arena one holds the
-    stack (field-major, ``(fields, *batch, 2, n, K + 1)``, written straight
-    into the transposed layout of the inverse transform's band copy), then
-    the grid samples, then the band copy of the product's forward transform.
-    Arena two holds the half spectrum of the inverse transform, then the
-    product's half spectrum and its band-limited spectrum, then the Leray
-    product.
+    stack (field-major, ``(fields, *batch, 2, 2K + 1, K + 1)``) and the
+    inverse transform's band copy, then the grid samples, then the band copy
+    of the product's forward transform.  Arena two holds the half spectrum
+    of the inverse transform, then the product's half spectrum and its band
+    coefficients, then the Leray product.
     """
 
     def __init__(self, n, K, batch, fields):
         self.batch = batch
         lead, prod, c16 = (fields,) + batch + (2,), batch + (2,), np.complex128
+        rows = 2 * K + 1
         for runs in (
-            [[("band", lead + (K + 1, n), c16)], [("phys", lead + (n, n), np.float64)],
+            [[("stack", lead + (rows, K + 1), c16), ("band", lead + (K + 1, n), c16)],
+             [("phys", lead + (n, n), np.float64)],
              [("product_band", prod + (K + 1, n), c16)]],
             [[("half", lead + (n, n // 2 + 1), c16)],
-             [("product_half", prod + (n, n // 2 + 1), c16), ("spectrum", prod + (n, n), c16)],
-             [("work", batch + (n, n), c16)]],
+             [("product_half", prod + (n, n // 2 + 1), c16),
+              ("spectrum", prod + (rows, K + 1), c16)],
+             [("work", prod + (rows, K + 1), c16)]],
         ):
             sizes = [[math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in run]
                      for run in runs]
@@ -341,7 +354,6 @@ class _KernelScratch:
                 for (name, shape, dtype), size in zip(run, run_sizes):
                     setattr(self, name, arena[start : start + size].view(dtype).reshape(shape))
                     start += size
-        self.stack = np.swapaxes(self.band, -1, -2)
 
 
 def make_lattice(n: int) -> TorusLattice:
@@ -353,8 +365,9 @@ def make_lattice(n: int) -> TorusLattice:
 class SpectralField:
     """A real, zero-mean, divergence-free velocity field in truncated Fourier form.
 
-    ``coeffs`` has shape (2, n, n); invariants (Hermitian symmetry,
-    incompressibility, zero mean, dealiased support) are checked by
+    ``coeffs`` has the lattice's shape ``(2, 2K+1, K+1)``, so its support is
+    the dealiased band by construction.  The other invariants (a Hermitian
+    ``k2 = 0`` column, incompressibility, zero mean) are checked by
     :meth:`validate` and preserved by every operation in this module.
     """
 
@@ -363,8 +376,8 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (2, self.lattice.n, self.lattice.n):
-            raise ValueError(f"coefficient array must have shape (2, n, n), got {c.shape}")
+        if c.shape != self.lattice.shape:
+            raise ValueError(f"coefficients must have the shape {self.lattice.shape}, got {c.shape}")
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -372,16 +385,14 @@ class SpectralField:
     def validate(self, tol: float = 1e-12) -> None:
         lat, c = self.lattice, self.coeffs
         scale = max(float(np.abs(c).max()), 1e-300)
-        flipped = np.roll(c[:, ::-1, ::-1], 1, axis=(-2, -1))
-        if np.abs(c - np.conj(flipped)).max() > tol * scale:
-            raise ValueError("field is not Hermitian-symmetric (not real-valued)")
+        column = c[:, :, 0]  # k2 = 0: u(-k) = conj u(k)
+        if np.abs(column - np.conj(column[:, -lat.k1[:, 0] % c.shape[1]])).max() > tol * scale:
+            raise ValueError("field is not real-valued: its k2 = 0 column is not Hermitian")
         div = np.abs(lat.k1 * c[0] + lat.k2 * c[1]).max()
         if div > tol * scale * lat.n:
             raise ValueError(f"field is not divergence-free (residual {div:.3e})")
         if np.abs(c[:, 0, 0]).max() > tol * scale:
             raise ValueError("field has a nonzero mean mode")
-        if np.abs(c[:, ~lat.dealias_mask]).max() > 0.0:
-            raise ValueError("field has support outside the dealiased band")
 
     def same_lattice(self, other: "SpectralField") -> None:
         if self.lattice.n != other.lattice.n:
@@ -409,7 +420,7 @@ class SpectralField:
 
 
 def zero_field(lattice: TorusLattice) -> SpectralField:
-    return SpectralField(lattice, np.zeros((2, lattice.n, lattice.n), np.complex128))
+    return SpectralField(lattice, np.zeros(lattice.shape, np.complex128))
 
 
 def taylor_green(lattice: TorusLattice, amplitude: float = 1.0) -> SpectralField:
@@ -435,14 +446,10 @@ def eigenmode_field(
     k1, k2 = int(k[0]), int(k[1])
     if (k1, k2) == (0, 0):
         raise ValueError("mode (0, 0) is excluded (zero-mean constraint)")
-    if 3 * max(abs(k1), abs(k2)) >= lattice.n:
-        raise ValueError(f"mode {k} lies outside the dealiased band of n={lattice.n}")
-    c = np.zeros((2, lattice.n, lattice.n), np.complex128)
     kperp = np.array([-k2, k1], float) / np.hypot(k1, k2)
     amp = amplitude * np.exp(1j * phase) / (TWO_PI * np.sqrt(2.0))
-    c[:, k1 % lattice.n, k2 % lattice.n] = amp * kperp
-    c[:, (-k1) % lattice.n, (-k2) % lattice.n] = np.conj(amp) * kperp
-    return SpectralField(lattice, c)
+    rows = lattice.from_band_rows([(k1, k2), (-k1, -k2)], [amp * kperp, np.conj(amp) * kperp])
+    return SpectralField(lattice, rows)
 
 
 def random_field(
@@ -456,14 +463,15 @@ def random_field(
     The default decay keeps ``|A u|`` finite at desk resolution.  ``norm``
     rescales to the requested H-norm (None leaves the raw scale).
     """
-    c = rng.standard_normal((2, lattice.n, lattice.n)) + 1j * rng.standard_normal(
-        (2, lattice.n, lattice.n)
-    )
-    c *= np.where(lattice._nonzero, lattice._lam_safe ** (-decay / 2.0), 0.0)
-    c = lattice.clean(c)
-    f = SpectralField(lattice, c)
+    n = lattice.n
+    c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    # the draws at the stored modes k and at their mirrors -k, shaped by
+    # |k|^-decay and made Hermitian, divergence-free and zero-mean
+    at_k, at_minus_k = (lattice.stokes(c[:, k1 % n, k2 % n], -decay / 2.0)
+                        for k1, k2 in ((lattice.k1, lattice.k2), (-lattice.k1, -lattice.k2)))
+    f = SpectralField(lattice, lattice.leray(0.5 * (at_k + np.conj(at_minus_k))))
     if norm is not None:
-        h = float(lattice.norm_h(c))
+        h = float(lattice.norm_h(f.coeffs))
         if h > 0:
             f = f * (norm / h)
     return f

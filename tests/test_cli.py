@@ -103,6 +103,31 @@ class TestWriters:
         with pytest.raises(ValueError, match="n=16"):
             load_field(p, make_lattice(32))
 
+    def test_field_table_lists_the_whole_band(self, tmp_path, lat16, rng):
+        # every band wavevector once, k2 < 0 rows the conjugates of their mirrors
+        u = random_field(lat16, rng)
+        rows = save_field(u, tmp_path / "field.tsv").read_text().splitlines()[2:]
+        table = {(int(r.split()[0]), int(r.split()[1])): [float(t) for t in r.split()[2:]]
+                 for r in rows}
+        assert len(rows) == len(table) == 11 * 11
+        for (k1, k2), (a, b, c, d) in table.items():
+            assert max(abs(k1), abs(k2)) <= 5
+            assert [a, -b, c, -d] == table[(-k1, -k2)]
+
+    @pytest.mark.parametrize("row, message", [
+        ("6 0 1 0 0 0", r"k=\(6, 0\) lies outside the dealiased band"),
+        ("-1 -9 0 0 0 0", r"k=\(-1, -9\) lies outside the dealiased band"),
+        ("-1 -2 1.5 0 0 0", r"k=\(-1, -2\) is not the conjugate of its mirror k=\(1, 2\)"),
+    ])
+    def test_field_table_refuses_what_the_band_cannot_hold(self, tmp_path, lat16, rng, row,
+                                                           message):
+        # the row replaces the table's row of its wavevector, or is appended
+        p = save_field(random_field(lat16, rng), tmp_path / "field.tsv")
+        rows = [r for r in p.read_text().splitlines() if r.split()[:2] != row.split()[:2]]
+        p.write_text("\n".join(rows + [row]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_field(p)
+
     def test_control_round_trip(self, tmp_path, rng):
         h = Control(2e-3, rng.standard_normal((40, 3)))
         p = save_control(h, tmp_path / "h.csv")

@@ -324,7 +324,7 @@ class TestMcTail:
     @staticmethod
     def sample_bytes(cfg):
         """Bytes of one trajectory's state and increments."""
-        return 2 * cfg.lattice.n**2 * 16 + 8 * cfg.steps * cfg.noise.rank
+        return math.prod(cfg.lattice.shape) * 16 + 8 * cfg.steps * cfg.noise.rank
 
     def test_worker_count_invariance(self, monkeypatch):
         lat, cfg, xi, g = self.ou_cfg(0.2)
@@ -387,7 +387,7 @@ class TestMcTail:
             mc_tail(0, 0.1, TerminalObservableEvent(g, 0.2), 50, cfg, xi, workers=2)
 
     def test_batches_stay_within_the_byte_budget(self, monkeypatch):
-        # at n=32 one trajectory holds 32 KiB of state, so 3000 of them are
+        # at n=32 one trajectory holds 7.2 KiB of state, so 3000 of them are
         # split into batches of at most _BATCH_BYTES; the hits do not depend on
         # the split (one batch of 3000 would peak near 1 GB, so the reference
         # split is a finer one)

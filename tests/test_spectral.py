@@ -36,11 +36,21 @@ class TestLattice:
     def test_two_thirds_rule_n6(self):
         # keep 3 max(|k1|, |k2|) < n: at n=6 mode 2 would alias (2 + 2 = 4 = -2)
         lat = make_lattice(6)
-        assert lat.dealias_mask[1, 0]
-        assert not lat.dealias_mask[2, 0]
-        assert not lat.dealias_mask[-2, 0]
+        assert lat.shape == (2, 3, 2)
+        assert sorted(set(lat.k1.ravel())) == [-1, 0, 1]
+        assert sorted(set(lat.k2.ravel())) == [0, 1]
         with pytest.raises(ValueError, match="dealiased band"):
             eigenmode_field(lat, (2, 0))
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    def test_storage_is_the_band_half(self, n):
+        # rows k1 = 0..K, -K..-1 (mode k at row k1 % (2K+1)), columns k2 = 0..K
+        lat = make_lattice(n)
+        K = (n - 1) // 3
+        assert lat.shape == (2, 2 * K + 1, K + 1)
+        assert list(lat.k1[:, 0]) == list(range(K + 1)) + list(range(-K, 0))
+        assert list(lat.k2[0]) == list(range(K + 1))
+        assert not lat.active[0, 0] and lat.active.sum() == lat.k1.size - 1
 
     @pytest.mark.parametrize("bad", [5, 2, 0, -4])
     def test_rejects_bad_sizes(self, bad):
@@ -51,12 +61,12 @@ class TestLattice:
 class TestLeray:
     def test_annihilates_gradients(self, lat16):
         # f(k) = k * c is a pure gradient mode by mode
-        c = np.zeros((2, 16, 16), complex)
+        c = np.zeros(lat16.shape, complex)
         rngl = np.random.default_rng(3)
-        scal = rngl.standard_normal((16, 16)) + 1j * rngl.standard_normal((16, 16))
+        scal = rngl.standard_normal(c.shape[1:]) + 1j * rngl.standard_normal(c.shape[1:])
         c[0] = lat16.k1 * scal
         c[1] = lat16.k2 * scal
-        out = lat16.leray(c * lat16.dealias_mask)
+        out = lat16.leray(c)
         assert np.abs(out).max() < 1e-14 * np.abs(c).max()
 
     def test_idempotent_and_identity_on_h(self, lat16, rng):
@@ -68,7 +78,7 @@ class TestLeray:
 
     def test_hand_example(self):
         lat = make_lattice(16)
-        c = np.zeros((2, 16, 16), complex)
+        c = np.zeros(lat.shape, complex)
         c[0, 1, 1] = 1.0
         out = lat.leray(c)
         assert out[0, 1, 1] == pytest.approx(0.5)
@@ -183,13 +193,15 @@ def band_quadratic(lat, a, b, advect, transpose):
     ``sum_{p+q=k}`` over band modes ``|p|, |q|, |k| <= K`` (max norm, with
     ``3K < n``), projected by ``I - k k^T / |k|^2``.
     """
-    n = lat.n
-    K = (n - 1) // 3
+    K = (lat.n - 1) // 3
+    m = 2 * K + 1
     band = np.arange(-K, K + 1)
     q1, q2 = np.meshgrid(band, band, indexing="ij")
 
     def on_band(f):  # (..., 2, 2K+1, 2K+1), mode p at index p + K
-        return f[..., :, band[:, None] % n, band[None, :] % n]
+        upper = f[..., :, band[:, None] % m, np.arange(K + 1)]  # p2 >= 0
+        lower = np.conj(f[..., :, -band[:, None] % m, np.arange(K, 0, -1)])  # p2 < 0
+        return np.concatenate([lower, upper], axis=-1)
 
     ga, gb = on_band(a), on_band(b)
     big = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-2] + (4 * K + 1, 4 * K + 1), complex)
@@ -208,8 +220,8 @@ def band_quadratic(lat, a, b, advect, transpose):
     kdot = (q1 * w[..., 0, :, :] + q2 * w[..., 1, :, :]) / np.where(lam > 0, lam, 1.0)
     w = np.stack([w[..., 0, :, :] - q1 * kdot, w[..., 1, :, :] - q2 * kdot], axis=-3)
     w[..., :, K, K] = 0.0
-    out = np.zeros(w.shape[:-2] + (n, n), complex)
-    out[..., :, band[:, None] % n, band[None, :] % n] = w
+    out = np.zeros(w.shape[:-2] + (m, K + 1), complex)
+    out[..., :, band % m, :] = w[..., :, :, K:]  # k2 = 0..K
     return out
 
 
@@ -289,7 +301,7 @@ class TestIdentityProperties:
         # interleaved on one lattice give what a fresh lattice gives, and no
         # later call touches an array returned earlier
         shapes = [(u[0], v[0]), (u, v), (u[:37], v[:37]), (u[1], v[1]),
-                  (u[2], v[:37]), (u[:37], v[3]), (u[:6].reshape(2, 3, 2, 16, 16), v[4])]
+                  (u[2], v[:37]), (u[:37], v[3]), (u[:6].reshape((2, 3) + lat.shape), v[4])]
         returned = [(whole, whole.copy())]
         for x, y in shapes:
             for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b"):
@@ -388,17 +400,33 @@ class TestFieldInvariants:
             random_field(lat32, rng).validate()
 
     def test_validate_catches_divergence(self, lat16):
-        c = np.zeros((2, 16, 16), complex)
+        c = np.zeros(lat16.shape, complex)
         c[0, 1, 0] = 1.0
-        c[0, 15, 0] = 1.0  # Hermitian partner, but k.u != 0
+        c[0, -1, 0] = 1.0  # Hermitian partner, but k.u != 0
         with pytest.raises(ValueError, match="divergence"):
             SpectralField(lat16, c).validate()
 
     def test_validate_catches_mean(self, lat16):
-        c = np.zeros((2, 16, 16), complex)
+        c = np.zeros(lat16.shape, complex)
         c[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean"):
             SpectralField(lat16, c).validate()
+
+    @pytest.mark.parametrize("partner", [0.5 + 0.5j, 1.0 - 1e-9j, 0.0])
+    def test_validate_catches_an_unpaired_k2_zero_column(self, lat16, partner):
+        # only the k2 = 0 column stores both u(k) and u(-k); they must be
+        # conjugate for the field to be real
+        c = np.zeros(lat16.shape, complex)
+        c[1, 2, 0] = 1.0 + 1j  # k = (2, 0), divergence-free
+        c[1, -2, 0] = 1.0 - 1j
+        SpectralField(lat16, c).validate()
+        c[1, -2, 0] = partner
+        with pytest.raises(ValueError, match="real-valued"):
+            SpectralField(lat16, c).validate()
+
+    def test_fields_must_have_the_lattice_shape(self, lat16):
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(lat16, np.zeros((2, 16, 16), complex))
 
     def test_identity_report_clean(self, lat16):
         worst = identity_report(lat16, trials=25, seed=5)
