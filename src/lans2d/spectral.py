@@ -297,9 +297,10 @@ class TorusLattice:
         return k.reshape(-1, 2), np.concatenate([coeffs, mirrors], axis=-1).reshape(2, -1).T.copy()
 
     def from_band_rows(self, k, values) -> np.ndarray:
-        """The coefficients that rows as :meth:`band_rows`'s list (unlisted
-        modes are 0).  Raises ``ValueError`` naming the first row outside the
-        band or ``k2 < 0`` row that is not the conjugate of its mirror."""
+        """The coefficients that rows ``k``, ``values`` list as :meth:`band_rows`
+        does (modes without a row are 0).  Raises ``ValueError`` naming the
+        first row outside the band or ``k2 < 0`` row that is not the conjugate
+        of its mirror."""
         K, m = self._edge, 2 * self._edge + 1
         k, values = np.asarray(k, np.int64).reshape(-1, 2), np.asarray(values).reshape(-1, 2)
         for k1, k2 in k[np.abs(k).max(axis=1) > K][:1].tolist():
@@ -309,7 +310,7 @@ class TorusLattice:
         upper = k[:, 1] >= 0
         coeffs[:, k[upper, 0] % m, k[upper, 1]] = values[upper].T
         listed = self.band_rows(coeffs)[1][k[:, 0] % m * m + k[:, 1] % m]
-        for k1, k2 in k[(values != listed).any(axis=1)][:1].tolist():
+        for k1, k2 in k[~upper & (values != listed).any(axis=1)][:1].tolist():
             raise ValueError(f"k=({k1}, {k2}) is not the conjugate of its "
                              f"mirror k=({-k1}, {-k2})")
         return coeffs

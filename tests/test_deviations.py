@@ -389,7 +389,7 @@ class TestMcTail:
     def test_batches_stay_within_the_byte_budget(self, monkeypatch):
         # at n=32 one trajectory holds 7.2 KiB of state, so 3000 of them are
         # split into batches of at most _BATCH_BYTES; the hits do not depend on
-        # the split (one batch of 3000 would peak near 1 GB, so the reference
+        # the split (one batch of 3000 would peak near 0.7 GB, so the reference
         # split is a finer one)
         lat = make_lattice(32)
         noise = additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
