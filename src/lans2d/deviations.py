@@ -345,6 +345,13 @@ def rate_function(
 ) -> RateResult:
     """Minimum control energy steering the controlled system to the target.
 
+    For a ``TerminalField`` target the cost is that of a relaxed problem: the
+    minimum energy over the controls that reach the target within
+    ``tolerance``, not the exact minimum energy.  The response map is
+    ill-conditioned, and a control may skip its weak directions, so the cost
+    can lie well below the exact one (8-72 % below a dense least-squares
+    solve on six n = 16 problems at tolerance 1e-6).
+
     Infeasible targets carry ``cost = inf`` (the empty infimum) with
     ``converged = False`` and the stalled residual reported.
     """
@@ -399,11 +406,14 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
     return z * z / (n + z * z)
 
 
-# Monte Carlo batches hold about this many bytes of states and increments, a
-# core's L2 cache on a 2-vCPU Xeon VM.  The first step of a batch makes the
-# kernel scratch (n x n grid points per field) and the stepper's buffers and
-# peaks at about 30 times the states; later steps allocate only the new state
-# and numpy's iteration buffers, 1.1-1.7 times the states (tracemalloc, n=4-32)
+# Monte Carlo batches hold about this many bytes of states and increments.
+# It bounds memory, not what a batch touches: the first step of a batch makes
+# the quadratic kernel's scratch and the stepper's buffers and peaks at 31
+# times the states by transforms (n = 16 and 32: the grid samples of six
+# fields, 26-63 MB) and at 18 times by Galerkin tensors (n = 4: the products
+# of the coordinates, 7 MB); later steps allocate only the new state and
+# numpy's iteration buffers, 1.1-1.7 times the states (tracemalloc, one step
+# of a fresh stepper on a batch of this size)
 _BATCH_BYTES = 1 << 21
 
 

@@ -20,13 +20,34 @@ derivatives the terms need, their products summed on the ``n x n`` grid,
 one real forward transform and the projection.  All operations accept
 leading batch axes, i.e. shape ``(..., 2, 2K+1, K+1)``, and broadcast them.
 
+On the two-thirds band that product is the exact Galerkin convolution
+(Orszag, J. Atmos. Sci. 28, 1971), so each quadratic form is a fixed bilinear
+map of the ``m`` real coordinates of its operands: the re/im parts of the
+stored entries but the ``k2 = 0`` column's ``k1 < 0`` rows and the mean's
+imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  A lattice whose
+tensors, ``m*m x 4(2K+1)(K+1)`` floats each, fit ``_TENSOR_BYTES`` builds a
+form's tensor on first use, by one batched kernel call on every pair of
+basis fields, and keeps the rows of the pairs that contribute (84 of 324 at
+n = 4; at n = 6 the transforms leave rounding where n = 4's give exact
+zeros, and 234 remain).  From then on it applies the form as the products of
+its operands' coordinate pairs times those rows, with no transform.  ``B~``
+and ``linearized_b`` contract with one tensor of their summed terms.  The
+bound sits at the measured crossover (2-vCPU Xeon VM, a 1 000-field ``B~``):
+at n = 4 (62 KB per tensor) 0.29 ms against 2.96 ms by transforms, at n = 6
+0.95 against 5.9 ms, at n = 8 (1.2 MB) 11.9 against 8.0 ms.  The
+contraction runs as GEMMs of a fixed ``_BLOCK`` rows, so a field's rounding
+depends neither on its batch nor on its place in it; at n = 4 and 6 it does
+not depend on the BLAS thread count either, which larger GEMMs' does.  The
+two routes agree to rounding (4e-16 relative).
+
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
 one per field count (3 for the one-term forms ``B`` and ``adjoint_b_first``,
-6 for the two-term forms ``B~`` and ``linearized_b``), made for the first
-batch shape and replaced when the shape changes.  So a lattice is not to be
+6 for the two-term forms ``B~`` and ``linearized_b``), and a contraction's
+coordinates and products in one per form; each is made for the first batch
+shape and replaced when the shape changes.  So a lattice is not to be
 shared between threads that use it at the same time; pickling it sends only
-``n``.
+``n``, neither the scratch nor the tensors.
 """
 
 from __future__ import annotations
@@ -38,6 +59,15 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# Quadratic terms go through a form's Galerkin tensor when the dense tensor
+# has at most this many bytes (n = 4 and 6: 62 KB), and through the
+# transforms otherwise (n = 8: 1.2 MB); the module docstring has the crossover.
+_TENSOR_BYTES = 1 << 18
+# Rows per GEMM of a tensor contraction.  BLAS picks its summation order by
+# the shape (and takes gemv for one row), so a fixed block keeps each row's
+# rounding independent of the batch and of the row's place in it.
+_BLOCK = 32
 
 
 class LatticeMismatchError(ValueError):
@@ -105,12 +135,23 @@ class TorusLattice:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the real coordinates of a field, indices into its float view: the
+        # re/im parts of every stored entry but the k2 = 0 column's k1 < 0 rows
+        # (conjugates) and the mean mode's imaginary part
+        keep = np.ones((2, rows, edge + 1, 2), bool)
+        keep[:, edge + 1 :, 0] = False
+        keep[:, 0, 0, 1] = False
+        coords = np.flatnonzero(keep)
+        small = coords.size**2 * keep.size * 8 <= _TENSOR_BYTES
         object.__setattr__(self, "shape", (2, rows, edge + 1))
         object.__setattr__(self, "_edge", edge)
-        object.__setattr__(self, "_scratch", {})  # field count -> _KernelScratch
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_tensors", {} if small else None)  # pairings -> tensor
+        # field count -> _KernelScratch, pairings -> _ContractionScratch
+        object.__setattr__(self, "_scratch", {})
 
     def __reduce__(self):
-        # rebuilt from n: neither the tables nor the kernel scratch are pickled
+        # rebuilt from n: neither the tables, the tensors nor the scratch are pickled
         return (TorusLattice, (self.n,))
 
     # -- transforms ---------------------------------------------------------
@@ -227,13 +268,24 @@ class TorusLattice:
         Each term contracts one value field ``x`` with one gradient ``g``,
         ``sum_j x_j g_j`` where ``g_j`` is a vector field: ``d_j f`` for the
         pairing ``"d"`` (advection, ``x . grad f``) and ``grad f_j`` for
-        ``"grad"`` (the transpose, ``(grad f)^T x``).  The values and gradients
-        of every term are written on the band into one stack, brought to the
-        grid by one inverse transform, multiplied there, and the summed
-        product is brought back by one forward transform (which keeps only
-        the band) and projected.  Everything but the projected result lives
-        in the lattice's scratch.
+        ``"grad"`` (the transpose, ``(grad f)^T x``).  On a lattice with
+        Galerkin tensors, one term, or two whose second swaps the first's
+        operands, is one contraction with the form's tensor; otherwise the
+        terms go through the transforms.
         """
+        x, _, f = terms[0]
+        swapped = all(t[0] is f and t[2] is x for t in terms[1:])
+        if self._tensors is not None and len(terms) <= 2 and swapped:
+            return self._contract(x, f, tuple(t[1] for t in terms))
+        return self._transform_quadratic(terms)
+
+    def _transform_quadratic(self, terms):
+        """:meth:`_quadratic` by transforms.  The values and gradients of every
+        term are written on the band into one stack, brought to the grid by
+        one inverse transform, multiplied there, and the summed product is
+        brought back by one forward transform (which keeps only the band) and
+        projected.  Everything but the projected result lives in the
+        lattice's scratch."""
         K = self._edge
         shape = np.broadcast_shapes(*(a.shape for x, _, f in terms for a in (x, f)))
         batch, fields = shape[:-3], 3 * len(terms)
@@ -257,6 +309,45 @@ class TorusLattice:
                     np.add(w, g, out=w)
         spec = self.to_spectral(w, out=s.spectrum, half=s.product_half, band=s.product_band)
         return self.leray(spec, work=s.work)
+
+    def _tensor(self, pairings):
+        """A form's Galerkin tensor ``(x_at, f_at, rows)``.  Row ``p`` of ``rows``
+        is the form of basis fields ``e_a`` and ``e_b`` (``e_a`` the first
+        term's value) viewed as floats, for the pairs ``p = (a, b)`` whose row
+        is not all zero; ``x_at``, ``f_at`` index coordinates ``a``, ``b`` in a
+        field's float view.  Built on first use by one batched call of the transforms
+        on every basis pair."""
+        tensor = self._tensors.get(pairings)
+        if tensor is None:
+            m, K = len(self._coords), self._edge
+            e = np.zeros((m, 4 * math.prod(self.shape[1:])))
+            e[np.arange(m), self._coords] = 1.0
+            e = e.view(np.complex128).reshape((m,) + self.shape)
+            e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+            x, f = e[:, None], e[None, :]
+            terms = [(x, pairings[0], f)] + [(f, p, x) for p in pairings[1:]]
+            # a fresh lattice, so that the basis pairs' scratch goes with it
+            dense = TorusLattice(self.n)._transform_quadratic(terms)
+            dense = dense.view(np.float64).reshape(m * m, -1)
+            live = np.flatnonzero(dense.any(axis=1))
+            a, b = np.divmod(live, m)
+            tensor = self._tensors[pairings] = (self._coords[a], self._coords[b], dense[live])
+        return tensor
+
+    def _contract(self, x, f, pairings):
+        """The form ``pairings`` of ``x`` and ``f`` by its Galerkin tensor: the
+        products of their coordinate pairs times the tensor's rows, as GEMMs
+        of ``_BLOCK`` rows each (the last one padded with zeros)."""
+        x_at, f_at, tensor = self._tensor(pairings)
+        lead = np.broadcast_shapes(x.shape, f.shape)[:-3]
+        rows = math.prod(lead)
+        s = self._scratch.get(pairings)
+        if s is None or s.rows != rows:
+            s = self._scratch[pairings] = _ContractionScratch(rows, len(x_at))
+        np.multiply(_gather(x, x_at, s.x), _gather(f, f_at, s.f),
+                    out=s.products[:rows].reshape(lead + (-1,)))
+        out = np.matmul(s.products.reshape(-1, _BLOCK, len(x_at)), tensor)
+        return out.reshape(-1, tensor.shape[1])[:rows].view(np.complex128).reshape(lead + self.shape)
 
     def bilinear_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """Pseudo-spectral ``B(u, v) = P(u . grad v)``, dealiased then projected."""
@@ -355,6 +446,27 @@ class _KernelScratch:
                 for (name, shape, dtype), size in zip(run, run_sizes):
                     setattr(self, name, arena[start : start + size].view(dtype).reshape(shape))
                     start += size
+
+
+def _gather(a, index, buf):
+    """Entries ``index`` of the float views of fields ``a``, written into ``buf``."""
+    a = np.asarray(a, np.complex128)
+    lead = a.shape[:-3]
+    flat = a.reshape(lead + (-1,)).view(np.float64)
+    # the indices are in range; a mode other than "raise" writes out unbuffered
+    return np.take(flat, index, axis=-1, out=buf[: math.prod(lead)].reshape(lead + (-1,)),
+                   mode="wrap")
+
+
+class _ContractionScratch:
+    """Work arrays of ``_contract`` for one form and row count: the gathered
+    coordinates of both operands and their products, padded with zero rows
+    to whole GEMM blocks."""
+
+    def __init__(self, rows, pairs):
+        self.rows = rows
+        self.x, self.f = np.empty((rows, pairs)), np.empty((rows, pairs))
+        self.products = np.zeros((-(-rows // _BLOCK) * _BLOCK, pairs))
 
 
 def make_lattice(n: int) -> TorusLattice:

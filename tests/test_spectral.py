@@ -1,12 +1,16 @@
 """Operator algebra: lattice bookkeeping, projections, bilinear identities."""
 
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lans2d
 from lans2d import (
     SpectralField,
     calibrate_estimates,
@@ -18,7 +22,7 @@ from lans2d import (
     verify_operator_bounds,
     zero_field,
 )
-from lans2d.spectral import ESTIMATE_FORMS, LatticeMismatchError, identity_report
+from lans2d.spectral import ESTIMATE_FORMS, LatticeMismatchError, TorusLattice, identity_report
 
 
 class TestLattice:
@@ -286,8 +290,12 @@ class TestIdentityProperties:
         diag = lat.bilinear_btilde(u, u) - lat.bilinear_b(u, u)
         assert np.all(nh(diag) <= 1e-13 * nh(u) ** 2)
 
-    def test_batch_splits_are_bit_identical(self):
-        lat = make_lattice(16)
+    # n=4 takes the Galerkin tensors (a scratch per form), n=16 the
+    # transforms (a scratch per field count)
+    @pytest.mark.parametrize("n, scratch", [
+        (4, [("d",), ("d", "d"), ("d", "grad"), ("grad",)]), (16, [3, 6])], ids=["4", "16"])
+    def test_batch_splits_are_bit_identical(self, n, scratch):
+        lat = make_lattice(n)
         rng = np.random.default_rng(7)
         u, v = _fields(lat, rng, 100), _fields(lat, rng, 100)
         whole = lat.bilinear_btilde(u, v)
@@ -306,10 +314,10 @@ class TestIdentityProperties:
         for x, y in shapes:
             for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b"):
                 got = getattr(lat, name)(x, y)
-                assert np.array_equal(got, getattr(make_lattice(16), name)(x, y)), name
+                assert np.array_equal(got, getattr(make_lattice(n), name)(x, y)), name
                 returned.append((got, got.copy()))
         assert all(np.array_equal(got, kept) for got, kept in returned)
-        assert sorted(lat._scratch) == [3, 6]  # at most one scratch per field count
+        assert sorted(lat._scratch) == scratch  # at most one of each
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -328,6 +336,50 @@ class TestIdentityProperties:
         expansion = lat.bilinear_b(u, v) + lat.bilinear_b(v, u)
         assert stacked.shape == expansion.shape
         assert np.all(nh(stacked - expansion) <= 1e-13 * (nh(u) * nv(v) + nv(u) * nh(v)))
+
+
+# prints a digest of the n=4 Btilde of a 1 000-field batch (the tensor route)
+BTILDE_DIGEST = """
+import hashlib
+import numpy as np
+from lans2d import make_lattice, random_field
+lat = make_lattice(4)
+rng = np.random.default_rng(11)
+u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(1000)]) for _ in range(2))
+print(hashlib.sha256(lat.bilinear_btilde(u, v).tobytes()).hexdigest())
+"""
+
+
+class TestGalerkinTensors:
+    @pytest.mark.parametrize("n, per_call", [(4, 0), (16, 1), (32, 1)])
+    def test_small_bands_make_no_transform(self, n, per_call, monkeypatch):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(10)
+        u, v = _fields(lat, rng, 20), _fields(lat, rng, 20)
+        lat.bilinear_btilde(u, v)  # builds the tensors where the lattice has them
+        calls = []
+        to_physical = TorusLattice.to_physical
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.n)
+            return to_physical(self, *args, **kwargs)
+
+        monkeypatch.setattr(TorusLattice, "to_physical", counting)
+        for _ in range(3):
+            lat.bilinear_btilde(u, v)
+        assert calls == [n] * 3 * per_call
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(lans2d.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", BTILDE_DIGEST], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.split()[-1])
+        assert digests[0] == digests[1]
 
 
 class TestScratch:
