@@ -3,8 +3,11 @@
 Subcommands map one-to-one onto the library operations; every run writes its
 fully resolved configuration (timestamp comment included) next to the data
 files, which themselves are timestamp-free and byte-reproducible from the
-seed.  Exit codes: 0 success, 1 configuration/validation error, 2 numeric
-abort (blowup or a violated identity in ``verify-identities``).
+seed.  A run's settings come from a document or preset, then every ``--set
+SECTION.KEY=VALUE``, then the shortcut flags of ``FLAGS``, each of which is
+another spelling of one ``--set``; all go through ``RunConfig.set``.  Exit
+codes: 0 success, 1 configuration/validation or usage error, 2 numeric abort
+(blowup or a violated identity in ``verify-identities``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import deviations as dev
-from .config import SCHEMA, ConfigError, RunConfig, load_config, preset
+from .config import ConfigError, RunConfig, load_config, preset
 from .dynamics import (
     BlowupError,
     ScalingLaw,
@@ -41,22 +44,33 @@ from .runio import (
 )
 from .spectral import calibrate_estimates, identity_report, verify_operator_bounds
 
-SUBCOMMANDS = (
-    "verify-identities",
-    "simulate-nse",
-    "simulate-lans",
-    "simulate-unified",
-    "skeleton",
-    "rate",
-    "mc-tails",
-    "converge",
-    "weak-probe",
-    "mdp-check",
-)
+# shortcut flag -> (the config key it sets, the subcommands that take it; None: all)
+FLAGS = {
+    "--seed": ("run.seed", None),
+    "--n": ("lattice.n", None),
+    "--alpha": ("model.alpha", None),
+    "--delta": ("model.delta", None),
+    "--dt": ("time.dt", None),
+    "--t-final": ("time.t_final", None),
+    "--trials": ("experiment.trials", ("verify-identities",)),
+    "--samples": ("experiment.samples", ("mc-tails", "converge", "mdp-check")),
+    "--alphas": ("experiment.alphas", ("mc-tails", "converge", "mdp-check")),
+    "--indices": ("experiment.indices", ("weak-probe",)),
+    "--level": ("experiment.level", ("rate",)),
+    "--control": ("control.path", ("skeleton",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lans2d",
         description="Pseudo-spectral toolkit for the smoothed 2D stochastic "
         "fluid model and its deviation principles.",
@@ -67,77 +81,31 @@ def _build_parser():
         p.add_argument("--config", type=str, default=None, help="run document path")
         p.add_argument("--preset", type=str, default=None,
                        help="named preset: taylor-green, single-shear, ou-toy, unified-default")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--workers", type=int, default=None,
                        help="Monte Carlo worker processes (default: the CPUs available)")
         p.add_argument("--out-dir", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "ndjson"), default="csv")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override any config key (repeatable)")
-        p.add_argument("--n", type=int, default=None, help="lattice size override")
-        p.add_argument("--alpha", type=float, default=None, help="alpha override")
-        p.add_argument("--delta", type=int, default=None, help="delta override")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--t-final", type=float, default=None)
-        if name == "verify-identities":
-            p.add_argument("--trials", type=int, default=None)
-        if name == "mc-tails":
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--alphas", type=str, default=None, help="comma list")
-        if name in ("converge", "mdp-check"):
-            p.add_argument("--samples", type=int, default=None)
-            p.add_argument("--alphas", type=str, default=None)
-        if name == "weak-probe":
-            p.add_argument("--indices", type=str, default=None, help="comma list of oscillation indices")
-        if name == "skeleton":
-            p.add_argument("--control", type=str, default=None, help="control CSV path")
-        if name == "rate":
-            p.add_argument("--level", type=float, default=None)
+        for flag, (key, commands) in FLAGS.items():
+            if commands is None or name in commands:
+                p.add_argument(flag, dest=key, metavar="VALUE", help=f"same as --set {key}=VALUE")
     return top
 
 
-def _apply_set_overrides(cfg: RunConfig, pairs):
-    for pair in pairs:
-        if "=" not in pair or "." not in pair.split("=", 1)[0]:
-            raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {pair!r}")
-        where, value = pair.split("=", 1)
-        section, key = where.strip().split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"--set: unknown key {section}.{key}")
-        attr, parser = SCHEMA[section][key]
-        try:
-            setattr(cfg, attr, None if value.strip().lower() == "none" else parser(value))
-        except ValueError as exc:
-            raise ConfigError(f"--set {pair!r}: {exc}") from exc
-
-
 def _resolve_config(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.preset:
-        cfg = preset(args.preset)
-    else:
-        cfg = preset("unified-default")
-    _apply_set_overrides(cfg, args.set)
-    for attr, flag in (
-        ("seed", "seed"), ("n", "n"), ("alpha", "alpha"), ("delta", "delta"),
-        ("dt", "dt"), ("t_final", "t_final"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            setattr(cfg, attr, v)
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "samples", None) is not None:
-        cfg.samples = args.samples
-    if getattr(args, "alphas", None):
-        cfg.alphas = tuple(float(t) for t in args.alphas.split(","))
-    if getattr(args, "indices", None):
-        cfg.indices = tuple(int(t) for t in args.indices.split(","))
-    if getattr(args, "level", None) is not None:
-        cfg.level = args.level
-    cfg.validate()
-    return cfg
+    """The run document, then every ``--set``, then the shortcut flags."""
+    cfg = load_config(args.config) if args.config else preset(args.preset or "unified-default")
+    for pair in args.set:
+        key, eq, text = pair.partition("=")
+        if not eq or "." not in key:
+            raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {pair!r}")
+        cfg.set(key.strip(), text, f"--set {pair!r}")
+    for flag, (key, _) in FLAGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            cfg.set(key, text, flag)
+    return cfg.validate()
 
 
 def _out_dir(args) -> Path:
@@ -166,11 +134,13 @@ def _wiener_for(cfg: RunConfig, solver_cfg, index: int = 0):
     )
 
 
-def _control_from_config(cfg: RunConfig, scfg, path_override=None):
-    """Control source precedence: explicit file, config file, inline constant."""
-    path = path_override or cfg.control_path
-    if path:
-        return load_control(path, dt=cfg.dt)
+def _control_from_config(cfg: RunConfig, scfg):
+    """Control source precedence: control file, inline constant."""
+    if cfg.control_path:
+        try:
+            return load_control(cfg.control_path, dt=cfg.dt)
+        except OSError as exc:
+            raise ConfigError(f"cannot read control.path: {exc}") from exc
     if cfg.control_constant is not None:
         vals = np.broadcast_to(
             np.asarray(cfg.control_constant, float), (scfg.steps, len(cfg.control_constant))
@@ -253,7 +223,7 @@ def _cmd_skeleton(cfg: RunConfig, args, out: Path) -> int:
     lat = cfg.build_lattice()
     xi = cfg.build_initial(lat)
     scfg = cfg.build_solver_config(lat)
-    h = _control_from_config(cfg, scfg, path_override=getattr(args, "control", None))
+    h = _control_from_config(cfg, scfg)
     if h is None:
         h = zero_control(scfg.noise.rank, cfg.dt, scfg.steps)
     nse = dense_nse(xi, scfg) if cfg.delta == 1 else None
@@ -395,12 +365,12 @@ _DRIVERS = {
     "weak-probe": _cmd_weak_probe,
     "mdp-check": _cmd_mdp_check,
 }
+SUBCOMMANDS = tuple(_DRIVERS)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
 """Run configuration: schema-validated key-value documents and presets.
 
 A run document is plain text with ``[section]`` headers and ``key = value``
-lines.  Unknown sections or keys are rejected with the offending line number;
-every run directory receives the fully resolved document back, so a run is
-reproducible from its own output.
+lines.  Every setting, whether from a document line, a ``--set`` override or a
+command-line shortcut flag, goes through ``RunConfig.set``: unknown keys and
+bad values are refused with where the text came from (``file:line``, the
+``--set`` pair or the flag).  An empty or ``none`` value unsets the optional
+keys (default ``None``, echoed empty; ``noise.variant = none`` means no noise)
+and is refused for every other key.  Every run directory receives the fully
+resolved document back, so a run is reproducible from its own output.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ScalingLaw, SolverConfig
+from .dynamics import SolverConfig
 from .noise import NoiseOperator, additive_noise, projection_multiplicative_noise
 from .spectral import (
     SpectralField,
@@ -33,20 +37,8 @@ class ConfigError(ValueError):
     """Malformed or out-of-schema run document."""
 
 
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_str(s):
-    return s.strip()
-
-
 def _parse_bool(s):
-    v = s.strip().lower()
+    v = s.lower()
     if v in ("1", "true", "yes", "on"):
         return True
     if v in ("0", "false", "no", "off"):
@@ -55,43 +47,40 @@ def _parse_bool(s):
 
 
 def _parse_floats(s):
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+    return tuple(float(tok) for tok in s.split(","))
 
 
 def _parse_ints(s):
-    return tuple(int(tok) for tok in s.split(",") if tok.strip())
+    return tuple(int(tok) for tok in s.split(","))
 
 
 def _parse_modes(s):
     out = []
     for tok in s.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
         parts = tok.split()
         if len(parts) != 2:
-            raise ValueError(f"wavevector must be 'k1 k2', got {tok!r}")
+            raise ValueError(f"wavevector must be 'k1 k2', got {tok.strip()!r}")
         out.append((int(parts[0]), int(parts[1])))
     return tuple(out)
 
 
 # section -> key -> (attribute, parser)
 SCHEMA = {
-    "lattice": {"n": ("n", _parse_int)},
+    "lattice": {"n": ("n", int)},
     "time": {
-        "dt": ("dt", _parse_float),
-        "t_final": ("t_final", _parse_float),
-        "record_stride": ("record_stride", _parse_int),
+        "dt": ("dt", float),
+        "t_final": ("t_final", float),
+        "record_stride": ("record_stride", int),
         "store_fields": ("store_fields", _parse_bool),
     },
     "model": {
-        "alpha": ("alpha", _parse_float),
-        "delta": ("delta", _parse_int),
-        "kappa": ("kappa", _parse_float),
-        "viscosity": ("viscosity", _parse_float),
+        "alpha": ("alpha", float),
+        "delta": ("delta", int),
+        "kappa": ("kappa", float),
+        "viscosity": ("viscosity", float),
     },
     "noise": {
-        "variant": ("noise_variant", _parse_str),
+        "variant": ("noise_variant", str),
         "sigma": ("noise_sigma", _parse_floats),
         "modes": ("noise_modes", _parse_modes),
         "phases": ("noise_phases", _parse_floats),
@@ -99,33 +88,33 @@ SCHEMA = {
         "offsets": ("noise_offsets", _parse_floats),
     },
     "initial": {
-        "preset": ("initial_preset", _parse_str),
-        "amplitude": ("initial_amplitude", _parse_float),
+        "preset": ("initial_preset", str),
+        "amplitude": ("initial_amplitude", float),
         "mode": ("initial_mode", _parse_modes),
-        "decay": ("initial_decay", _parse_float),
+        "decay": ("initial_decay", float),
     },
     "control": {
-        "path": ("control_path", _parse_str),
+        "path": ("control_path", str),
         "constant": ("control_constant", _parse_floats),
     },
     "experiment": {
-        "threshold": ("threshold", _parse_float),
-        "level": ("level", _parse_float),
+        "threshold": ("threshold", float),
+        "level": ("level", float),
         "observable_mode": ("observable_mode", _parse_modes),
-        "samples": ("samples", _parse_int),
+        "samples": ("samples", int),
         "alphas": ("alphas", _parse_floats),
         "indices": ("indices", _parse_ints),
-        "basis_count": ("basis_count", _parse_int),
+        "basis_count": ("basis_count", int),
         "beta_schedule": ("beta_schedule", _parse_floats),
-        "tolerance": ("tolerance", _parse_float),
-        "max_iterations": ("max_iterations", _parse_int),
-        "amplitude": ("amplitude", _parse_float),
-        "trials": ("trials", _parse_int),
+        "tolerance": ("tolerance", float),
+        "max_iterations": ("max_iterations", int),
+        "amplitude": ("amplitude", float),
+        "trials": ("trials", int),
     },
-    "run": {"seed": ("seed", _parse_int)},
+    "run": {"seed": ("seed", int)},
 }
 
-NOISE_VARIANTS = (None, "none", "additive", "projection-multiplicative")
+NOISE_VARIANTS = (None, "additive", "projection-multiplicative")
 INITIAL_PRESETS = ("taylor-green", "single-shear", "random", "zero", "eigenmode")
 
 
@@ -169,9 +158,25 @@ class RunConfig:
     amplitude: float = 1.0
     trials: int = 100
 
+    def set(self, key: str, text: str, source: str) -> None:
+        """Set schema key ``section.key`` from its text; ``source`` (where the
+        text came from) heads every error."""
+        section, _, name = key.partition(".")
+        if name not in SCHEMA.get(section, ()):
+            raise ConfigError(f"{source}: unknown key {name!r} in [{section}]")
+        attr, parse = SCHEMA[section][name]
+        text = text.strip()
+        if text.lower() in ("", "none"):
+            if attr not in _UNSETTABLE:
+                raise ConfigError(f"{source}: {key} needs a value")
+            setattr(self, attr, None)
+            return
+        try:
+            setattr(self, attr, parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
+
     def validate(self):
-        if self.noise_variant in ("none", ""):
-            self.noise_variant = None
         if self.noise_variant not in NOISE_VARIANTS:
             raise ConfigError(f"unknown noise variant {self.noise_variant!r}")
         if self.initial_preset not in INITIAL_PRESETS:
@@ -209,7 +214,7 @@ class RunConfig:
             dt=self.dt,
             t_final=self.t_final,
             alpha=self.alpha,
-            scaling=ScalingLaw(self.kappa, self.delta),
+            kappa=self.kappa,
             noise=noise,
             viscosity=self.viscosity,
             record_stride=self.record_stride,
@@ -251,6 +256,11 @@ class RunConfig:
         return "\n".join(lines)
 
 
+# the keys that an empty or ``none`` value unsets: the optional ones, and the
+# noise variant, whose ``none`` is the run without noise
+_UNSETTABLE = {f.name for f in dc_fields(RunConfig) if f.default is None} | {"noise_variant"}
+
+
 def _render(v):
     if isinstance(v, tuple):
         if v and isinstance(v[0], tuple):
@@ -280,19 +290,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section}]")
-        attr, parser = SCHEMA[section][key]
-        if value == "" or value.lower() == "none":
-            setattr(cfg, attr, None if attr != "initial_mode" else cfg.initial_mode)
-            continue
-        try:
-            setattr(cfg, attr, parser(value))
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-    cfg.validate()
-    return cfg
+        key, value = line.split("=", 1)
+        cfg.set(f"{section}.{key.strip()}", value, f"{source}:{lineno}")
+    return cfg.validate()
 
 
 def load_config(path) -> RunConfig:

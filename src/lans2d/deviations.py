@@ -526,7 +526,7 @@ def mc_tail(
         counts = [_mc_chunk(shared, a, b) for a, b in bounds]
     hits = int(sum(counts))
     p_hat = hits / n_samples
-    speed = ScalingLaw(run_cfg.scaling.kappa, delta).speed(alpha)
+    speed = ScalingLaw(run_cfg.kappa, delta).speed(alpha)
     if hits == 0:
         lo, hi, rate = 0.0, wilson_upper_zero(n_samples), None
     else:

@@ -27,7 +27,7 @@ Systems
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -86,7 +86,7 @@ class SolverConfig:
     dt: float
     t_final: float
     alpha: float = 0.0
-    scaling: ScalingLaw = field(default_factory=ScalingLaw)
+    kappa: float = 0.25  # the fluctuation scaling lambda(a) = a**-kappa
     noise: Optional[NoiseOperator] = None
     viscosity: float = 1.0
     record_stride: int = 1
@@ -97,6 +97,8 @@ class SolverConfig:
             raise ValueError("dt and t_final must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if not 0.0 < self.kappa < 0.5:
+            raise ValueError("kappa must lie in (0, 1/2)")
         if self.viscosity <= 0:
             raise ValueError("viscosity must be positive")
         if self.record_stride < 1:
@@ -246,14 +248,8 @@ def _drive(cfg: SolverConfig, y0: np.ndarray, step_fn, alpha_for_norms: float) -
 
 
 def solve_nse(xi: SpectralField, cfg: SolverConfig) -> TrajectoryRecord:
-    """Limit system: implicit Stokes step, explicit advection."""
-    lat = cfg.lattice
-    S = cfg.implicit_multiplier()
-    dt = cfg.dt
-
-    def step(m, u):
-        return S * (u - dt * lat.bilinear_b(u, u))
-
+    """Limit system: the delta=0 skeleton step with no control."""
+    step = indexed_step(SkeletonStepper(cfg, 0).step)
     return _drive(cfg, xi.coeffs, step, alpha_for_norms=0.0)
 
 
@@ -330,7 +326,7 @@ class UnifiedStepper(_Stepper):
             raise ValueError("the unified system needs alpha in (0, 1]")
         super().__init__(cfg, delta)
         self.alpha = cfg.alpha
-        self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.scaling.kappa, 1).lam_delta(cfg.alpha)
+        self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
         self.noise_scale = math.sqrt(cfg.alpha) * (1.0 / self.lam_delta)
 
     def coefficient_argument(self, y, u_n):

@@ -28,17 +28,17 @@ imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  A lattice whose
 tensors, ``m*m x 4(2K+1)(K+1)`` floats each, fit ``_TENSOR_BYTES`` builds a
 form's tensor on first use, by one batched kernel call on every pair of
 basis fields, and keeps the rows of the pairs that contribute (84 of 324 at
-n = 4; at n = 6 the transforms leave rounding where n = 4's give exact
-zeros, and 234 remain).  From then on it applies the form as the products of
-its operands' coordinate pairs times those rows, with no transform.  ``B~``
-and ``linearized_b`` contract with one tensor of their summed terms.  The
-bound sits at the measured crossover (2-vCPU Xeon VM, a 1 000-field ``B~``):
-at n = 4 (62 KB per tensor) 0.29 ms against 2.96 ms by transforms, at n = 6
-0.95 against 5.9 ms, at n = 8 (1.2 MB) 11.9 against 8.0 ms.  The
-contraction runs as GEMMs of a fixed ``_BLOCK`` rows, so a field's rounding
-depends neither on its batch nor on its place in it; at n = 4 and 6 it does
-not depend on the BLAS thread count either, which larger GEMMs' does.  The
-two routes agree to rounding (4e-16 relative).
+n = 4 and 6), dropping rows that hold only the transforms' rounding.  From
+then on it applies the form as the products of its operands' coordinate
+pairs times those rows, with no transform.  ``B~`` and ``linearized_b``
+contract with one tensor of their summed terms.  The bound sits at the
+measured crossover (2-vCPU Xeon VM, a 1 000-field ``B~``): at n = 4 (62 KB
+per tensor) 0.29 ms against 2.96 ms by transforms, at n = 6 0.3-0.5 against
+5.9 ms, at n = 8 (1.2 MB) 11.9 against 8.0 ms.  The contraction runs as
+GEMMs of a fixed ``_BLOCK`` rows, so a field's rounding depends neither on its
+batch nor on its place in it; at n = 4 and 6 it does not depend on the BLAS
+thread count either, which larger GEMMs' does.  The two routes agree to
+rounding (4e-16 relative).
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
@@ -68,6 +68,9 @@ _TENSOR_BYTES = 1 << 18
 # the shape (and takes gemv for one row), so a fixed block keeps each row's
 # rounding independent of the batch and of the row's place in it.
 _BLOCK = 32
+# A tensor row whose entries are all at most this fraction of the tensor's
+# largest is rounding where the exact Galerkin product is zero.
+_ROUNDING = 1e-12
 
 
 class LatticeMismatchError(ValueError):
@@ -314,8 +317,8 @@ class TorusLattice:
         """A form's Galerkin tensor ``(x_at, f_at, rows)``.  Row ``p`` of ``rows``
         is the form of basis fields ``e_a`` and ``e_b`` (``e_a`` the first
         term's value) viewed as floats, for the pairs ``p = (a, b)`` whose row
-        is not all zero; ``x_at``, ``f_at`` index coordinates ``a``, ``b`` in a
-        field's float view.  Built on first use by one batched call of the transforms
+        holds more than rounding; ``x_at``, ``f_at`` index coordinates ``a``,
+        ``b`` in a field's float view.  Built on first use by one batched call of the transforms
         on every basis pair."""
         tensor = self._tensors.get(pairings)
         if tensor is None:
@@ -329,7 +332,9 @@ class TorusLattice:
             # a fresh lattice, so that the basis pairs' scratch goes with it
             dense = TorusLattice(self.n)._transform_quadratic(terms)
             dense = dense.view(np.float64).reshape(m * m, -1)
-            live = np.flatnonzero(dense.any(axis=1))
+            # rows the exact product makes zero carry the transforms' rounding
+            size = np.abs(dense).max(axis=1)
+            live = np.flatnonzero(size > _ROUNDING * size.max())
             a, b = np.divmod(live, m)
             tensor = self._tensors[pairings] = (self._coords[a], self._coords[b], dense[live])
         return tensor

@@ -118,7 +118,7 @@ def test_criterion_4_unified_system_algebra():
             lans = solve_lans(xi, cfg, w)
             uni0 = solve_unified(0, xi, cfg, wiener=w)
             uni1 = solve_unified(1, xi, cfg, wiener=w, nse=nse)
-            lam_delta = ScalingLaw(cfg.scaling.kappa, 1).lam_delta(alpha)
+            lam_delta = ScalingLaw(cfg.kappa, 1).lam_delta(alpha)
             for a, b in zip(lans.fields, uni0.fields):
                 worst0 = max(worst0, float(lat.norm_h(a - b)))
             for ua, u, y in zip(lans.fields, nse.fields, uni1.fields):

@@ -1,5 +1,8 @@
-"""The benchmark record's per-layer figures over the first traced ops."""
+"""The benchmark record: per-layer figures over the first traced ops, and the
+record of a change that claims no gain."""
 
+import argparse
+import json
 import os
 import sys
 
@@ -8,6 +11,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
+import bench_record  # noqa: E402
 from bench_record import first_ops  # noqa: E402
 
 
@@ -28,3 +32,41 @@ def test_first_ops_counts_and_self_times(tmp_path):
         "a": {"calls": 0.5, "self_s": pytest.approx(3.0 / 2)},
         "b": {"calls": 1.0, "self_s": pytest.approx((1.0 + 1.0) / 2)},
     }
+
+
+def fake_run(workload, seed, op_s, attempted=10, failed=0):
+    metrics = {name: {"value": value, "unit": "x"}
+               for name, value in (("op_s_p50", op_s), ("setup_s", 0.5), ("peak_rss_mb", 40.0))}
+    return {"workload": workload, "seed": seed, "trace": 0, "attempted": attempted,
+            "failed": failed, "metrics": metrics, "env": {"nproc": 2}}
+
+
+def test_record_without_a_claim_summarizes_every_workload_and_traces_nothing(
+        tmp_path, monkeypatch):
+    runs = tmp_path / "runs"
+    order = []
+    for workload, seeds in (("w1", (1, 2, 3)), ("w2", (4, 5))):
+        for i, seed in enumerate(seeds):
+            order.append({"workload": workload, "seed": seed,
+                          "first": "parent" if i % 2 == 0 else "change"})
+            for side, op_s, failed in (("parent", 1.0 + seed, 0), ("change", 2.0 * seed, seed == 5)):
+                os.makedirs(runs / side, exist_ok=True)
+                (runs / side / f"{workload}-{seed}.json").write_text(
+                    json.dumps(fake_run(workload, seed, op_s, failed=int(failed))))
+    (runs / "pairs.jsonl").write_text("".join(json.dumps(p) + "\n" for p in order))
+    monkeypatch.setattr(bench_record, "run_bench", lambda *a: pytest.fail("ran a benchmark"))
+    out = tmp_path / "BENCH.json"
+    bench_record.record(argparse.Namespace(parent="p", change="c", runs=str(runs), claim=None,
+                                           traced_seed=None, out=str(out)))
+    got = json.loads(out.read_text())
+    assert got["claim"] is None and got["per_layer_first_traced_ops"] == {}
+    assert "traced_command" not in got["settings"]
+    assert sorted(got["workloads"]) == ["w1", "w2"]
+    w1, w2 = got["workloads"]["w1"], got["workloads"]["w2"]
+    assert w1["seeds"] == [1, 2, 3]
+    assert w1["parent"]["op_s_p50"]["median"] == 3.0
+    assert w1["change"]["op_s_p50"]["median"] == 4.0
+    assert w1["change"]["setup_s"]["median"] == 0.5
+    assert w1["parent"]["fail_frac"] == w1["change"]["fail_frac"] == 0.0
+    assert w2["change"]["fail_frac"] == 1 / 20
+    assert got["env"] == {"nproc": 2}

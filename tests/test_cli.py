@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -17,8 +18,9 @@ from lans2d import (
     solve_nse,
     taylor_green,
 )
-from lans2d.cli import main
-from lans2d.config import ConfigError, parse_config_text, preset
+from lans2d import cli
+from lans2d.cli import FLAGS, SUBCOMMANDS, main
+from lans2d.config import ConfigError, RunConfig, parse_config_text, preset
 from lans2d.runio import (
     load_control,
     load_field,
@@ -66,6 +68,30 @@ class TestConfigParsing:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset("warp-drive")
+
+    @pytest.mark.parametrize("key, text, attr, value", [
+        ("experiment.level", "", "level", None),
+        ("experiment.level", " None ", "level", None),
+        ("control.path", "none", "control_path", None),
+        ("noise.variant", "none", "noise_variant", None),
+        ("lattice.n", " 16 ", "n", 16),
+        ("experiment.alphas", "0.1, 0.05", "alphas", (0.1, 0.05)),
+    ])
+    def test_set_parses_and_unsets(self, key, text, attr, value):
+        cfg = RunConfig(level=0.3, control_path="h.csv")
+        cfg.set(key, text, "here")
+        assert getattr(cfg, attr) == value
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("time.dt", "none", "here: time.dt needs a value"),
+        ("initial.mode", "", "here: initial.mode needs a value"),
+        ("lattice.n", "16.5", "here: bad value for 'lattice.n'"),
+        ("lattice.m", "16", "here: unknown key 'm' in \\[lattice\\]"),
+        ("banana.n", "16", "here: unknown key 'n' in \\[banana\\]"),
+    ])
+    def test_set_refuses_naming_the_source(self, key, text, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig().set(key, text, "here")
 
     def test_validation_catches_bad_delta(self):
         cfg = preset("taylor-green")
@@ -316,6 +342,116 @@ class TestCli:
         # the echo reparses to the same resolved document
         cfg = parse_config_text("\n".join(text.splitlines()[1:]))
         assert cfg.n == 16
+
+
+# a value for each shortcut flag that differs from unified-default's
+FLAG_VALUES = {"--seed": "77", "--n": "8", "--alpha": "0.3", "--delta": "1", "--dt": "0.002",
+               "--t-final": "0.2", "--trials": "7", "--samples": "9", "--alphas": "0.3,0.2",
+               "--indices": "2,4", "--level": "0.4", "--control": "h.csv"}
+
+
+def echo_body(out):
+    """``resolved_config.txt`` without its timestamp line."""
+    text = (out / "resolved_config.txt").read_text()
+    assert text.startswith("# written: ")
+    return text.split("\n", 1)[1]
+
+
+class TestSettings:
+    """Documents, ``--set`` and the shortcut flags set a run the same way."""
+
+    @pytest.mark.parametrize("flag, command", [
+        (flag, command) for flag, (_, commands) in FLAGS.items()
+        for command in commands or SUBCOMMANDS])
+    def test_flag_writes_the_echo_of_its_set(self, tmp_path, monkeypatch, flag, command):
+        monkeypatch.setitem(cli._DRIVERS, command, lambda cfg, args, out: 0)
+        key, value = FLAGS[flag][0], FLAG_VALUES[flag]
+        bodies = []
+        for i, args in enumerate(([flag, value], ["--set", f"{key}={value}"], [])):
+            assert main([command, *args, "--out-dir", str(tmp_path / str(i))]) == 0
+            bodies.append(echo_body(tmp_path / str(i)))
+        assert bodies[0] == bodies[1] != bodies[2]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["mc-tails", "--n", "foo"], "--n"),
+        (["mc-tails", "--alphas", "0.1,x"], "--alphas"),
+        (["mc-tails", "--alphas", ","], "--alphas"),
+        (["mc-tails", "--alphas", "0.1,,0.2"], "--alphas"),
+        (["weak-probe", "--indices", "2,x"], "--indices"),
+    ])
+    def test_malformed_flag_exits_1_naming_it(self, tmp_path, capsys, args, flag):
+        assert main(args + ["--out-dir", str(tmp_path / "x")]) == 1
+        assert f"config error: {flag}: bad value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["mc-tails", "--bogus"],
+        ["mc-tails", "--workers", "x"],
+        ["mc-tails", "--format", "xml"],
+        ["rate", "--alphas", "0.1"],
+        [],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 1
+        assert "config error: lans2d" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("override", ["time.dt=none", "initial.mode=none", "lattice.n="])
+    def test_set_none_on_a_required_key_exits_1(self, tmp_path, override):
+        code, out = run_cli(["simulate-nse", "--preset", "ou-toy", "--set", override],
+                            tmp_path, "none")
+        assert code == 1 and not out.exists()
+
+    def test_document_dt_none_exits_1(self, tmp_path, capsys):
+        doc = re.sub(r"^dt = .*$", "dt = none", preset("ou-toy").to_document(), flags=re.M)
+        (tmp_path / "run.cfg").write_text(doc)
+        code, _ = run_cli(["simulate-nse", "--config", str(tmp_path / "run.cfg")], tmp_path, "d")
+        assert code == 1
+        assert "run.cfg:5: time.dt needs a value" in capsys.readouterr().err
+
+    def test_empty_set_unsets_the_level_as_a_document_does(self, tmp_path):
+        doc = re.sub(r"^level = .*$", "level = ", preset("ou-toy").to_document(), flags=re.M)
+        (tmp_path / "run.cfg").write_text(doc)
+        code, by_doc = run_cli(["simulate-nse", "--config", str(tmp_path / "run.cfg")],
+                               tmp_path, "doc")
+        assert code == 0
+        code, by_set = run_cli(["simulate-nse", "--preset", "ou-toy",
+                                "--set", "experiment.level="], tmp_path, "set")
+        assert code == 0
+        assert echo_body(by_set) == echo_body(by_doc)
+        assert parse_config_text(echo_body(by_set)).level is None
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_control_file_reruns_from_its_echo(self, tmp_path, fmt):
+        hpath = tmp_path / "h.csv"
+        save_control(Control(5e-3, np.random.default_rng(2).standard_normal((20, 4))), hpath)
+        code, first = run_cli(
+            ["skeleton", "--preset", "unified-default", "--n", "8", "--dt", "0.005",
+             "--t-final", "0.1", "--format", fmt, "--control", str(hpath)], tmp_path, "first")
+        assert code == 0
+        code, again = run_cli(["skeleton", "--config", str(first / "resolved_config.txt"),
+                               "--format", fmt], tmp_path, "again")
+        assert code == 0
+        names = sorted(p.name for p in first.iterdir() if p.name != "resolved_config.txt")
+        assert names == sorted(p.name for p in again.iterdir() if p.name != "resolved_config.txt")
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        assert read_csv(again / "control_summary.csv")[0]["cost"] > 0
+
+    def test_missing_control_file_exits_1(self, tmp_path, capsys):
+        code, _ = run_cli(["skeleton", "--preset", "ou-toy", "--control",
+                           str(tmp_path / "missing.csv")], tmp_path, "m")
+        assert code == 1
+        assert "config error: cannot read control.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["mc-tails", "--n", "foo"], ["mc-tails", "--bogus"]])
+    def test_console_script_exits_1_without_a_traceback(self, tmp_path, args):
+        src = os.path.dirname(os.path.dirname(lans2d.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "lans2d.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert "config error:" in done.stderr and "Traceback" not in done.stderr
 
 
 SCIPY_GUARD = """

@@ -579,7 +579,7 @@ class TestMdpBridge:
         nse = dense_nse(xi, cfg)
         lans = solve_lans(xi, cfg, w)
         unified = solve_unified(1, xi, cfg, wiener=w, nse=nse)
-        bridged = mdp_rescale(lans, nse, ScalingLaw(cfg.scaling.kappa, 1), lat)
+        bridged = mdp_rescale(lans, nse, ScalingLaw(cfg.kappa, 1), lat)
         gap = max(float(lat.norm_h(a - b)) for a, b in zip(bridged.fields, unified.fields))
         assert gap <= 1e-8
 

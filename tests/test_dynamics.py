@@ -277,7 +277,7 @@ class TestUnified:
             nse = dense_nse(xi, cfg)
             lans = solve_lans(xi, cfg, w)
             unified = solve_unified(1, xi, cfg, wiener=w, nse=nse)
-            lam_delta = ScalingLaw(cfg.scaling.kappa, 1).lam_delta(alpha)
+            lam_delta = ScalingLaw(cfg.kappa, 1).lam_delta(alpha)
             # records share the stride-1 grid: compare every snapshot
             for ua, u, y in zip(lans.fields, nse.fields, unified.fields):
                 gap = float(lat.norm_h((ua - u) / lam_delta - y))
@@ -300,7 +300,7 @@ class TestUnified:
         y = np.stack([random_field(lat, rng).coeffs for _ in range(batch or 1)])
         if batch is None:
             y = y[0]
-        cfg = cfg_for(lat, alpha=alpha, scaling=ScalingLaw(kappa, 1))
+        cfg = cfg_for(lat, alpha=alpha, kappa=kappa)
         stepper = UnifiedStepper(cfg, 1)
         ld = stepper.lam_delta
         z = lat.unsmooth(y, alpha)
@@ -386,7 +386,7 @@ class TestUnified:
         rng = np.random.default_rng(40)
         h = Control(cfg.dt, 0.5 * rng.standard_normal((cfg.steps, 2)))
         w = sample_wiener(2, cfg.dt, cfg.steps, 41)
-        lam_delta = ScalingLaw(cfg.scaling.kappa, delta).lam_delta(alpha)
+        lam_delta = ScalingLaw(cfg.kappa, delta).lam_delta(alpha)
         from lans2d import WienerPath
 
         w_shift = WienerPath(
@@ -428,6 +428,18 @@ class TestSkeleton:
         ref = solve_nse(xi, cfg)
         for a, b in zip(skel.fields, ref.fields):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_nse_is_the_uncontrolled_skeleton_bit_for_bit(self, n):
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(n))
+        noise = additive_noise(lat, [0.5, 0.4], [(1, 0), (0, 1)])
+        cfg = cfg_for(lat, dt=1e-3, T=0.05, alpha=0.0, noise=noise, store_fields=True)
+        ref = solve_nse(xi, cfg)
+        skel = solve_skeleton(0, xi, cfg, zero_control(2, 1e-3, 50))
+        for name, values in ref.scalars_dict().items():
+            assert values.tobytes() == skel.scalars_dict()[name].tobytes(), name
+        assert [a.tobytes() for a in ref.fields] == [b.tobytes() for b in skel.fields]
 
     def test_zero_control_delta1_zero_trajectory(self, setup):
         lat, _, xi, noise = setup

@@ -369,6 +369,12 @@ class TestGalerkinTensors:
             lat.bilinear_btilde(u, v)
         assert calls == [n] * 3 * per_call
 
+    def test_n6_keeps_the_rows_of_n4(self):
+        # the same band (K = 1): rows that hold only the transforms' rounding go
+        forms = (("d",), ("d", "grad"), ("d", "d"), ("grad",))
+        rows = {n: [make_lattice(n)._tensor(p)[2].shape[0] for p in forms] for n in (4, 6)}
+        assert rows[6] == rows[4] == [84, 84, 88, 80]
+
     def test_results_do_not_depend_on_the_blas_thread_count(self):
         src = os.path.dirname(os.path.dirname(lans2d.__file__))
         digests = []

@@ -1,18 +1,20 @@
 """Benchmark a change against its parent commit and write the record.
 
     python3 tools/bench_record.py pairs PARENT CHANGE RUNS --workload W --seeds 211-220
-    python3 tools/bench_record.py record PARENT CHANGE RUNS --claim W --traced-seed S --out FILE
+    python3 tools/bench_record.py record PARENT CHANGE RUNS [--claim W --traced-seed S] --out FILE
 
 PARENT and CHANGE are checkouts of the two commits; each side runs its own
 ``perfbench/run.py`` with the benchmark's run length.  ``pairs`` runs one
 pair per seed, alternating which side goes first, and keeps the full result
 records under ``RUNS/parent`` and ``RUNS/change`` (``RUNS/pairs.jsonl`` holds
-the order).  ``record`` runs the claimed workload once traced on each side
-and writes, per workload, each side's medians and quartiles of the gated
-metrics and ``fail_frac``, the claimed workload's pairs, and the per-layer
-calls and self times averaged over the first traced ops, read from the span
-file.  The benchmark's own traced report averages over however many ops fit
-in the run, so its counts move with the speed when ops differ in work.
+the order).  ``record`` writes, per workload, each side's medians and
+quartiles of the gated metrics and ``fail_frac``.  With ``--claim`` it also
+writes the claimed workload's pairs, runs that workload once traced on each
+side, and writes the per-layer calls and self times averaged over the first
+traced ops, read from the span file; without it ``claim`` is null and
+nothing is traced.  The benchmark's own traced report averages over however
+many ops fit in the run, so its counts move with the speed when ops differ in
+work.
 """
 
 import argparse
@@ -112,13 +114,15 @@ def record(args):
                                     - entry["change"]["op_s_p50"]["median"], 5),
                 "parent_quartile_spread": round(entry["parent"]["op_s_p50"]["q3"]
                                                 - entry["parent"]["op_s_p50"]["q1"], 5)}
-    out["settings"]["traced_command"] = (f"python3 perfbench/run.py --workload {args.claim} "
-                                         f"--seed {args.traced_seed} --trace 1")
-    for side in SIDES:
-        tree = getattr(args, side)
-        run_bench(tree, os.path.join(args.runs, side + "-traced"), args.claim, args.traced_seed, 1)
-        spans = os.path.join(tree, ".perfbench", "spans", f"{args.claim}-seed{args.traced_seed}.npz")
-        out["per_layer_first_traced_ops"][side] = first_ops(spans)
+    if args.claim is not None:
+        claim, seed = args.claim, args.traced_seed
+        out["settings"]["traced_command"] = (f"python3 perfbench/run.py --workload {claim} "
+                                             f"--seed {seed} --trace 1")
+        for side in SIDES:
+            tree = getattr(args, side)
+            run_bench(tree, os.path.join(args.runs, side + "-traced"), claim, seed, 1)
+            spans = os.path.join(tree, ".perfbench", "spans", f"{claim}-seed{seed}.npz")
+            out["per_layer_first_traced_ops"][side] = first_ops(spans)
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
@@ -133,10 +137,12 @@ def main():
             p.add_argument(side)
     sub.choices["pairs"].add_argument("--workload", required=True)
     sub.choices["pairs"].add_argument("--seeds", required=True, help="first-last, e.g. 211-220")
-    sub.choices["record"].add_argument("--claim", required=True, help="the claimed workload")
-    sub.choices["record"].add_argument("--traced-seed", type=int, required=True)
+    sub.choices["record"].add_argument("--claim", help="the claimed workload, if any")
+    sub.choices["record"].add_argument("--traced-seed", type=int)
     sub.choices["record"].add_argument("--out", required=True)
     args = ap.parse_args()
+    if args.command == "record" and (args.claim is None) != (args.traced_seed is None):
+        ap.error("--claim and --traced-seed go together")
     os.makedirs(args.runs, exist_ok=True)
     (pairs if args.command == "pairs" else record)(args)
 
