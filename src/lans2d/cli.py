@@ -13,6 +13,7 @@ codes: 0 success, 1 configuration/validation or usage error, 2 numeric abort
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import math
 import sys
@@ -126,12 +127,21 @@ def _emit_results(rows, out: Path, name: str, columns=None):
     write_csv(out / f"{name}.csv", rows, columns=columns or list(rows[0].keys()))
 
 
-def _wiener_for(cfg: RunConfig, solver_cfg, index: int = 0):
+def _setup(cfg: RunConfig):
+    """The run's lattice, initial field and solver config."""
+    lat = cfg.build_lattice()
+    return lat, cfg.build_initial(lat), cfg.build_solver_config(lat)
+
+
+def _wiener_for(cfg: RunConfig, solver_cfg):
     if solver_cfg.noise is None:
         return None
-    return trajectory_wiener(
-        solver_cfg.noise.rank, solver_cfg.dt, solver_cfg.steps, cfg.seed, index
-    )
+    return trajectory_wiener(solver_cfg.noise.rank, solver_cfg.dt, solver_cfg.steps, cfg.seed, 0)
+
+
+def _level(cfg: RunConfig) -> float:
+    """The observable's level; 0.3 when ``experiment.level`` is unset."""
+    return 0.3 if cfg.level is None else cfg.level
 
 
 def _control_from_config(cfg: RunConfig, scfg):
@@ -183,9 +193,7 @@ def _cmd_verify_identities(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_simulate_nse(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat, noise=None, alpha=0.0)
+    _, xi, scfg = _setup(cfg)
     traj = solve_nse(xi, scfg)
     save_trajectory(traj, out / f"trajectory.{args.format}", args.format)
     rep = energy_report(traj, scfg)
@@ -196,9 +204,7 @@ def _cmd_simulate_nse(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_simulate_lans(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    _, xi, scfg = _setup(cfg)
     wiener = _wiener_for(cfg, scfg)
     traj = solve_lans(xi, scfg, wiener)
     save_trajectory(traj, out / f"trajectory.{args.format}", args.format)
@@ -207,9 +213,7 @@ def _cmd_simulate_lans(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_simulate_unified(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    _, xi, scfg = _setup(cfg)
     wiener = _wiener_for(cfg, scfg)
     nse = dense_nse(xi, scfg) if cfg.delta == 1 else None
     h = _control_from_config(cfg, scfg)
@@ -220,9 +224,7 @@ def _cmd_simulate_unified(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_skeleton(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    _, xi, scfg = _setup(cfg)
     h = _control_from_config(cfg, scfg)
     if h is None:
         h = zero_control(scfg.noise.rank, cfg.dt, scfg.steps)
@@ -238,18 +240,14 @@ def _cmd_skeleton(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_rate(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
-    level = cfg.level if cfg.level is not None else 0.3
-    g = cfg.observable_field(lat)
+    lat, xi, scfg = _setup(cfg)
+    level = _level(cfg)
     problem = dev.RateProblem(
-        cfg.delta, dev.TerminalObservable(g, level),
+        cfg.delta, dev.TerminalObservable(cfg.observable_field(lat), level),
         beta_schedule=cfg.beta_schedule, tolerance=cfg.tolerance,
         max_iterations=cfg.max_iterations,
     )
-    nse = dense_nse(xi, scfg) if cfg.delta == 1 else None
-    result = dev.rate_function(problem, scfg, xi, nse=nse)
+    result = dev.rate_function(problem, scfg, xi)
     save_control(result.control, out / "optimal_control.csv")
     row = {
         "delta": cfg.delta, "level": level, "cost": result.cost,
@@ -267,14 +265,11 @@ def _cmd_rate(cfg: RunConfig, args, out: Path) -> int:
 def _build_event(cfg: RunConfig, lat):
     if cfg.threshold is not None:
         return dev.SupNormEvent(cfg.threshold)
-    level = cfg.level if cfg.level is not None else 0.3
-    return dev.TerminalObservableEvent(cfg.observable_field(lat), level)
+    return dev.TerminalObservableEvent(cfg.observable_field(lat), _level(cfg))
 
 
 def _cmd_mc_tails(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    lat, xi, scfg = _setup(cfg)
     event = _build_event(cfg, lat)
     rows = []
     for alpha in cfg.alphas:
@@ -282,24 +277,18 @@ def _cmd_mc_tails(cfg: RunConfig, args, out: Path) -> int:
             cfg.delta, alpha, event, cfg.samples, scfg, xi,
             master_seed=cfg.seed, workers=args.workers,
         )
-        rows.append({
-            "alpha": est.alpha, "delta": est.delta, "event": est.event,
-            "n_samples": est.n_samples, "hits": est.hits, "p_hat": est.p_hat,
-            "speed": est.speed,
-            "rate_estimate": est.rate_estimate if est.rate_estimate is not None else "nan",
-            "wilson_low": est.wilson_low, "wilson_high": est.wilson_high,
-            "master_seed": est.master_seed,
-        })
+        row = dataclasses.asdict(est)
+        if row["rate_estimate"] is None:
+            row["rate_estimate"] = "nan"
+        rows.append(row)
         print(f"alpha={alpha:g}: p_hat={est.p_hat:.3e} "
-              f"rate={est.rate_estimate if est.rate_estimate is not None else float('nan'):.6g}")
+              f"rate={float(row['rate_estimate']):.6g}")
     _emit_results(rows, out, "tails")
     return 0
 
 
 def _cmd_converge(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    _, xi, scfg = _setup(cfg)
     rows = dev.convergence_study(cfg.alphas, cfg.samples, scfg, xi, master_seed=cfg.seed)
     for r in rows:
         r["master_seed"] = cfg.seed
@@ -310,9 +299,7 @@ def _cmd_converge(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_weak_probe(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat)
+    _, xi, scfg = _setup(cfg)
     rows = dev.weak_continuity_probe(
         cfg.delta, cfg.indices, scfg, xi, amplitude=cfg.amplitude,
         basis_count=cfg.basis_count,
@@ -324,14 +311,13 @@ def _cmd_weak_probe(cfg: RunConfig, args, out: Path) -> int:
 
 
 def _cmd_mdp_check(cfg: RunConfig, args, out: Path) -> int:
-    lat = cfg.build_lattice()
-    xi = cfg.build_initial(lat)
-    scfg = cfg.build_solver_config(lat, store_fields=True, record_stride=1)
+    lat, xi, scfg = _setup(cfg)
+    scfg = dataclasses.replace(scfg, store_fields=True, record_stride=1)
     wiener = _wiener_for(cfg, scfg)
     scaling = ScalingLaw(cfg.kappa, 1)
     rows = []
     for alpha in cfg.alphas:
-        run_cfg = cfg.build_solver_config(lat, store_fields=True, record_stride=1, alpha=alpha)
+        run_cfg = dataclasses.replace(scfg, alpha=alpha)
         nse = dense_nse(xi, run_cfg)
         lans = solve_lans(xi, run_cfg, wiener)
         rescaled = dev.mdp_rescale(lans, nse, scaling, lat)

@@ -1,18 +1,25 @@
-"""Run configuration: schema-validated key-value documents and presets.
+"""Run configuration: key-value documents and presets.
 
 A run document is plain text with ``[section]`` headers and ``key = value``
-lines.  Every setting, whether from a document line, a ``--set`` override or a
-command-line shortcut flag, goes through ``RunConfig.set``: unknown keys and
-bad values are refused with where the text came from (``file:line``, the
-``--set`` pair or the flag).  An empty or ``none`` value unsets the optional
-keys (default ``None``, echoed empty; ``noise.variant = none`` means no noise)
-and is refused for every other key.  Every run directory receives the fully
-resolved document back, so a run is reproducible from its own output.
+lines; a ``#`` at the start of a line or after whitespace opens a comment.
+Each setting is declared once, as a ``RunConfig`` field that names its
+section and its parser; its key is the field name without the ``section_``
+prefix (``noise_sigma`` is ``[noise] sigma``).  Every setting, whether from a
+document line, a ``--set`` override or a command-line shortcut flag, goes
+through ``RunConfig.set``: unknown keys and bad values are refused with where
+the text came from (``file:line``, the ``--set`` pair or the flag).  An empty
+or ``none`` value unsets the optional keys (default ``None``, echoed empty;
+``noise.variant = none`` means no noise) and is refused for every other key,
+and so is a value that no echo could give back: one holding a ``#`` at its
+start or after whitespace.  Every run directory receives the fully resolved
+document back, so a run is reproducible from its own output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+import re
+from dataclasses import dataclass, field, fields as dc_fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +41,7 @@ INITIAL_STREAM = 2**32 + 1  # sub-stream tag outside the trajectory-index range
 
 
 class ConfigError(ValueError):
-    """Malformed or out-of-schema run document."""
+    """Malformed run document or setting."""
 
 
 def _parse_bool(s):
@@ -64,55 +71,12 @@ def _parse_modes(s):
     return tuple(out)
 
 
-# section -> key -> (attribute, parser)
-SCHEMA = {
-    "lattice": {"n": ("n", int)},
-    "time": {
-        "dt": ("dt", float),
-        "t_final": ("t_final", float),
-        "record_stride": ("record_stride", int),
-        "store_fields": ("store_fields", _parse_bool),
-    },
-    "model": {
-        "alpha": ("alpha", float),
-        "delta": ("delta", int),
-        "kappa": ("kappa", float),
-        "viscosity": ("viscosity", float),
-    },
-    "noise": {
-        "variant": ("noise_variant", str),
-        "sigma": ("noise_sigma", _parse_floats),
-        "modes": ("noise_modes", _parse_modes),
-        "phases": ("noise_phases", _parse_floats),
-        "probe_modes": ("noise_probe_modes", _parse_modes),
-        "offsets": ("noise_offsets", _parse_floats),
-    },
-    "initial": {
-        "preset": ("initial_preset", str),
-        "amplitude": ("initial_amplitude", float),
-        "mode": ("initial_mode", _parse_modes),
-        "decay": ("initial_decay", float),
-    },
-    "control": {
-        "path": ("control_path", str),
-        "constant": ("control_constant", _parse_floats),
-    },
-    "experiment": {
-        "threshold": ("threshold", float),
-        "level": ("level", float),
-        "observable_mode": ("observable_mode", _parse_modes),
-        "samples": ("samples", int),
-        "alphas": ("alphas", _parse_floats),
-        "indices": ("indices", _parse_ints),
-        "basis_count": ("basis_count", int),
-        "beta_schedule": ("beta_schedule", _parse_floats),
-        "tolerance": ("tolerance", float),
-        "max_iterations": ("max_iterations", int),
-        "amplitude": ("amplitude", float),
-        "trials": ("trials", int),
-    },
-    "run": {"seed": ("seed", int)},
-}
+def _setting(section, parse, default):
+    """A ``RunConfig`` field whose document key is ``[section]`` and the field
+    name without its ``section_`` prefix; ``parse`` turns the key's text into
+    its value."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
 
 NOISE_VARIANTS = (None, "additive", "projection-multiplicative")
 INITIAL_PRESETS = ("taylor-green", "single-shear", "random", "zero", "eigenmode")
@@ -122,57 +86,60 @@ INITIAL_PRESETS = ("taylor-green", "single-shear", "random", "zero", "eigenmode"
 class RunConfig:
     """Fully typed run document with defaults at the desk scale."""
 
-    n: int = 32
-    dt: float = 1e-3
-    t_final: float = 1.0
-    record_stride: int = 1
-    store_fields: bool = False
-    alpha: float = 0.1
-    delta: int = 0
-    kappa: float = 0.25
-    viscosity: float = 1.0
-    noise_variant: str | None = "additive"
-    noise_sigma: tuple = (0.25, 0.25, 0.2, 0.2)
-    noise_modes: tuple = ((1, 0), (0, 1), (1, 1), (2, -1))
-    noise_phases: tuple | None = None
-    noise_probe_modes: tuple | None = None
-    noise_offsets: tuple | None = None
-    initial_preset: str = "random"
-    initial_amplitude: float = 1.0
-    initial_mode: tuple = ((0, 1),)
-    initial_decay: float = 2.0
-    control_path: str | None = None
-    control_constant: tuple | None = None
-    seed: int = 12345
-    # experiment block
-    threshold: float | None = None
-    level: float | None = None
-    observable_mode: tuple | None = None
-    samples: int = 1000
-    alphas: tuple = (0.4, 0.2, 0.1, 0.05)
-    indices: tuple = (2, 4, 8, 16, 32)
-    basis_count: int = 128
-    beta_schedule: tuple = (1e1, 1e2, 1e3, 1e4)
-    tolerance: float = 1e-3
-    max_iterations: int = 500
-    amplitude: float = 1.0
-    trials: int = 100
+    n: int = _setting("lattice", int, 32)
+    dt: float = _setting("time", float, 1e-3)
+    t_final: float = _setting("time", float, 1.0)
+    record_stride: int = _setting("time", int, 1)
+    store_fields: bool = _setting("time", _parse_bool, False)
+    alpha: float = _setting("model", float, 0.1)
+    delta: int = _setting("model", int, 0)
+    kappa: float = _setting("model", float, 0.25)
+    viscosity: float = _setting("model", float, 1.0)
+    noise_variant: str | None = _setting("noise", str, "additive")
+    noise_sigma: tuple = _setting("noise", _parse_floats, (0.25, 0.25, 0.2, 0.2))
+    noise_modes: tuple = _setting("noise", _parse_modes, ((1, 0), (0, 1), (1, 1), (2, -1)))
+    noise_phases: tuple | None = _setting("noise", _parse_floats, None)
+    noise_probe_modes: tuple | None = _setting("noise", _parse_modes, None)
+    noise_offsets: tuple | None = _setting("noise", _parse_floats, None)
+    initial_preset: str = _setting("initial", str, "random")
+    initial_amplitude: float = _setting("initial", float, 1.0)
+    initial_mode: tuple = _setting("initial", _parse_modes, ((0, 1),))
+    initial_decay: float = _setting("initial", float, 2.0)
+    control_path: str | None = _setting("control", str, None)
+    control_constant: tuple | None = _setting("control", _parse_floats, None)
+    threshold: float | None = _setting("experiment", float, None)
+    level: float | None = _setting("experiment", float, None)
+    observable_mode: tuple | None = _setting("experiment", _parse_modes, None)
+    samples: int = _setting("experiment", int, 1000)
+    alphas: tuple = _setting("experiment", _parse_floats, (0.4, 0.2, 0.1, 0.05))
+    indices: tuple = _setting("experiment", _parse_ints, (2, 4, 8, 16, 32))
+    basis_count: int = _setting("experiment", int, 128)
+    beta_schedule: tuple = _setting("experiment", _parse_floats, (1e1, 1e2, 1e3, 1e4))
+    tolerance: float = _setting("experiment", float, 1e-3)
+    max_iterations: int = _setting("experiment", int, 500)
+    amplitude: float = _setting("experiment", float, 1.0)
+    trials: int = _setting("experiment", int, 100)
+    seed: int = _setting("run", int, 12345)
 
     def set(self, key: str, text: str, source: str) -> None:
-        """Set schema key ``section.key`` from its text; ``source`` (where the
-        text came from) heads every error."""
-        section, _, name = key.partition(".")
-        if name not in SCHEMA.get(section, ()):
+        """Set document key ``section.key`` from its text; ``source`` (where
+        the text came from) heads every error."""
+        f = _KEYS.get(key)
+        if f is None:
+            section, _, name = key.partition(".")
             raise ConfigError(f"{source}: unknown key {name!r} in [{section}]")
-        attr, parse = SCHEMA[section][name]
         text = text.strip()
+        if _COMMENT.search(text):
+            raise ConfigError(f"{source}: {key} cannot hold '#' at its start or after "
+                              "whitespace: the echo would read a comment there")
         if text.lower() in ("", "none"):
-            if attr not in _UNSETTABLE:
+            # only the optional keys, and the noise variant (none: no noise), unset
+            if f.default is not None and f.name != "noise_variant":
                 raise ConfigError(f"{source}: {key} needs a value")
-            setattr(self, attr, None)
+            setattr(self, f.name, None)
             return
         try:
-            setattr(self, attr, parse(text))
+            setattr(self, f.name, f.metadata["parse"](text))
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
 
@@ -205,23 +172,19 @@ class RunConfig:
             lattice, self.noise_sigma, self.noise_modes, probes, offsets
         )
 
-    def build_solver_config(self, lattice=None, noise=None, **overrides) -> SolverConfig:
+    def build_solver_config(self, lattice=None) -> SolverConfig:
         lattice = self.build_lattice() if lattice is None else lattice
-        if noise is None:
-            noise = self.build_noise(lattice)
-        kw = dict(
+        return SolverConfig(
             lattice=lattice,
             dt=self.dt,
             t_final=self.t_final,
             alpha=self.alpha,
             kappa=self.kappa,
-            noise=noise,
+            noise=self.build_noise(lattice),
             viscosity=self.viscosity,
             record_stride=self.record_stride,
             store_fields=self.store_fields,
         )
-        kw.update(overrides)
-        return SolverConfig(**kw)
 
     def build_initial(self, lattice: TorusLattice) -> SpectralField:
         if self.initial_preset == "taylor-green":
@@ -242,23 +205,25 @@ class RunConfig:
     # -- round trip ----------------------------------------------------------
 
     def to_document(self) -> str:
-        """Resolved document echoing every schema key (reparseable)."""
-        values = {f.name: getattr(self, f.name) for f in dc_fields(self)}
+        """Resolved document echoing every key (reparseable)."""
         lines = []
-        for section, keys in SCHEMA.items():
+        for section, keys in groupby(_KEYS.items(), lambda item: item[1].metadata["section"]):
             lines.append(f"[{section}]")
-            for key, (attr, _) in keys.items():
-                v = values[attr]
+            for key, f in keys:
+                v = getattr(self, f.name)
                 if v is None:
-                    v = "none" if attr == "noise_variant" else ""
-                lines.append(f"{key} = {_render(v)}")
+                    v = "none" if f.name == "noise_variant" else ""
+                lines.append(f"{key.partition('.')[2]} = {_render(v)}")
             lines.append("")
         return "\n".join(lines)
 
 
-# the keys that an empty or ``none`` value unsets: the optional ones, and the
-# noise variant, whose ``none`` is the run without noise
-_UNSETTABLE = {f.name for f in dc_fields(RunConfig) if f.default is None} | {"noise_variant"}
+# document key "section.key" -> its field, in the document's order
+_KEYS = {f"{f.metadata['section']}.{f.name.removeprefix(f.metadata['section'] + '_')}": f
+         for f in dc_fields(RunConfig)}
+_SECTIONS = {f.metadata["section"] for f in _KEYS.values()}
+# a '#' at the start of a line or after whitespace opens a comment
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _render(v):
@@ -274,16 +239,16 @@ def _render(v):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse and schema-validate a run document; errors carry line numbers."""
+    """Parse and validate a run document; errors carry line numbers."""
     cfg = RunConfig()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:

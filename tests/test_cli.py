@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +35,32 @@ from lans2d.runio import (
 )
 
 
+PRESETS = ("taylor-green", "single-shear", "ou-toy", "unified-default")
+# a value for every optional key (default None) of RunConfig, under the noise
+# variant that reads the probe modes and offsets
+EVERY_OPTIONAL_KEY = {
+    "noise.variant": "projection-multiplicative", "noise.phases": "0.5, 0, 1, 2",
+    "noise.probe_modes": "1 0, 0 1, 1 1, 1 -1", "noise.offsets": "0.25, 0, 0, 0",
+    "control.path": "runs/d#1/h.csv", "control.constant": "0.4, 0, 0, 0",
+    "experiment.threshold": "2.5", "experiment.level": "0.4",
+    "experiment.observable_mode": "0 1",
+}
+
+
 class TestConfigParsing:
-    def test_round_trip(self):
-        cfg = preset("taylor-green")
+    @pytest.mark.parametrize("name, settings", [
+        *(pytest.param(name, {}, id=name) for name in PRESETS),
+        pytest.param("unified-default", EVERY_OPTIONAL_KEY, id="every-optional-key"),
+    ])
+    def test_round_trip(self, name, settings):
+        cfg = preset(name)
+        for key, text in settings.items():
+            cfg.set(key, text, "here")
+        if settings:
+            assert None not in vars(cfg).values()
         doc = cfg.to_document()
         back = parse_config_text(doc)
+        assert back == cfg
         assert back.to_document() == doc
 
     def test_unknown_section_line_number(self):
@@ -58,7 +80,7 @@ class TestConfigParsing:
             parse_config_text("n = 16\n")
 
     def test_presets_build(self):
-        for name in ("taylor-green", "single-shear", "ou-toy", "unified-default"):
+        for name in PRESETS:
             cfg = preset(name)
             lat = cfg.build_lattice()
             xi = cfg.build_initial(lat)
@@ -88,6 +110,8 @@ class TestConfigParsing:
         ("lattice.n", "16.5", "here: bad value for 'lattice.n'"),
         ("lattice.m", "16", "here: unknown key 'm' in \\[lattice\\]"),
         ("banana.n", "16", "here: unknown key 'n' in \\[banana\\]"),
+        ("control.path", "d #1/h.csv", "here: control.path cannot hold '#'"),
+        ("control.path", "#1/h.csv", "here: control.path cannot hold '#'"),
     ])
     def test_set_refuses_naming_the_source(self, key, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -421,9 +445,13 @@ class TestSettings:
         assert echo_body(by_set) == echo_body(by_doc)
         assert parse_config_text(echo_body(by_set)).level is None
 
-    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
-    def test_control_file_reruns_from_its_echo(self, tmp_path, fmt):
-        hpath = tmp_path / "h.csv"
+    @pytest.mark.parametrize("fmt, where", [
+        pytest.param("csv", ".", id="csv"), pytest.param("ndjson", ".", id="ndjson"),
+        pytest.param("csv", "d#1", id="hash-in-dir"),
+    ])
+    def test_control_file_reruns_from_its_echo(self, tmp_path, fmt, where):
+        hpath = tmp_path / where / "h.csv"
+        hpath.parent.mkdir(exist_ok=True)
         save_control(Control(5e-3, np.random.default_rng(2).standard_normal((20, 4))), hpath)
         code, first = run_cli(
             ["skeleton", "--preset", "unified-default", "--n", "8", "--dt", "0.005",
@@ -443,6 +471,15 @@ class TestSettings:
                            str(tmp_path / "missing.csv")], tmp_path, "m")
         assert code == 1
         assert "config error: cannot read control.path" in capsys.readouterr().err
+
+    def test_readme_config_block_and_flag_table_match_the_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^```ini\n(.*?)^```", readme, re.M | re.S).group(1)
+        parse_config_text(block, "README.md")
+        rows = re.findall(r"^\| `(--[\w-]+)` \| `([\w.]+)` \| (.+?) \|$", readme, re.M)
+        table = [(flag, (key, None if commands == "all" else tuple(commands.split(", "))))
+                 for flag, key, commands in rows]
+        assert table == list(FLAGS.items())
 
     @pytest.mark.parametrize("args", [["mc-tails", "--n", "foo"], ["mc-tails", "--bogus"]])
     def test_console_script_exits_1_without_a_traceback(self, tmp_path, args):
