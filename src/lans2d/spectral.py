@@ -48,13 +48,20 @@ coordinates and products in one per form; each is made for the first batch
 shape and replaced when the shape changes.  So a lattice is not to be
 shared between threads that use it at the same time; pickling it sends only
 ``n``, neither the scratch nor the tensors.
+
+The reports at the end take the worst ratio of each check over random field
+triples ``u, v, w``, from one table per triple: each identity's residual and
+its scale (``identity_report``), and each estimate's ``(lhs, rhs)`` from the
+two pairings ``|<B(u,v),w>|``, ``|<B~(u,v),w>|`` and the H, V and A norms of
+the triple (``calibrate_estimates``), each product and norm computed once.
+``IDENTITY_BOUND`` and ``OPERATOR_BOUNDS`` hold the bounds that
+``verify-identities`` checks, with their rounding slack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -599,6 +606,16 @@ def random_field(
 # Operator-bound and identity reports
 # ---------------------------------------------------------------------------
 
+# Each check of ``identity_report`` passes when its worst residual is at most this.
+IDENTITY_BOUND = 1e-10
+# check -> (``OperatorBoundsReport`` field, its bound, the rounding slack the
+# computed value may exceed the bound by)
+OPERATOR_BOUNDS = {
+    "smoother_damping": ("max_smoother_damping", 1.0, 0.0),
+    "halfpower_damping": ("max_halfpower_damping", 0.5, 1e-15),
+    "smoothing_gap": ("smoothing_gap_max_ratio", 1.0, 1e-12),
+}
+
 
 @dataclass
 class OperatorBoundsReport:
@@ -609,6 +626,12 @@ class OperatorBoundsReport:
     trials: int
     ok: bool
 
+    def checks(self):
+        """``(check, value, bound, within bound)`` for each of ``OPERATOR_BOUNDS``."""
+        for check, (name, bound, slack) in OPERATOR_BOUNDS.items():
+            value = getattr(self, name)
+            yield check, value, bound, value <= bound + slack
+
 
 def verify_operator_bounds(
     lattice: TorusLattice, alpha: float, trials: int = 100, seed: int = 0
@@ -618,7 +641,7 @@ def verify_operator_bounds(
     Reports the lattice maxima of ``a^2 l/(1+a^2 l)`` (must be <= 1) and
     ``a sqrt(l)/(1+a^2 l)`` (must be <= 1/2), and the worst ratio of
     ``|<phi - J_a phi, w>|`` against ``(a/2) |phi| |A^(1/2) w|`` over random
-    field pairs (must be <= 1).
+    field pairs (must be <= 1); ``OPERATOR_BOUNDS`` holds the bounds.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -634,8 +657,44 @@ def verify_operator_bounds(
         lhs = abs(float(lattice.inner_h(gap, w.coeffs)))
         rhs = 0.5 * alpha * float(lattice.norm_h(phi.coeffs)) * float(lattice.norm_v(w.coeffs))
         worst = max(worst, lhs / rhs)
-    ok = d1 <= 1.0 and d2 <= 0.5 + 1e-15 and worst <= 1.0 + 1e-12
-    return OperatorBoundsReport(alpha, d1, d2, worst, trials, ok)
+    report = OperatorBoundsReport(alpha, d1, d2, worst, trials, ok=False)
+    report.ok = all(within for *_, within in report.checks())
+    return report
+
+
+def _worst_ratios(table, lattice, trials, seed, norm):
+    """Each check's largest ``|value| / scale`` over random triples ``u, v, w``,
+    where ``table(lattice, u, v, w)`` maps the check to its ``(value, scale)``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(trials):
+        u, v, w = (random_field(lattice, rng, norm=norm).coeffs for _ in range(3))
+        for name, (value, scale) in table(lattice, u, v, w).items():
+            worst[name] = max(worst.get(name, 0.0), abs(float(value)) / scale)
+    return worst
+
+
+def _identity_residuals(lat, u, v, w):
+    """Each identity's residual at one triple and the scale it is measured by."""
+    alpha = 0.3
+    scale = float(lat.norm_h(u) * lat.norm_h(v) * lat.norm_h(w))
+    buv, buw, bwv = lat.bilinear_b(u, v), lat.bilinear_b(u, w), lat.bilinear_b(w, v)
+    btuv = lat.bilinear_btilde(u, v)
+    p = lat.inner_h
+    return {
+        "skew_symmetry": (p(buv, w) + p(buw, v), scale),  # (B(u,v),w) = -(B(u,w),v)
+        "cancel_b": (p(buv, v), scale),  # (B(u,v),v) = 0
+        "cancel_btilde": (p(btuv, u), scale),  # (Btilde(u,v),u) = 0
+        # (Btilde(u,v),w) = (B(u,v),w) - (B(w,v),u)
+        "btilde_decomposition": (p(btuv, w) - p(buv, w) + p(bwv, u), scale),
+        # Btilde(u,u) = B(u,u)
+        "btilde_diag_equals_b": (lat.norm_h(lat.bilinear_btilde(u, u) - lat.bilinear_b(u, u)),
+                                 float(lat.norm_h(u) ** 2)),
+        # (J_a Btilde(u,v), u + a^2 A u) = 0
+        "cancel_btilde_alpha": (p(lat.smooth(btuv, alpha), lat.unsmooth(u, alpha)), scale),
+    }
 
 
 def identity_report(lattice: TorusLattice, trials: int = 100, seed: int = 0) -> dict[str, float]:
@@ -644,159 +703,36 @@ def identity_report(lattice: TorusLattice, trials: int = 100, seed: int = 0) -> 
     Residuals are normalized by the product of the field H-norms (pairing
     identities) or by ``|u|^2`` (the ``Btilde(u,u) = B(u,u)`` identity).
     """
-    rng = np.random.default_rng(seed)
-    lat = lattice
-    worst = {
-        "skew_symmetry": 0.0,        # (B(u,v),w) = -(B(u,w),v)
-        "cancel_b": 0.0,             # (B(u,v),v) = 0
-        "cancel_btilde": 0.0,        # (Btilde(u,v),u) = 0
-        "btilde_decomposition": 0.0, # (Btilde(u,v),w) = (B(u,v),w) - (B(w,v),u)
-        "btilde_diag_equals_b": 0.0, # Btilde(u,u) = B(u,u)
-        "cancel_btilde_alpha": 0.0,  # (J_a Btilde(u,v), u + a^2 A u) = 0
+    return _worst_ratios(_identity_residuals, lattice, trials, seed, norm=1.0)
+
+
+def _estimate_pairs(lat, u, v, w):
+    """Each estimate's ``(lhs, rhs)`` at one triple, from its two pairings."""
+    b = abs(float(lat.inner_h(lat.bilinear_b(u, v), w)))
+    bt = abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w)))
+    (hu, vu, au), (hv, vv, av), (hw, vw, aw) = (
+        (float(lat.norm_h(f)), float(lat.norm_v(f)), float(lat.norm_a(f))) for f in (u, v, w))
+    return {
+        # |<X(u,v),w>| <= c |u|^1/2 ||u||^1/2 ||v|| ||w||, X in {B, Btilde}
+        "v_dual_bound": (max(b, bt), np.sqrt(hu * vu) * vv * vw),
+        # |(X(u,v),w)| <= c ||u||^1/2 |Au|^1/2 ||v|| |w|
+        "agmon_first_slot": (max(b, bt), np.sqrt(vu * au) * vv * hw),
+        # |(B(u,v),w)| <= c ||u|| ||v||^1/2 |Av|^1/2 |w|
+        "agmon_second_slot": (b, vu * np.sqrt(vv * av) * hw),
+        # |(B(u,v),w)| <= c |u|^1/2 ||u||^1/2 ||v||^1/2 |Av|^1/2 |w|
+        "interpolated_second_slot": (b, np.sqrt(hu * vu) * np.sqrt(vv * av) * hw),
+        # |<Btilde(u,v),w>| <= c ||u|| |v| |Aw|
+        "rough_middle_slot": (bt, vu * hv * aw),
+        # |<Btilde(u,v),w>| <= c |Au| |v| ||w||
+        "rough_middle_slot_sym": (bt, au * hv * vw),
+        # <Btilde(u,v),w> <= c [|u|^1/2 ||u||^1/2 ||w||^1/2 |Aw|^1/2 + |Aw| ||u||] |v|
+        "extended_pairing": (bt, (np.sqrt(hu * vu) * np.sqrt(vw * aw) + aw * vu) * hv),
     }
-    alpha = 0.3
-    for _ in range(trials):
-        u = random_field(lat, rng)
-        v = random_field(lat, rng)
-        w = random_field(lat, rng)
-        scale = float(lat.norm_h(u.coeffs) * lat.norm_h(v.coeffs) * lat.norm_h(w.coeffs))
-        buv = lat.bilinear_b(u.coeffs, v.coeffs)
-        buw = lat.bilinear_b(u.coeffs, w.coeffs)
-        bwv = lat.bilinear_b(w.coeffs, v.coeffs)
-        btuv = lat.bilinear_btilde(u.coeffs, v.coeffs)
-        worst["skew_symmetry"] = max(
-            worst["skew_symmetry"],
-            abs(float(lat.inner_h(buv, w.coeffs) + lat.inner_h(buw, v.coeffs))) / scale,
-        )
-        worst["cancel_b"] = max(
-            worst["cancel_b"], abs(float(lat.inner_h(buv, v.coeffs))) / scale
-        )
-        worst["cancel_btilde"] = max(
-            worst["cancel_btilde"], abs(float(lat.inner_h(btuv, u.coeffs))) / scale
-        )
-        worst["btilde_decomposition"] = max(
-            worst["btilde_decomposition"],
-            abs(
-                float(
-                    lat.inner_h(btuv, w.coeffs)
-                    - lat.inner_h(buv, w.coeffs)
-                    + lat.inner_h(bwv, u.coeffs)
-                )
-            )
-            / scale,
-        )
-        diag = lat.bilinear_btilde(u.coeffs, u.coeffs) - lat.bilinear_b(u.coeffs, u.coeffs)
-        worst["btilde_diag_equals_b"] = max(
-            worst["btilde_diag_equals_b"], float(lat.norm_h(diag) / lat.norm_h(u.coeffs) ** 2)
-        )
-        zu = lat.unsmooth(u.coeffs, alpha)
-        worst["cancel_btilde_alpha"] = max(
-            worst["cancel_btilde_alpha"],
-            abs(float(lat.inner_h(lat.smooth(btuv, alpha), zu))) / scale,
-        )
-    return worst
 
 
-# name -> (lhs, rhs) for the bilinear estimate shapes; constants are calibrated
-# empirically (the sharp values are not pinned anywhere usable).
-ESTIMATE_FORMS: dict[str, Callable] = {}
+def calibrate_estimates(lattice: TorusLattice, trials: int = 1000, seed: int = 0) -> dict[str, float]:
+    """Empirical constant per estimate: max lhs/rhs over random triples.
 
-
-def _estimate(name):
-    def deco(fn):
-        ESTIMATE_FORMS[name] = fn
-        return fn
-    return deco
-
-
-def _norms(lat, f):
-    return (
-        float(lat.norm_h(f)),
-        float(lat.norm_v(f)),
-        float(lat.norm_a(f)),
-    )
-
-
-@_estimate("v_dual_bound")  # |<X(u,v),w>| <= c |u|^1/2 ||u||^1/2 ||v|| ||w||, X in {B, Btilde}
-def _est_v_dual(lat, u, v, w):
-    hu, vu, _ = _norms(lat, u)
-    _, vv, _ = _norms(lat, v)
-    _, vw, _ = _norms(lat, w)
-    lhs = max(
-        abs(float(lat.inner_h(lat.bilinear_b(u, v), w))),
-        abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w))),
-    )
-    return lhs, np.sqrt(hu * vu) * vv * vw
-
-
-@_estimate("agmon_first_slot")  # |(X(u,v),w)| <= c ||u||^1/2 |Au|^1/2 ||v|| |w|
-def _est_agmon_first(lat, u, v, w):
-    _, vu, au = _norms(lat, u)
-    _, vv, _ = _norms(lat, v)
-    hw, _, _ = _norms(lat, w)
-    lhs = max(
-        abs(float(lat.inner_h(lat.bilinear_b(u, v), w))),
-        abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w))),
-    )
-    return lhs, np.sqrt(vu * au) * vv * hw
-
-
-@_estimate("agmon_second_slot")  # |(B(u,v),w)| <= c ||u|| ||v||^1/2 |Av|^1/2 |w|
-def _est_agmon_second(lat, u, v, w):
-    _, vu, _ = _norms(lat, u)
-    _, vv, av = _norms(lat, v)
-    hw, _, _ = _norms(lat, w)
-    lhs = abs(float(lat.inner_h(lat.bilinear_b(u, v), w)))
-    return lhs, vu * np.sqrt(vv * av) * hw
-
-
-@_estimate("interpolated_second_slot")  # |(B(u,v),w)| <= c |u|^1/2 ||u||^1/2 ||v||^1/2 |Av|^1/2 |w|
-def _est_refined(lat, u, v, w):
-    hu, vu, _ = _norms(lat, u)
-    _, vv, av = _norms(lat, v)
-    hw, _, _ = _norms(lat, w)
-    lhs = abs(float(lat.inner_h(lat.bilinear_b(u, v), w)))
-    return lhs, np.sqrt(hu * vu) * np.sqrt(vv * av) * hw
-
-
-@_estimate("rough_middle_slot")  # |<Btilde(u,v),w>| <= c ||u|| |v| |Aw|
-def _est_rough_mid(lat, u, v, w):
-    _, vu, _ = _norms(lat, u)
-    hv, _, _ = _norms(lat, v)
-    _, _, aw = _norms(lat, w)
-    lhs = abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w)))
-    return lhs, vu * hv * aw
-
-
-@_estimate("rough_middle_slot_sym")  # |<Btilde(u,v),w>| <= c |Au| |v| ||w||
-def _est_rough_mid_sym(lat, u, v, w):
-    _, _, au = _norms(lat, u)
-    hv, _, _ = _norms(lat, v)
-    _, vw, _ = _norms(lat, w)
-    lhs = abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w)))
-    return lhs, au * hv * vw
-
-
-@_estimate("extended_pairing")  # <Btilde(u,v),w> <= c [|u|^1/2 ||u||^1/2 ||w||^1/2 |Aw|^1/2 + |Aw| ||u||] |v|
-def _est_extended(lat, u, v, w):
-    hu, vu, _ = _norms(lat, u)
-    hv, _, _ = _norms(lat, v)
-    _, vw, aw = _norms(lat, w)
-    lhs = abs(float(lat.inner_h(lat.bilinear_btilde(u, v), w)))
-    return lhs, (np.sqrt(hu * vu) * np.sqrt(vw * aw) + aw * vu) * hv
-
-
-def calibrate_estimates(
-    lattice: TorusLattice, trials: int = 1000, seed: int = 0
-) -> dict[str, float]:
-    """Empirical constant per estimate: max lhs/rhs over random triples."""
-    rng = np.random.default_rng(seed)
-    out = {name: 0.0 for name in ESTIMATE_FORMS}
-    for _ in range(trials):
-        u = random_field(lattice, rng, norm=None)
-        v = random_field(lattice, rng, norm=None)
-        w = random_field(lattice, rng, norm=None)
-        for name, fn in ESTIMATE_FORMS.items():
-            lhs, rhs = fn(lattice, u.coeffs, v.coeffs, w.coeffs)
-            out[name] = max(out[name], lhs / rhs)
-    return out
+    The sharp constants are not pinned anywhere usable, so they are measured.
+    """
+    return _worst_ratios(_estimate_pairs, lattice, trials, seed, norm=None)

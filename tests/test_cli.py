@@ -14,6 +14,7 @@ import pytest
 import lans2d
 from lans2d import (
     Control,
+    dense_nse,
     make_lattice,
     random_field,
     solve_nse,
@@ -235,6 +236,44 @@ class TestCli:
         rows = read_csv(out / "identities.csv")
         assert all(r["ok"] == 1.0 for r in rows if not r["check"].startswith("estimate"))
 
+    def test_simulate_nse_builds_no_noise(self, tmp_path):
+        # unified-default's noise mode (2, -1) lies outside n = 4's band; the
+        # limit flow reads no noise, so the run goes as it does without one
+        args = ["simulate-nse", "--preset", "unified-default", "--n", "4"]
+        code, out = run_cli(args, tmp_path, "default")
+        assert code == 0
+        code, bare = run_cli(args + ["--set", "noise.variant=none"], tmp_path, "none")
+        assert code == 0
+        assert (out / "trajectory.csv").read_bytes() == (bare / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, extra, data", [
+        ("mdp-check", [], "mdp_check.csv"),
+        ("mc-tails", ["--delta", "1", "--set", "experiment.samples=40",
+                      "--set", "experiment.level=0.05", "--workers", "1"], "tails.csv"),
+    ])
+    def test_one_limit_flow_serves_every_alpha(self, tmp_path, monkeypatch, command, extra,
+                                               data):
+        calls = []
+
+        def counted(xi, cfg):
+            calls.append(cfg.alpha)
+            return dense_nse(xi, cfg)
+
+        # cli's reference, and mc_tail's own when it is given none
+        monkeypatch.setattr(cli, "dense_nse", counted)
+        monkeypatch.setattr(lans2d.deviations, "dense_nse", counted)
+        args = [command, "--preset", "unified-default", "--n", "8", "--dt", "0.005",
+                "--t-final", "0.05", *extra]
+        code, out = run_cli(args + ["--alphas", "0.2,0.1"], tmp_path, "both")
+        assert code == 0 and len(calls) == 1
+        # each alpha's rows as a run that builds its reference at that alpha writes them
+        rows = []
+        for alpha in ("0.2", "0.1"):
+            code, one = run_cli(args + ["--alpha", alpha, "--alphas", alpha], tmp_path, alpha)
+            assert code == 0
+            rows += (one / data).read_text().splitlines()[1:]
+        assert (out / data).read_text().splitlines()[1:] == rows
+
     def test_bad_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[lattice]\nn = 7\n")  # odd lattice rejected downstream
@@ -410,7 +449,9 @@ class TestSettings:
     @pytest.mark.parametrize("args", [
         ["mc-tails", "--bogus"],
         ["mc-tails", "--workers", "x"],
-        ["mc-tails", "--format", "xml"],
+        ["simulate-nse", "--format", "xml"],
+        ["converge", "--workers", "2"],
+        ["mc-tails", "--format", "csv"],
         ["rate", "--alphas", "0.1"],
         [],
     ])

@@ -22,7 +22,7 @@ from lans2d import (
     verify_operator_bounds,
     zero_field,
 )
-from lans2d.spectral import ESTIMATE_FORMS, LatticeMismatchError, TorusLattice, identity_report
+from lans2d.spectral import LatticeMismatchError, TorusLattice, identity_report
 
 
 class TestLattice:
@@ -495,11 +495,25 @@ class TestEstimateShapes:
     def test_calibrated_constants_transfer(self, lat16, lat32):
         # constants calibrated at n=16 must hold at n=32 with factor 2
         consts = calibrate_estimates(lat16, trials=1000, seed=11)
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            u = random_field(lat32, rng, norm=None)
-            v = random_field(lat32, rng, norm=None)
-            w = random_field(lat32, rng, norm=None)
-            for name, fn in ESTIMATE_FORMS.items():
-                lhs, rhs = fn(lat32, u.coeffs, v.coeffs, w.coeffs)
-                assert lhs <= 2.0 * consts[name] * rhs, name
+        for name, c in calibrate_estimates(lat32, 200, seed=12).items():
+            assert c <= 2.0 * consts[name], name
+
+    def test_two_kernel_products_per_triple(self, lat16, monkeypatch):
+        # B(u, v) and Btilde(u, v) feed every estimate's left side
+        calls = []
+        quadratic = TorusLattice._quadratic
+
+        def counted(self, terms):
+            calls.append(len(terms))
+            return quadratic(self, terms)
+
+        monkeypatch.setattr(TorusLattice, "_quadratic", counted)
+        consts = calibrate_estimates(lat16, trials=5, seed=3)
+        assert calls == [1, 2] * 5
+        assert len(consts) == 7
+
+    def test_no_trials_is_refused(self, lat16):
+        with pytest.raises(ValueError, match="trials"):
+            calibrate_estimates(lat16, trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            identity_report(lat16, trials=0)
