@@ -170,9 +170,9 @@ def _control_from_config(cfg: RunConfig, scfg):
 
 def _cmd_verify_identities(cfg: RunConfig, args, out: Path) -> int:
     lat = cfg.build_lattice()
-    rows = [{"check": name, "value": resid, "bound": IDENTITY_BOUND, "ok": resid <= IDENTITY_BOUND}
-            for name, resid in identity_report(lat, trials=cfg.trials, seed=cfg.seed).items()]
     alpha = cfg.alpha if cfg.alpha > 0 else 0.3
+    rows = [{"check": name, "value": resid, "bound": IDENTITY_BOUND, "ok": resid <= IDENTITY_BOUND}
+            for name, resid in identity_report(lat, cfg.trials, cfg.seed, alpha).items()]
     rep = verify_operator_bounds(lat, alpha, trials=cfg.trials, seed=cfg.seed)
     for check, value, bound, ok in rep.checks():
         rows.append({"check": f"{check}(alpha={alpha:g})", "value": value, "bound": bound, "ok": ok})
@@ -315,8 +315,8 @@ def _cmd_mdp_check(cfg: RunConfig, args, out: Path) -> int:
     rows = []
     for alpha in cfg.alphas:
         run_cfg = dataclasses.replace(scfg, alpha=alpha)
-        lans = solve_lans(xi, run_cfg, wiener)
-        rescaled = dev.mdp_rescale(lans, nse, scaling, lat)
+        # the delta=0 record is not kept alive through the delta=1 run
+        rescaled = dev.mdp_rescale(solve_lans(xi, run_cfg, wiener), nse, scaling, lat)
         unified = solve_unified(1, xi, run_cfg, wiener=wiener, nse=nse)
         gap = max(
             float(lat.norm_h(a - b)) for a, b in zip(rescaled.fields, unified.fields)

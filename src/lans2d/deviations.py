@@ -657,10 +657,8 @@ def mdp_rescale(
     alpha = u_alpha_traj.alpha
     fac = 1.0 / (math.sqrt(alpha) * scaling.lam(alpha))
     fields = [fac * (a - b) for a, b in zip(u_alpha_traj.fields, u_traj.fields)]
-    nh = np.array([float(lattice.norm_h(f)) for f in fields])
-    nv = np.array([float(lattice.norm_v(f)) for f in fields])
-    na = np.array([float(lattice.norm_a(f)) for f in fields])
-    nal = np.array([float(lattice.norm_alpha(f, alpha)) for f in fields])
+    table = lattice.norm_table(alpha)
+    nh, nv, na, nal = np.array([lattice.stacked_norms(f, table) for f in fields]).T
     dts = np.diff(u_alpha_traj.times)
     diss = np.concatenate([[0.0], np.cumsum(dts * nv[1:] ** 2)])
     return TrajectoryRecord(

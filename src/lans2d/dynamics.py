@@ -19,7 +19,9 @@ Systems
 * ``solve_unified``   the delta-parameterized fluctuation system with control
   and noise.  delta=1 evolves y = (u_a - u) / lam_delta, so its drift is the
   difference quotient [Btilde_a(w, (I + a^2 A) w) - B(u, u)] / lam_delta at
-  w = u + lam_delta y; with u = 0 and lam_delta = 1 it is the delta=0 drift
+  w = u + lam_delta y; with u = 0 and lam_delta = 1 it is the delta=0 drift.
+  Its B(u, u) is the limit flow's own drift, which the reference record of
+  ``dense_nse`` keeps from its run, so ``solve_unified`` forms no B term itself
 * ``solve_skeleton``  the deterministic controlled system whose solution map
   defines the deviation rate function (no smoothing; alpha-free)
 """
@@ -123,7 +125,8 @@ class TrajectoryRecord:
 
     ``dissipation`` is the running sum ``sum dt * ||y_m||_V^2`` over all steps
     taken so far, i.e. the discrete dissipation integral appearing in the
-    energy inequality.
+    energy inequality.  ``drifts``, kept by ``dense_nse`` only, holds each
+    step's drift ``B(u_m, u_m)`` for ``m < steps``.
     """
 
     times: np.ndarray
@@ -135,6 +138,7 @@ class TrajectoryRecord:
     alpha: float
     dt: float
     fields: Optional[list] = None
+    drifts: Optional[list] = None
 
     def __len__(self):
         return self.times.size
@@ -198,13 +202,14 @@ class _Recorder:
     def __init__(self, cfg: SolverConfig, alpha: float):
         self.cfg = cfg
         self.alpha = alpha
+        self._table = cfg.lattice.norm_table(alpha)[1:]  # V, A and alpha weights
         self.times, self.nh, self.nv, self.na, self.nal, self.diss = [], [], [], [], [], []
         self.fields = [] if cfg.store_fields else None
         self._dissipation = 0.0
 
     def __call__(self, m, y, nh):
-        cfg, lat = self.cfg, self.cfg.lattice
-        nv = float(lat.norm_v(y))
+        cfg = self.cfg
+        nv, na, nal = cfg.lattice.stacked_norms(y, self._table).tolist()
         if m:
             self._dissipation += cfg.dt * nv**2
         if m % cfg.record_stride and m != cfg.steps:
@@ -212,8 +217,8 @@ class _Recorder:
         self.times.append(m * cfg.dt)
         self.nh.append(float(nh))
         self.nv.append(nv)
-        self.na.append(float(lat.norm_a(y)))
-        self.nal.append(float(lat.norm_alpha(y, self.alpha)))
+        self.na.append(na)
+        self.nal.append(nal)
         self.diss.append(self._dissipation)
         if self.fields is not None:
             self.fields.append(y.copy())
@@ -254,9 +259,14 @@ def solve_nse(xi: SpectralField, cfg: SolverConfig) -> TrajectoryRecord:
 
 
 def dense_nse(xi: SpectralField, cfg: SolverConfig) -> TrajectoryRecord:
-    """Reference run with snapshots at every step (for delta=1 solvers)."""
+    """Reference run with snapshots at every step (for delta=1 solvers) and
+    each step's drift ``B(u_m, u_m)``, which the delta=1 unified step reuses."""
     dense_cfg = replace(cfg, record_stride=1, store_fields=True, noise=None)
-    return solve_nse(xi, dense_cfg)
+    stepper = SkeletonStepper(dense_cfg, 0)
+    stepper.drifts = []
+    record = _drive(dense_cfg, xi.coeffs, indexed_step(stepper.step), alpha_for_norms=0.0)
+    record.drifts = stepper.drifts
+    return record
 
 
 def _require_noise(cfg):
@@ -311,6 +321,9 @@ class UnifiedStepper(_Stepper):
     ``lam_delta = 1``).  The drift is the difference quotient
     ``[J_a Btilde(w, (I + a^2 A) w) - B(u_n, u_n)] / lam_delta`` of the smoothed
     and the limit drifts, so for delta=1 ``y`` is exactly ``(u_a - u) / lam_delta``.
+    ``B(u_n, u_n)`` is the reference step's own drift: ``b_n``, from the dense
+    record's ``drifts``, is the same kernel call on the same state, so the
+    step is the same bit for bit with it.  Without ``b_n`` the step forms it.
 
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.
@@ -338,24 +351,24 @@ class UnifiedStepper(_Stepper):
         np.multiply(y, self.lam_delta, out=w)
         return np.add(u_n, w, out=w)
 
-    def drift(self, w, u_n):
+    def drift(self, w, u_n, b_n=None):
         """Drift at the coefficient argument ``w``: ``J_a Btilde(w, (I + a^2 A) w)``,
-        and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``.
-        Returns a fresh array."""
+        and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``,
+        with ``B(u_n, u_n)`` given as ``b_n`` or formed here.  Returns a fresh array."""
         lat, alpha = self.lat, self.alpha
         drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha, out=self._buffer(w.shape, 1)), alpha)
         if self.delta == 1:
-            np.subtract(drift, lat.bilinear_b(u_n, u_n), out=drift)
+            np.subtract(drift, lat.bilinear_b(u_n, u_n) if b_n is None else b_n, out=drift)
             np.divide(drift, self.lam_delta, out=drift)
         return drift
 
-    def step(self, y, u_n=None, dw=None, h_n=None):
+    def step(self, y, u_n=None, b_n=None, dw=None, h_n=None):
         if self.delta == 1 and u_n is None:
             raise ValueError("delta=1 needs the reference-system state u_n")
         alpha = self.alpha
         w = self.coefficient_argument(y, u_n)
         # S (y - dt drift + dt G h + noise_scale G dW), in place on the drift
-        rhs = self.drift(w, u_n)
+        rhs = self.drift(w, u_n, b_n)
         np.multiply(rhs, self.dt, out=rhs)
         np.subtract(y, rhs, out=rhs)
         if self.noise is not None:
@@ -397,8 +410,10 @@ def solve_unified(
         _require_noise(cfg)
     stepper = UnifiedStepper(cfg, delta)
     u_fields = _dense_fields(nse, cfg, "solve_unified") if delta == 1 else None
+    b_fields = nse.drifts if delta == 1 else None
     inc = None if (wiener is None or cfg.noise is None) else wiener.increments
-    step = indexed_step(stepper.step, u_n=u_fields, dw=inc, h_n=None if h is None else h.values)
+    step = indexed_step(stepper.step, u_n=u_fields, b_n=b_fields, dw=inc,
+                        h_n=None if h is None else h.values)
     return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=cfg.alpha)
 
 
@@ -416,7 +431,10 @@ class SkeletonStepper(_Stepper):
     Like ``UnifiedStepper`` a step allocates only the state it returns: the
     coefficient argument is ``y`` or ``u_n`` itself, so only buffer 1 is
     used, for the noise term, and the drift array becomes the new state.
+    Set ``drifts`` to a list to keep a copy of each step's drift in it.
     """
+
+    drifts = None
 
     def coefficient_argument(self, y, u_n):
         return y if self.delta == 0 else u_n
@@ -430,6 +448,8 @@ class SkeletonStepper(_Stepper):
     def step(self, y, u_n=None, h_n=None):
         # S (y - dt drift + dt G h), in place on the drift
         rhs = self.drift(y, u_n)
+        if self.drifts is not None:
+            self.drifts.append(rhs.copy())  # before rhs becomes the new state
         np.multiply(rhs, self.dt, out=rhs)
         np.subtract(y, rhs, out=rhs)
         if h_n is not None and self.noise is not None:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import lans2d
 from lans2d import (
     Control,
     dense_nse,
+    identity_report,
     make_lattice,
     random_field,
     solve_nse,
@@ -235,6 +237,31 @@ class TestCli:
         assert code == 0
         rows = read_csv(out / "identities.csv")
         assert all(r["ok"] == 1.0 for r in rows if not r["check"].startswith("estimate"))
+
+    def test_identity_row_names_the_runs_alpha(self, tmp_path):
+        code, out = run_cli(["verify-identities", "--n", "8", "--alpha", "0.05",
+                             "--set", "experiment.trials=5"], tmp_path, "ids")
+        assert code == 0
+        values = {r["check"]: r["value"] for r in read_csv(out / "identities.csv")}
+        name = "cancel_btilde_alpha(alpha=0.05)"
+        report = identity_report(make_lattice(8), 5, RunConfig().seed, alpha=0.05)
+        assert values[name] == report[name]
+
+    def test_mdp_check_memory_stays_bounded(self, tmp_path):
+        # the limit flow's record (fields and drifts), the rescaled and the
+        # unified record: the delta=0 record is gone before the delta=1 run
+        args = ["mdp-check", "--preset", "unified-default", "--n", "16", "--alphas", "0.1",
+                "--t-final", "0.2"]
+        assert run_cli(args, tmp_path, "warm")[0] == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(args, tmp_path, "traced")[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = (round(0.2 / preset("unified-default").dt) + 1) * np.zeros(
+            make_lattice(16).shape, complex).nbytes
+        assert peak <= 5.5 * record
 
     def test_simulate_nse_builds_no_noise(self, tmp_path):
         # unified-default's noise mode (2, -1) lies outside n = 4's band; the

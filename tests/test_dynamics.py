@@ -17,6 +17,7 @@ from lans2d import (
     dense_nse,
     energy_report,
     make_lattice,
+    mdp_rescale,
     random_field,
     sample_wiener,
     single_shear,
@@ -28,7 +29,7 @@ from lans2d import (
     zero_control,
     zero_field,
 )
-from lans2d.dynamics import UnifiedStepper, march
+from lans2d.dynamics import UnifiedStepper, indexed_step, march
 
 
 def cfg_for(lat, dt=1e-3, T=0.5, alpha=0.1, noise=None, **kw):
@@ -152,6 +153,21 @@ class TestNse:
             assert abs(recomputed - traj.norm_alpha[i]) <= 1e-10 * max(1.0, recomputed)
             direct = math.sqrt(traj.norm_h[i] ** 2 + 0.3**2 * traj.norm_a[i] ** 2)
             assert direct == pytest.approx(traj.norm_alpha[i], abs=1e-10)
+
+    def test_recorded_norms_are_the_norm_methods_bit_for_bit(self):
+        # the recorder and mdp_rescale take their norms from one reduction each
+        lat = make_lattice(16)
+        xi = random_field(lat, np.random.default_rng(12))
+        noise = additive_noise(lat, [0.3], [(1, 0)])
+        cfg = cfg_for(lat, dt=1e-3, T=0.05, alpha=0.3, noise=noise, store_fields=True)
+        lans = solve_lans(xi, cfg, sample_wiener(1, 1e-3, 50, 3))
+        rescaled = mdp_rescale(lans, dense_nse(xi, cfg), ScalingLaw(cfg.kappa, 1), lat)
+        for traj in (lans, rescaled):
+            for name, norm in (("norm_h", lat.norm_h), ("norm_v", lat.norm_v),
+                               ("norm_a", lat.norm_a),
+                               ("norm_alpha", lambda f: lat.norm_alpha(f, 0.3))):
+                each = np.array([float(norm(f)) for f in traj.fields])
+                assert getattr(traj, name).tobytes() == each.tobytes(), name
 
 
 class TestMarch:
@@ -320,6 +336,34 @@ class TestUnified:
         operands = size(lat.btilde_alpha(w, lat.unsmooth(w, alpha), alpha))
         scale = size(expanded) + (operands + size(lat.bilinear_b(u, u))) / ld
         assert np.all(size(drift - expanded) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("n", [4, 16])  # the Galerkin tensor and the transforms
+    def test_dense_record_keeps_each_steps_drift(self, n):
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(n))
+        cfg = cfg_for(lat, dt=1e-3, T=0.05)
+        nse = dense_nse(xi, cfg)
+        assert len(nse.drifts) == cfg.steps
+        for f, b in zip(nse.fields, nse.drifts):
+            assert b.tobytes() == lat.bilinear_b(f, f).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_reused_drift_repeats_the_formed_one_bit_for_bit(self, n, monkeypatch):
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(n))
+        noise = additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
+        cfg = cfg_for(lat, dt=1e-3, T=0.05, alpha=0.1, noise=noise, store_fields=True)
+        w = sample_wiener(2, cfg.dt, cfg.steps, 79)
+        nse = dense_nse(xi, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(lat), "bilinear_b", lambda *a: pytest.fail("B formed again"))
+            unified = solve_unified(1, xi, cfg, wiener=w, nse=nse)
+        # the reference: a stepper given no b_n forms B(u_n, u_n) itself
+        step = indexed_step(UnifiedStepper(cfg, 1).step, u_n=nse.fields, dw=w.increments)
+        states = []
+        march(step, np.zeros(lat.shape, complex), cfg.steps,
+              lambda m, y, nh: states.append(y), lat)
+        assert [a.tobytes() for a in unified.fields] == [b.tobytes() for b in states]
 
     def test_delta1_zero_reference_zero_trajectory(self, setup):
         lat, _, noise = setup

@@ -124,6 +124,19 @@ class TestNorms:
         assert lat16.norm_h(u) == pytest.approx(1.0)
         assert lat16.norm_alpha(u, 0.5) == pytest.approx(np.sqrt(1.25))
 
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("batch", [None, 8])
+    def test_stacked_norms_are_the_norm_methods_bit_for_bit(self, n, batch):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(n)
+        u = np.stack([random_field(lat, rng, norm=None).coeffs for _ in range(batch or 1)])
+        if batch is None:
+            u = u[0]
+        table = lat.norm_table(0.05)
+        each = [lat.norm_h(u), lat.norm_v(u), lat.norm_a(u), lat.norm_alpha(u, 0.05)]
+        assert lat.stacked_norms(u, table).tobytes() == np.stack(each).tobytes()
+        assert lat.stacked_norms(u, table[1:]).tobytes() == np.stack(each[1:]).tobytes()
+
     def test_poincare(self, lat32, rng):
         for _ in range(100):
             u = random_field(lat32, rng, norm=None).coeffs
