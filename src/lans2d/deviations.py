@@ -408,12 +408,13 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
 
 # Monte Carlo batches hold about this many bytes of states and increments.
 # It bounds memory, not what a batch touches: the first step of a batch makes
-# the quadratic kernel's scratch and the stepper's buffers and peaks at 31
-# times the states by transforms (n = 16 and 32: the grid samples of six
-# fields, 26-63 MB) and at 18 times by Galerkin tensors (n = 4: the products
-# of the coordinates, 7 MB); later steps allocate only the new state and
-# numpy's iteration buffers, 1.1-1.7 times the states (tracemalloc, one step
-# of a fresh stepper on a batch of this size)
+# the quadratic kernel's scratch and the stepper's buffers and peaks at 9-11
+# times the states by transforms (unified-default at T = 0.1, n = 16 and 32:
+# the grid samples of Btilde's three planes per field, 8-15 MB) and at 13
+# times by Galerkin tensors (ou-toy, n = 4: the products of the coordinates,
+# 5 MB); later steps allocate only the new state and numpy's iteration
+# buffers, 1.1-1.7 times the states (tracemalloc, one step of a fresh stepper
+# on a batch of this size)
 _BATCH_BYTES = 1 << 21
 
 

@@ -321,6 +321,8 @@ class UnifiedStepper(_Stepper):
     ``lam_delta = 1``).  The drift is the difference quotient
     ``[J_a Btilde(w, (I + a^2 A) w) - B(u_n, u_n)] / lam_delta`` of the smoothed
     and the limit drifts, so for delta=1 ``y`` is exactly ``(u_a - u) / lam_delta``.
+    ``Btilde`` is one kernel call in rotational form, ``P(q (-w_2, w_1))``
+    with ``q`` the curl of ``(I + a^2 A) w``: 3 planes per field on the grid.
     ``B(u_n, u_n)`` is the reference step's own drift: ``b_n``, from the dense
     record's ``drifts``, is the same kernel call on the same state, so the
     step is the same bit for bit with it.  Without ``b_n`` the step forms it.
@@ -426,7 +428,8 @@ class SkeletonStepper(_Stepper):
     ``B(u_n, y) + B(y, u_n)`` is the alpha -> 0 limit of the unified delta=1
     drift, the difference quotient of ``B`` at ``u_n`` in the direction
     ``y`` (``Btilde(w, w) = B(w, w)``, ``J_a -> I`` and ``lam_delta -> 0``),
-    formed by one stacked kernel call.
+    formed by one stacked kernel call in rotational form,
+    ``P(-u_n x curl y - y x curl u_n)``: 6 planes per field on the grid.
 
     Like ``UnifiedStepper`` a step allocates only the state it returns: the
     coefficient argument is ``y`` or ``u_n`` itself, so only buffer 1 is

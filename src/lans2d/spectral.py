@@ -14,10 +14,18 @@ column holds both signs of ``k1`` as conjugate pairs; the pairings count the
 other columns twice, for their implied mirrors.  Everything diagonal in
 Fourier space (Stokes powers, the Helmholtz smoother, the Leray projector)
 is applied exactly.  Quadratic terms are formed pseudo-spectrally by one
-kernel from a list of one or two terms, each a value field contracted with
-a gradient: one real inverse transform of the stacked values and
-derivatives the terms need, their products summed on the ``n x n`` grid,
-one real forward transform and the projection.  All operations accept
+kernel from a list of one or two terms, each a value field paired with a
+second field: one real inverse transform of the scalar planes the terms need,
+stacked, their products summed on the ``n x n`` grid, one real forward
+transform and the projection.  ``B~`` and the linearized drift
+``B(u, v) + B(v, u)`` are formed in rotational form (Foias, Holm & Titi,
+Physica D 152, 2001): ``B~(u, v) = P(q (-u_2, u_1))`` with
+``q = d_1 v_2 - d_2 v_1`` the curl of ``v``, because the advective form
+``u . grad v + sum_j v_j grad u_j`` differs from it by ``grad(u . v)``, which
+``P`` removes.  So ``B~`` brings 3 planes per field to the grid, ``u_1``,
+``u_2`` and ``q``, where the advective form takes 12, and the linearized drift
+6.  ``B`` and ``adjoint_b_first`` have no such form and take 6 each: the value
+field and the two gradients it is contracted with.  All operations accept
 leading batch axes, i.e. shape ``(..., 2, 2K+1, K+1)``, and broadcast them.
 
 On the two-thirds band that product is the exact Galerkin convolution
@@ -28,26 +36,26 @@ imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  A lattice whose
 tensors, ``m*m x 4(2K+1)(K+1)`` floats each, fit ``_TENSOR_BYTES`` builds a
 form's tensor on first use, by one batched kernel call on every pair of
 basis fields, and keeps the rows of the pairs that contribute (84 of 324 at
-n = 4 and 6), dropping rows that hold only the transforms' rounding.  From
-then on it applies the form as the products of its operands' coordinate
-pairs times those rows, with no transform.  ``B~`` and ``linearized_b``
-contract with one tensor of their summed terms.  The bound sits at the
-measured crossover (2-vCPU Xeon VM, a 1 000-field ``B~``): at n = 4 (62 KB
-per tensor) 0.29 ms against 2.96 ms by transforms, at n = 6 0.3-0.5 against
-5.9 ms, at n = 8 (1.2 MB) 11.9 against 8.0 ms.  The contraction runs as
-GEMMs of a fixed ``_BLOCK`` rows, so a field's rounding depends neither on its
-batch nor on its place in it; at n = 4 and 6 it does not depend on the BLAS
-thread count either, which larger GEMMs' does.  The two routes agree to
+n = 4 and 6 for ``B~``), dropping rows that hold only the transforms'
+rounding.  From then on it applies the form as the products of its operands'
+coordinate pairs times those rows, with no transform; ``linearized_b``
+contracts with one tensor of its two terms.  The bound sits at the
+measured crossover (2-vCPU Xeon VM, one BLAS thread, a 1 000-field ``B~`` in
+rotational form): at n = 4 (62 KB per tensor) 0.32 ms against 1.33 ms by
+transforms, at n = 6 0.54 against 2.27 ms, at n = 8 (1.2 MB) 12.8 against
+3.8 ms.  The contraction runs as GEMMs of a fixed ``_BLOCK`` rows, so a
+field's rounding depends neither on its batch nor on its place in it; at
+n = 4 and 6 it does not depend on the BLAS thread count either, which larger
+GEMMs' does.  The two routes agree to
 rounding (4e-16 relative).
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
-one per field count (3 for the one-term forms ``B`` and ``adjoint_b_first``,
-6 for the two-term forms ``B~`` and ``linearized_b``), and a contraction's
-coordinates and products in one per form; each is made for the first batch
-shape and replaced when the shape changes.  So a lattice is not to be
-shared between threads that use it at the same time; pickling it sends only
-``n``, neither the scratch nor the tensors.
+one per plane count (3 for ``B~``, 6 for ``B``, ``adjoint_b_first`` and
+``linearized_b``), and a contraction's coordinates and products in one per
+form; each is made for the first batch shape and replaced when the shape
+changes.  So a lattice is not to be shared between threads that use it at the
+same time; pickling it sends only ``n``, neither the scratch nor the tensors.
 
 The reports at the end take the worst ratio of each check over random field
 triples ``u, v, w``, from one table per triple: each identity's residual and
@@ -79,6 +87,8 @@ _BLOCK = 32
 # A tensor row whose entries are all at most this fraction of the tensor's
 # largest is rounding where the exact Galerkin product is zero.
 _ROUNDING = 1e-12
+# Scalar planes a term of each pairing stacks for the transforms.
+_PLANES = {"curl": 3, "d": 6, "grad": 6}
 
 
 class LatticeMismatchError(ValueError):
@@ -158,7 +168,7 @@ class TorusLattice:
         object.__setattr__(self, "_edge", edge)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_tensors", {} if small else None)  # pairings -> tensor
-        # field count -> _KernelScratch, pairings -> _ContractionScratch
+        # plane count -> _KernelScratch, pairings -> _ContractionScratch
         object.__setattr__(self, "_scratch", {})
 
     def __reduce__(self):
@@ -287,13 +297,14 @@ class TorusLattice:
     # -- quadratic terms ------------------------------------------------------
 
     def _quadratic(self, terms):
-        """``P sum_t sum_j x_j g_j`` over a short list of terms ``(x, pairing, f)``.
+        """``P sum_t F_t`` over a short list of terms ``(x, pairing, f)``.
 
-        Each term contracts one value field ``x`` with one gradient ``g``,
-        ``sum_j x_j g_j`` where ``g_j`` is a vector field: ``d_j f`` for the
-        pairing ``"d"`` (advection, ``x . grad f``) and ``grad f_j`` for
-        ``"grad"`` (the transpose, ``(grad f)^T x``).  On a lattice with
-        Galerkin tensors, one term, or two whose second swaps the first's
+        Each term pairs one value field ``x`` with field ``f``.  For ``"d"``
+        (advection, ``x . grad f``) and ``"grad"`` (the transpose,
+        ``(grad f)^T x``) it is ``sum_j x_j g_j`` with the vector field ``g_j``
+        ``d_j f`` or ``grad f_j``; for ``"curl"`` it is ``q (-x_2, x_1)``,
+        ``-x`` cross the curl ``q = d_1 f_2 - d_2 f_1`` of ``f``.  On a lattice
+        with Galerkin tensors, one term, or two whose second swaps the first's
         operands, is one contraction with the form's tensor; otherwise the
         terms go through the transforms.
         """
@@ -304,33 +315,43 @@ class TorusLattice:
         return self._transform_quadratic(terms)
 
     def _transform_quadratic(self, terms):
-        """:meth:`_quadratic` by transforms.  The values and gradients of every
-        term are written on the band into one stack, brought to the grid by
-        one inverse transform, multiplied there, and the summed product is
-        brought back by one forward transform (which keeps only the band) and
-        projected.  Everything but the projected result lives in the
-        lattice's scratch."""
-        K = self._edge
+        """:meth:`_quadratic` by transforms.  Every term writes the scalar
+        planes it needs on the band into one stack: a ``"curl"`` term 3
+        (``(-x_2, x_1)`` and ``q``), a ``"d"`` or ``"grad"`` term 6 (``x``,
+        ``g_1`` and ``g_2``).  One inverse transform brings the stack to the
+        grid, where each product of a scalar with a vector is formed in place
+        of the vector and the products are summed; one forward transform
+        (which keeps only the band) brings the sum back, and it is projected.
+        Everything but the projected result lives in the lattice's scratch."""
+        ik, pairings = self._ik, tuple(pairing for _, pairing, _ in terms)
         shape = np.broadcast_shapes(*(a.shape for x, _, f in terms for a in (x, f)))
-        batch, fields = shape[:-3], 3 * len(terms)
-        s = self._scratch.get(fields)
-        if s is None or s.batch != batch:
-            s = self._scratch[fields] = _KernelScratch(self.n, K, batch, fields)
-        for t, (x, pairing, f) in enumerate(terms):
-            np.copyto(s.stack[3 * t], x)
-            for j in (0, 1):
+        planes = sum(_PLANES[pairing] for pairing in pairings)
+        s = self._scratch.get(planes)
+        if s is None or s.batch != shape[:-3]:
+            s = self._scratch[planes] = _KernelScratch(self.n, self._edge, shape[:-3], planes)
+        stacked, products = s.layout(pairings)
+        for (x, pairing, f), views in zip(terms, stacked):
+            if pairing == "curl":  # (-x_2, x_1), then q = d_1 f_2 - d_2 f_1
+                rotated_1, rotated_2, q = views
+                np.multiply(f[..., 1:, :, :], ik[0], out=q)
+                np.multiply(f[..., :1, :, :], ik[1], out=rotated_1)  # d_2 f_1, until -x_2
+                np.subtract(q, rotated_1, out=q)
+                np.negative(x[..., 1:, :, :], out=rotated_1)
+                np.copyto(rotated_2, x[..., :1, :, :])
+                continue
+            value, *gradients = views
+            np.copyto(value, x)
+            for j, g in enumerate(gradients):
                 if pairing == "d":  # g_j = d_j f
-                    np.multiply(f, self._ik[j], out=s.stack[3 * t + 1 + j])
+                    np.multiply(f, ik[j], out=g)
                 else:  # g_j = grad f_j
-                    np.multiply(f[..., j : j + 1, :, :], self._ik, out=s.stack[3 * t + 1 + j])
-        phys = self.to_physical(s.stack, out=s.phys, half=s.half, band=s.band)
-        w = phys[1]  # the products accumulate in place of the first gradient
-        for t in range(len(terms)):
-            for j in (0, 1):
-                g = phys[3 * t + 1 + j]
-                np.multiply(phys[3 * t][..., j : j + 1, :, :], g, out=g)
-                if (t, j) != (0, 0):
-                    np.add(w, g, out=w)
+                    np.multiply(f[..., j : j + 1, :, :], ik, out=g)
+        self.to_physical(s.stack, out=s.phys, half=s.half, band=s.band)
+        w = products[0][1]  # the sum accumulates in place of the first product
+        for i, (scalar, vector) in enumerate(products):
+            np.multiply(scalar, vector, out=vector)
+            if i:
+                np.add(w, vector, out=w)
         spec = self.to_spectral(w, out=s.spectrum, half=s.product_half, band=s.product_band)
         return self.leray(spec, work=s.work)
 
@@ -380,8 +401,10 @@ class TorusLattice:
         return self._quadratic([(cu, "d", cv)])
 
     def bilinear_btilde(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-        """``Btilde(u, v) = P(u . grad v + sum_j v_j grad u_j)``."""
-        return self._quadratic([(cu, "d", cv), (cv, "grad", cu)])
+        """``Btilde(u, v) = P(u . grad v + sum_j v_j grad u_j)``, formed in
+        rotational form as ``P(q (-u_2, u_1))``, ``q`` the curl of ``v``: the
+        two differ by ``grad(u . v)``, which ``P`` removes."""
+        return self._quadratic([(cu, "curl", cv)])
 
     def btilde_alpha(self, cu: np.ndarray, cv: np.ndarray, alpha: float) -> np.ndarray:
         b = self.bilinear_btilde(cu, cv)
@@ -389,8 +412,10 @@ class TorusLattice:
 
     def linearized_b(self, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
         """``B(u, v) + B(v, u)``, the derivative of ``B(u, u)`` in the direction
-        ``v``, as one stacked call."""
-        return self._quadratic([(cu, "d", cv), (cv, "d", cu)])
+        ``v``, as one stacked call in rotational form: it is
+        ``P(grad(u . v) - u x curl v - v x curl u)``, and ``P`` removes the
+        gradient."""
+        return self._quadratic([(cu, "curl", cv), (cv, "curl", cu)])
 
     # -- adjoints of the linearized quadratic terms (H pairing) ---------------
 
@@ -439,21 +464,22 @@ def _buffer(buf, shape, dtype=np.complex128):
 
 
 class _KernelScratch:
-    """Work arrays of ``_quadratic`` for one batch shape and field count.
+    """Work arrays of ``_quadratic`` for one batch shape and plane count.
 
     Views into two arenas.  Each arena holds runs of arrays: the arrays of a
     run are alive together and lie end to end, the runs of an arena are alive
     one after another and all start at its beginning.  Arena one holds the
-    stack (field-major, ``(fields, *batch, 2, 2K + 1, K + 1)``) and the
-    inverse transform's band copy, then the grid samples, then the band copy
-    of the product's forward transform.  Arena two holds the half spectrum
-    of the inverse transform, then the product's half spectrum and its band
+    stack (``planes * prod(batch)`` planes ``(2K + 1, K + 1)``: each vector or
+    scalar a term writes is one block of whole fields) and the inverse
+    transform's band copy, then the grid samples, then the band copy of the
+    product's forward transform.  Arena two holds the half spectrum of the
+    inverse transform, then the product's half spectrum and its band
     coefficients, then the Leray product.
     """
 
-    def __init__(self, n, K, batch, fields):
-        self.batch = batch
-        lead, prod, c16 = (fields,) + batch + (2,), batch + (2,), np.complex128
+    def __init__(self, n, K, batch, planes):
+        self.batch, self._layouts = batch, {}
+        lead, prod, c16 = (planes * math.prod(batch),), batch + (2,), np.complex128
         rows = 2 * K + 1
         for runs in (
             [[("stack", lead + (rows, K + 1), c16), ("band", lead + (K + 1, n), c16)],
@@ -472,6 +498,35 @@ class _KernelScratch:
                 for (name, shape, dtype), size in zip(run, run_sizes):
                     setattr(self, name, arena[start : start + size].view(dtype).reshape(shape))
                     start += size
+
+    def layout(self, pairings):
+        """Views for the terms ``pairings``, made on first use: per term, the
+        stack views it writes (``"curl"``: ``-x_2``, ``x_1``, ``q``; else
+        ``x``, ``g_1``, ``g_2``), and the ``(scalar, vector)`` views of the
+        grid samples whose products sum to the form."""
+        views = self._layouts.get(pairings)
+        if views is None:
+            fields = math.prod(self.batch)
+
+            def block(a, at, planes):  # planes at..at+planes-1 of every field
+                return a[at * fields : (at + planes) * fields].reshape(
+                    self.batch + (planes,) + a.shape[1:])
+
+            stacked, products, at = [], [], 0
+            for pairing in pairings:
+                if pairing == "curl":
+                    rotated = block(self.stack, at, 2)
+                    stacked.append((rotated[..., :1, :, :], rotated[..., 1:, :, :],
+                                    block(self.stack, at + 2, 1)))
+                    products.append((block(self.phys, at + 2, 1), block(self.phys, at, 2)))
+                else:
+                    stacked.append(tuple(block(self.stack, at + 2 * i, 2) for i in range(3)))
+                    x = block(self.phys, at, 2)
+                    products += [(x[..., j : j + 1, :, :], block(self.phys, at + 2 + 2 * j, 2))
+                                 for j in (0, 1)]
+                at += _PLANES[pairing]
+            views = self._layouts[pairings] = (stacked, products)
+        return views
 
 
 def _gather(a, index, buf):
@@ -692,7 +747,9 @@ def _worst_ratios(table, lattice, trials, seed, norm):
 
 def _identity_residuals(lat, u, v, w, alpha):
     """Each identity's residual at one triple and the scale it is measured by;
-    ``alpha`` is the smoothing scale of ``cancel_btilde_alpha``."""
+    ``alpha`` is the smoothing scale of ``cancel_btilde_alpha``.  ``B~`` is
+    formed in rotational form and ``B`` in advective form, so the checks that
+    hold both compare two routes."""
     scale = float(lat.norm_h(u) * lat.norm_h(v) * lat.norm_h(w))
     buv, buw, bwv = lat.bilinear_b(u, v), lat.bilinear_b(u, w), lat.bilinear_b(w, v)
     btuv = lat.bilinear_btilde(u, v)

@@ -1,5 +1,6 @@
-"""The benchmark record: per-layer figures over the first traced ops, and the
-record of a change that claims no gain."""
+"""The benchmark record: per-layer figures over the first traced ops, the
+record of a change that claims no gain, the verdict of each gated metric
+against its bound, and whether a claim is met."""
 
 import argparse
 import json
@@ -12,7 +13,11 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 import bench_record  # noqa: E402
-from bench_record import first_ops  # noqa: E402
+from bench_record import first_ops, verdict  # noqa: E402
+
+GATED = [{"name": "op_s_p50", "better": "lower", "bound": 0.25},
+         {"name": "setup_s", "better": "lower", "bound": 0.25},
+         {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
 
 
 def test_first_ops_counts_and_self_times(tmp_path):
@@ -41,6 +46,14 @@ def fake_run(workload, seed, op_s, attempted=10, failed=0):
             "failed": failed, "metrics": metrics, "env": {"nproc": 2}}
 
 
+def benchmark_tree(tmp_path):
+    """A parent checkout holding only its ``BENCHMARK.json``."""
+    tree = tmp_path / "parent"
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": GATED}))
+    return str(tree)
+
+
 def test_record_without_a_claim_summarizes_every_workload_and_traces_nothing(
         tmp_path, monkeypatch):
     runs = tmp_path / "runs"
@@ -56,8 +69,9 @@ def test_record_without_a_claim_summarizes_every_workload_and_traces_nothing(
     (runs / "pairs.jsonl").write_text("".join(json.dumps(p) + "\n" for p in order))
     monkeypatch.setattr(bench_record, "run_bench", lambda *a: pytest.fail("ran a benchmark"))
     out = tmp_path / "BENCH.json"
-    bench_record.record(argparse.Namespace(parent="p", change="c", runs=str(runs), claim=None,
-                                           traced_seed=None, out=str(out)))
+    bench_record.record(argparse.Namespace(parent=benchmark_tree(tmp_path), change="c",
+                                           runs=str(runs), claim=None, traced_seed=None,
+                                           out=str(out)))
     got = json.loads(out.read_text())
     assert got["claim"] is None and got["per_layer_first_traced_ops"] == {}
     assert "traced_command" not in got["settings"]
@@ -70,3 +84,62 @@ def test_record_without_a_claim_summarizes_every_workload_and_traces_nothing(
     assert w1["parent"]["fail_frac"] == w1["change"]["fail_frac"] == 0.0
     assert w2["change"]["fail_frac"] == 1 / 20
     assert got["env"] == {"nproc": 2}
+    # 3.0 -> 4.0 s, but the parent itself reads 2.0-4.0 s
+    assert w1["verdicts"]["op_s_p50"]["verdict"] == "unresolved"
+    assert w1["verdicts"]["setup_s"] == {"relative_change": 0.0, "bound": 0.25,
+                                         "parent_relative_spread": 0.0, "verdict": "within"}
+    assert w2["verdicts"]["fail_frac"] == "regressed" and w1["verdicts"]["fail_frac"] == "within"
+
+
+LOWER = {"better": "lower", "bound": 0.25}
+
+
+@pytest.mark.parametrize("parent, change, metric, want", [
+    # a tight parent: the median change against the bound
+    ([1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2], LOWER, "within"),
+    ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], LOWER, "regressed"),
+    ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], {"better": "higher", "bound": 0.25},
+     "within"),
+    ([1.0, 1.01, 0.99, 1.0], [0.7, 0.71, 0.69, 0.7], {"better": "higher", "bound": 0.25},
+     "regressed"),
+    # the parent spreads wider than the bound: unresolved either way ...
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [0.7, 0.9, 1.0, 1.1, 1.3], LOWER, "unresolved"),
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [1.0, 1.2, 1.4, 1.6, 1.8], LOWER, "unresolved"),
+    # ... unless every run of the change reads better than every parent run
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [0.3, 0.4, 0.5, 0.55, 0.59], LOWER, "within"),
+])
+def test_verdict_against_the_bound(parent, change, metric, want):
+    got = verdict(parent, change, metric)
+    assert got["verdict"] == want
+    assert got["bound"] == metric["bound"]
+    median = sorted(parent)[len(parent) // 2]
+    assert got["relative_change"] == pytest.approx(
+        (sorted(change)[len(change) // 2] - median) / median, abs=1e-5)
+
+
+@pytest.mark.parametrize("change_s, failed, met", [
+    ([0.5] * 9 + [2.0], 0, True),  # 9 of 10 pairs won, gap 0.5 s > spread
+    ([0.5] * 8 + [2.0] * 2, 0, False),  # 8 of 10 pairs
+    ([0.99] * 10, 0, False),  # 10 of 10, but the 0.01 s gap is within the spread
+    ([0.5] * 10, 1, False),  # more of the change's ops fail
+])
+def test_claim_met(tmp_path, monkeypatch, change_s, failed, met):
+    runs = tmp_path / "runs"
+    parent_s = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.0]
+    order = [{"workload": "w", "seed": seed, "first": "parent" if seed % 2 else "change"}
+             for seed in range(10)]
+    for side, times, fail in (("parent", parent_s, 0), ("change", change_s, failed)):
+        os.makedirs(runs / side)
+        for seed, op_s in enumerate(times):
+            (runs / side / f"w-{seed}.json").write_text(
+                json.dumps(fake_run("w", seed, op_s, failed=fail)))
+    (runs / "pairs.jsonl").write_text("".join(json.dumps(p) + "\n" for p in order))
+    monkeypatch.setattr(bench_record, "run_bench", lambda *a: None)
+    monkeypatch.setattr(bench_record, "first_ops", lambda path: {"ops": [], "layers": {}})
+    out = tmp_path / "BENCH.json"
+    bench_record.record(argparse.Namespace(parent=benchmark_tree(tmp_path), change="c",
+                                           runs=str(runs), claim="w", traced_seed=3,
+                                           out=str(out)))
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["change_wins"] == sum(c < p for c, p in zip(change_s, parent_s))
+    assert claim["claim_met"] is met

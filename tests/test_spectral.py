@@ -304,9 +304,9 @@ class TestIdentityProperties:
         assert np.all(nh(diag) <= 1e-13 * nh(u) ** 2)
 
     # n=4 takes the Galerkin tensors (a scratch per form), n=16 the
-    # transforms (a scratch per field count)
+    # transforms (a scratch per plane count)
     @pytest.mark.parametrize("n, scratch", [
-        (4, [("d",), ("d", "d"), ("d", "grad"), ("grad",)]), (16, [3, 6])], ids=["4", "16"])
+        (4, [("curl",), ("curl", "curl"), ("d",), ("grad",)]), (16, [3, 6])], ids=["4", "16"])
     def test_batch_splits_are_bit_identical(self, n, scratch):
         lat = make_lattice(n)
         rng = np.random.default_rng(7)
@@ -350,6 +350,46 @@ class TestIdentityProperties:
         assert stacked.shape == expansion.shape
         assert np.all(nh(stacked - expansion) <= 1e-13 * (nh(u) * nv(v) + nv(u) * nh(v)))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 32).map(lambda h: 2 * h),
+        shapes=st.sampled_from([(None, None), (3, 3), (None, 3), (3, None)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotational_btilde_equals_its_advective_form(self, n, shapes, seed):
+        # Btilde(u, v) = P(q (-u_2, u_1)) against B(u, v) + P((grad u)^T v),
+        # the two advective terms it replaces, relative to its operands' size
+        lat = make_lattice(n)
+        rng = np.random.default_rng(seed)
+        u, v = (_fields(lat, rng, batch) for batch in shapes)
+        nh, nv = lat.norm_h, lat.norm_v
+        rotational = lat.bilinear_btilde(u, v)
+        advective = lat.bilinear_b(u, v) + lat.adjoint_b_first(u, v)
+        assert rotational.shape == advective.shape
+        assert np.all(nh(rotational - advective) <= 1e-13 * (nh(u) * nv(v) + nv(u) * nh(v)))
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_planes_transformed_per_field(self, batch, monkeypatch):
+        # the rotational form brings u_1, u_2 and curl v to the grid: 3 planes
+        # per field for Btilde where its advective form takes 12
+        lat = make_lattice(16)
+        rng = np.random.default_rng(12)
+        u, v = _fields(lat, rng, batch), _fields(lat, rng, batch)
+        planes = []
+        for name in ("to_physical", "to_spectral"):
+            def counting(self, a, *args, transform=getattr(TorusLattice, name), **kwargs):
+                planes.append(a.size // ((batch or 1) * a.shape[-2] * a.shape[-1]))
+                return transform(self, a, *args, **kwargs)
+
+            monkeypatch.setattr(TorusLattice, name, counting)
+        per_form = {}
+        for name in ("bilinear_btilde", "linearized_b", "bilinear_b", "adjoint_b_first"):
+            planes.clear()
+            getattr(lat, name)(u, v)
+            per_form[name] = list(planes)
+        assert per_form == {"bilinear_btilde": [3, 2], "linearized_b": [6, 2],
+                            "bilinear_b": [6, 2], "adjoint_b_first": [6, 2]}
+
 
 # prints a digest of the n=4 Btilde of a 1 000-field batch (the tensor route)
 BTILDE_DIGEST = """
@@ -384,9 +424,18 @@ class TestGalerkinTensors:
 
     def test_n6_keeps_the_rows_of_n4(self):
         # the same band (K = 1): rows that hold only the transforms' rounding go
-        forms = (("d",), ("d", "grad"), ("d", "d"), ("grad",))
+        forms = (("d",), ("curl",), ("curl", "curl"), ("grad",))
         rows = {n: [make_lattice(n)._tensor(p)[2].shape[0] for p in forms] for n in (4, 6)}
         assert rows[6] == rows[4] == [84, 84, 88, 80]
+
+    def test_rotational_btilde_tensor_is_the_advective_one(self):
+        # at n = 4 the rotational form's tensor is the two-term advective
+        # form's, built by the kernel on the same basis pairs, bit for bit
+        # (an exact zero may carry either sign, so zeros are taken as +0)
+        lat = make_lattice(4)
+        rotational, advective = lat._tensor(("curl",)), lat._tensor(("d", "grad"))
+        for got, want in zip(rotational, advective):
+            assert (got + 0).tobytes() == (want + 0).tobytes()
 
     def test_results_do_not_depend_on_the_blas_thread_count(self):
         src = os.path.dirname(os.path.dirname(lans2d.__file__))
@@ -512,7 +561,7 @@ class TestEstimateShapes:
             assert c <= 2.0 * consts[name], name
 
     def test_two_kernel_products_per_triple(self, lat16, monkeypatch):
-        # B(u, v) and Btilde(u, v) feed every estimate's left side
+        # B(u, v) and Btilde(u, v), one term each, feed every estimate's left side
         calls = []
         quadratic = TorusLattice._quadratic
 
@@ -522,7 +571,7 @@ class TestEstimateShapes:
 
         monkeypatch.setattr(TorusLattice, "_quadratic", counted)
         consts = calibrate_estimates(lat16, trials=5, seed=3)
-        assert calls == [1, 2] * 5
+        assert calls == [1, 1] * 5
         assert len(consts) == 7
 
     def test_no_trials_is_refused(self, lat16):

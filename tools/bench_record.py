@@ -8,13 +8,19 @@ PARENT and CHANGE are checkouts of the two commits; each side runs its own
 pair per seed, alternating which side goes first, and keeps the full result
 records under ``RUNS/parent`` and ``RUNS/change`` (``RUNS/pairs.jsonl`` holds
 the order).  ``record`` writes, per workload, each side's medians and
-quartiles of the gated metrics and ``fail_frac``.  With ``--claim`` it also
-writes the claimed workload's pairs, runs that workload once traced on each
-side, and writes the per-layer calls and self times averaged over the first
-traced ops, read from the span file; without it ``claim`` is null and
-nothing is traced.  The benchmark's own traced report averages over however
-many ops fit in the run, so its counts move with the speed when ops differ in
-work.
+quartiles of the gated metrics and ``fail_frac``, and each gated metric's
+verdict against its bound in ``BENCHMARK.json``: the relative median change,
+``unresolved`` where the parent's own quartile spread exceeds the bound
+(unless every run of the change reads better than every run of the parent),
+else ``regressed`` or ``within``.  With ``--claim`` it also writes the
+claimed workload's pairs and ``claim_met``: the change wins at least nine in
+ten pairs, its median beats the parent's by more than the parent's quartile
+spread, and no larger share of its ops fails.  It then runs that workload
+once traced on each side and writes the per-layer calls and self times
+averaged over the first traced ops, read from the span file; without
+``--claim``, ``claim`` is null and nothing is traced.  The benchmark's own
+traced report averages over however many ops fit in the run, so its counts
+move with the speed when ops differ in work.
 """
 
 import argparse
@@ -28,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
-from run import quantiles  # noqa: E402
+from run import load_spec, quantiles  # noqa: E402
 
 SIDES = ("parent", "change")
 FIRST_OPS = 5
@@ -78,6 +84,24 @@ def summary(values):
     return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
 
 
+def verdict(parent, change, metric):
+    """A gated metric's relative median change against its bound, from each
+    side's run values; ``metric`` is its entry in ``BENCHMARK.json``."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # positive: worse
+    (q1, median, q3), bound = quantiles(parent), metric["bound"]
+    change_median = quantiles(change)[1]
+    relative = (change_median - median) / median
+    spread = (q3 - q1) / median
+    if max(sign * v for v in change) < min(sign * v for v in parent):
+        status = "within"  # every run of the change reads better
+    elif spread > bound:
+        status = "unresolved"
+    else:
+        status = "regressed" if sign * relative > bound else "within"
+    return {"relative_change": round(relative, 5), "bound": bound,
+            "parent_relative_spread": round(spread, 5), "verdict": status}
+
+
 def record(args):
     results = {side: [] for side in SIDES}
     for side in SIDES:
@@ -86,34 +110,45 @@ def record(args):
                 results[side].append(json.load(fh))
     with open(os.path.join(args.runs, "pairs.jsonl")) as fh:
         order = [json.loads(line) for line in fh]
+    gated = {m["name"]: m for m in load_spec(args.parent)["end_to_end"]}
     out = {"settings": {"command": "python3 perfbench/run.py --workload W --seed S --trace 0",
                         "pairs_alternate_first_side": True},
            "workloads": {}, "claim": None, "per_layer_first_traced_ops": {}, "env": None}
     for workload in sorted({p["workload"] for p in order}):
         seeds = [p["seed"] for p in order if p["workload"] == workload]
         entry = {"seeds": seeds}
-        by_seed = {}
+        by_seed, values = {}, {}
         for side in SIDES:
             runs = [r for r in results[side] if r["workload"] == workload and r["trace"] == 0
                     and r["seed"] in seeds]
             by_seed[side] = {r["seed"]: r["metrics"]["op_s_p50"]["value"] for r in runs}
-            entry[side] = {name: summary([r["metrics"][name]["value"] for r in runs])
-                           for name in runs[0]["metrics"]}
+            values[side] = {name: [r["metrics"][name]["value"] for r in runs]
+                            for name in runs[0]["metrics"]}
+            entry[side] = {name: summary(v) for name, v in values[side].items()}
             entry[side]["fail_frac"] = (sum(r["failed"] for r in runs)
                                         / sum(r["attempted"] for r in runs))
             out["env"] = runs[0]["env"]
+        entry["verdicts"] = {name: verdict(values["parent"][name], values["change"][name], metric)
+                             for name, metric in gated.items()}
+        entry["verdicts"]["fail_frac"] = (
+            "within" if entry["change"]["fail_frac"] <= entry["parent"]["fail_frac"]
+            else "regressed")
         out["workloads"][workload] = entry
         if workload == args.claim:
             rows = [{"seed": p["seed"], "first": p["first"],
                      **{side: round(by_seed[side][p["seed"]], 5) for side in SIDES}}
                     for p in order if p["workload"] == workload]
-            out["claim"] = {
+            parent, change = entry["parent"], entry["change"]
+            claim = out["claim"] = {
                 "workload": workload, "metric": "op_s_p50", "pairs": rows,
                 "change_wins": sum(r["change"] < r["parent"] for r in rows),
-                "median_gap": round(entry["parent"]["op_s_p50"]["median"]
-                                    - entry["change"]["op_s_p50"]["median"], 5),
-                "parent_quartile_spread": round(entry["parent"]["op_s_p50"]["q3"]
-                                                - entry["parent"]["op_s_p50"]["q1"], 5)}
+                "median_gap": round(parent["op_s_p50"]["median"]
+                                    - change["op_s_p50"]["median"], 5),
+                "parent_quartile_spread": round(parent["op_s_p50"]["q3"]
+                                                - parent["op_s_p50"]["q1"], 5)}
+            claim["claim_met"] = (10 * claim["change_wins"] >= 9 * len(rows)
+                                  and claim["median_gap"] > claim["parent_quartile_spread"]
+                                  and change["fail_frac"] <= parent["fail_frac"])
     if args.claim is not None:
         claim, seed = args.claim, args.traced_seed
         out["settings"]["traced_command"] = (f"python3 perfbench/run.py --workload {claim} "
