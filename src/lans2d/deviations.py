@@ -426,12 +426,12 @@ def _batch_size(cfg):
 
 
 def _chunk_increments(J, dt, steps, master_seed, start, stop):
+    """Row ``i - start``: ``trajectory_wiener(J, dt, steps, master_seed, i).increments``,
+    drawn in place and scaled once for the chunk."""
     out = np.empty((stop - start, steps, J))
-    root = np.sqrt(dt)
     for i in range(start, stop):
-        rng = np.random.default_rng((int(master_seed), int(i)))
-        out[i - start] = rng.standard_normal((steps, J)) * root
-    return out
+        np.random.default_rng((int(master_seed), int(i))).standard_normal(out=out[i - start])
+    return np.multiply(out, np.sqrt(dt), out=out)
 
 
 def _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop, observe):

@@ -342,7 +342,9 @@ class UnifiedStepper(_Stepper):
         super().__init__(cfg, delta)
         self.alpha = cfg.alpha
         self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
-        self.noise_scale = math.sqrt(cfg.alpha) * (1.0 / self.lam_delta)
+        # multiplying by it divides by lam_delta to the last bit (see spectral)
+        self._inv_lam_delta = 1.0 / self.lam_delta
+        self.noise_scale = math.sqrt(cfg.alpha) * self._inv_lam_delta
 
     def coefficient_argument(self, y, u_n):
         """``w``: ``y`` itself for delta=0; for delta=1 the stepper's buffer,
@@ -361,7 +363,7 @@ class UnifiedStepper(_Stepper):
         drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha, out=self._buffer(w.shape, 1)), alpha)
         if self.delta == 1:
             np.subtract(drift, lat.bilinear_b(u_n, u_n) if b_n is None else b_n, out=drift)
-            np.divide(drift, self.lam_delta, out=drift)
+            np.multiply(drift, self._inv_lam_delta, out=drift)
         return drift
 
     def step(self, y, u_n=None, b_n=None, dw=None, h_n=None):

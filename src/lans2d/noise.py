@@ -11,6 +11,18 @@ probes ``psi_j``).  Both are Lipschitz and of linear growth in the
 Hilbert-Schmidt norms of HS(K, H) and HS(K, V) with the constructive constant
 ``C = sum_j sigma_j * max(1, ||phi_j||_V)``; offsets are restricted to
 ``|c_j| <= 1`` so the same constant also bounds the growth.
+
+An eigenmode direction touches at most 2 stored band entries (the
+unified-default's rank-4 noise touches 7 of 132 at n = 16), so the operator
+keeps, from construction, the indices of the entries where any output is
+nonzero, its support, and the outputs' values there, shape ``(J, s)``.
+``apply`` zero-fills the result and writes
+``einsum("...k,ks->...s", w, values)`` onto the support; ``apply_smoothed``
+multiplies those ``s`` sums by the smoother's reciprocal table on the
+support.  Both equal the dense ``einsum`` over every entry and the division
+of the whole field as floats: einsum sums the same products in the same
+order, which a BLAS product does not (its order follows the shape and the
+thread count).
 """
 
 from __future__ import annotations
@@ -24,6 +36,13 @@ from .spectral import TorusLattice, eigenmode_field
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "projection-multiplicative"
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``."""
+    a = np.array(a, dtype)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -40,31 +59,42 @@ class NoiseOperator:
     def __post_init__(self):
         if self.variant not in (ADDITIVE, MULTIPLICATIVE):
             raise ValueError(f"unknown noise variant {self.variant!r}")
-        sigma = np.asarray(self.sigma, float)
+        sigma = _frozen(self.sigma, float)
         if sigma.ndim != 1 or sigma.size == 0 or np.any(sigma <= 0):
             raise ValueError("sigma must be a nonempty vector of positive amplitudes")
         object.__setattr__(self, "sigma", sigma)
         J = sigma.size
         shape = (J,) + self.lattice.shape
-        if self.outputs.shape != shape:
+        outputs = _frozen(self.outputs, np.complex128)
+        if outputs.shape != shape:
             raise ValueError(f"outputs must have shape {shape} (J fields)")
-        hnorm = self.lattice.norm_h(self.outputs)
+        object.__setattr__(self, "outputs", outputs)
+        hnorm = self.lattice.norm_h(outputs)
         if np.abs(hnorm - 1.0).max() > 1e-8:
             raise ValueError("output directions must have unit H-norm")
-        div = self.lattice.k1 * self.outputs[:, 0] + self.lattice.k2 * self.outputs[:, 1]
+        div = self.lattice.k1 * outputs[:, 0] + self.lattice.k2 * outputs[:, 1]
         if np.abs(div).max() > 1e-10:
             raise ValueError("output directions must be divergence-free")
         if self.variant == MULTIPLICATIVE:
             if self.probes is None or self.offsets is None:
                 raise ValueError("multiplicative noise needs probes and offsets")
-            if self.probes.shape != shape:
+            probes = _frozen(self.probes, np.complex128)
+            if probes.shape != shape:
                 raise ValueError(f"probes must have shape {shape} (J fields)")
-            offsets = np.asarray(self.offsets, float)
+            offsets = _frozen(self.offsets, float)
             if offsets.shape != (J,):
                 raise ValueError("offsets must have shape (J,)")
             if np.any(np.abs(offsets) > 1.0):
                 raise ValueError("offsets must satisfy |c_j| <= 1")
+            object.__setattr__(self, "probes", probes)
             object.__setattr__(self, "offsets", offsets)
+        # (component, row, column) of each entry where some output is nonzero
+        support = np.nonzero(np.any(outputs != 0, axis=0))
+        values = outputs[(slice(None),) + support]
+        for arr in support + (values,):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_values", values)
 
     @property
     def rank(self) -> int:
@@ -84,15 +114,29 @@ class NoiseOperator:
     def apply(self, u: np.ndarray | None, coords: np.ndarray, out=None) -> np.ndarray:
         """``G(u) . coords`` as a raw coefficient array (batch axes allowed),
         written into ``out`` if given."""
+        return self._scatter(u, coords, out)
+
+    def apply_smoothed(self, u, coords, alpha: float, out=None) -> np.ndarray:
+        """``(I + alpha^2 A)^{-1} G(u) . coords``, smoothed on the support only."""
+        return self._scatter(u, coords, out, self.lattice.smoothing_tables(alpha)[0])
+
+    def _scatter(self, u, coords, out, smoother=None):
         coords = np.asarray(coords, float)
         if coords.shape[-1] != self.rank:
             raise ValueError(f"expected {self.rank} noise coordinates, got {coords.shape[-1]}")
         w = self.coefficients(u) * coords
-        return np.einsum("...k,kcij->...cij", w, self.outputs, out=out)
-
-    def apply_smoothed(self, u, coords, alpha: float, out=None) -> np.ndarray:
-        g = self.apply(u, coords, out=out)
-        return self.lattice.smooth(g, alpha, out=g)
+        values = np.einsum("...k,ks->...s", w, self._values)
+        if smoother is not None:
+            np.multiply(values, smoother[self._support[1:]], out=values)
+        shape = w.shape[:-1] + self.lattice.shape
+        if out is None:
+            out = np.zeros(shape, np.complex128)
+        elif out.shape != shape:  # the scatter would broadcast into it
+            raise ValueError(f"out has shape {out.shape}, the noise term {shape}")
+        else:
+            out.fill(0)
+        out[(Ellipsis,) + self._support] = values
+        return out
 
     def hs_norms(self, u: np.ndarray | None) -> tuple[float, float]:
         """Hilbert-Schmidt norms of G(u) into H and into V (exact, finite rank)."""

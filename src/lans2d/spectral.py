@@ -13,11 +13,18 @@ sits at row ``k1 % (2K+1)``) and columns ``k2 = 0..K``.  The ``k2 = 0``
 column holds both signs of ``k1`` as conjugate pairs; the pairings count the
 other columns twice, for their implied mirrors.  Everything diagonal in
 Fourier space (Stokes powers, the Helmholtz smoother, the Leray projector)
-is applied exactly.  Quadratic terms are formed pseudo-spectrally by one
-kernel from a list of one or two terms, each a value field paired with a
-second field: one real inverse transform of the scalar planes the terms need,
-stacked, their products summed on the ``n x n`` grid, one real forward
-transform and the projection.  ``B~`` and the linearized drift
+is applied exactly.  The smoother ``(I + a^2 A)^{-1}`` and its inverse
+multiply by complex tables made on the first use of each ``a`` and kept on
+the lattice (``smoothing_tables``), the smoother by the reciprocal
+``1 / (1 + a^2 lambda)``.  That is the division by ``1 + a^2 lambda`` to the
+last bit: numpy divides a complex number by a real ``d`` as
+``((re + 0 im) (1/d), (im - 0 re) (1/d))`` and multiplies it by ``r + 0i``
+as ``(re r - 0 im, 0 re + im r)``, so with ``r = 1/d`` the two agree as
+floats (a zero part may come out with the other sign).  Quadratic terms are
+formed pseudo-spectrally by one kernel from a list of one or two terms, each
+a value field paired with a second field: one real inverse transform of the
+scalar planes the terms need, stacked, their products summed on the
+``n x n`` grid, one real forward transform and the projection.  ``B~`` and the linearized drift
 ``B(u, v) + B(v, u)`` are formed in rotational form (Foias, Holm & Titi,
 Physica D 152, 2001): ``B~(u, v) = P(q (-u_2, u_1))`` with
 ``q = d_1 v_2 - d_2 v_1`` the curl of ``v``, because the advective form
@@ -89,6 +96,8 @@ _BLOCK = 32
 _ROUNDING = 1e-12
 # Scalar planes a term of each pairing stacks for the transforms.
 _PLANES = {"curl": 3, "d": 6, "grad": 6}
+# Smoothing scales whose tables a lattice keeps; a sweep past them starts over.
+_SMOOTHERS = 8
 
 
 class LatticeMismatchError(ValueError):
@@ -170,6 +179,7 @@ class TorusLattice:
         object.__setattr__(self, "_tensors", {} if small else None)  # pairings -> tensor
         # plane count -> _KernelScratch, pairings -> _ContractionScratch
         object.__setattr__(self, "_scratch", {})
+        object.__setattr__(self, "_smoothers", {})  # alpha -> smoothing_tables(alpha)
 
     def __reduce__(self):
         # rebuilt from n: neither the tables, the tensors nor the scratch are pickled
@@ -250,13 +260,27 @@ class TorusLattice:
         mult = np.where(self.active, self._lam_safe**power, 0.0)
         return coeffs * mult
 
+    def smoothing_tables(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(1 / (1 + alpha^2 lambda), 1 + alpha^2 lambda)``, read-only complex
+        tables of shape ``(2K+1, K+1)``, made on the first use of ``alpha``."""
+        tables = self._smoothers.get(alpha)
+        if tables is None:
+            if len(self._smoothers) >= _SMOOTHERS:
+                self._smoothers.clear()
+            factor = 1.0 + alpha * alpha * self.eigenvalue
+            tables = (1.0 / factor).astype(np.complex128), factor.astype(np.complex128)
+            for table in tables:
+                table.setflags(write=False)
+            self._smoothers[alpha] = tables
+        return tables
+
     def smooth(self, coeffs: np.ndarray, alpha: float, out=None) -> np.ndarray:
         """Helmholtz smoother ``(I + alpha^2 A)^{-1}``, exact per mode."""
-        return np.divide(coeffs, 1.0 + alpha * alpha * self.eigenvalue, out=out)
+        return np.multiply(coeffs, self.smoothing_tables(alpha)[0], out=out)
 
     def unsmooth(self, coeffs: np.ndarray, alpha: float, out=None) -> np.ndarray:
         """Inverse smoother ``I + alpha^2 A``."""
-        return np.multiply(coeffs, 1.0 + alpha * alpha * self.eigenvalue, out=out)
+        return np.multiply(coeffs, self.smoothing_tables(alpha)[1], out=out)
 
     # -- pairings ------------------------------------------------------------
 

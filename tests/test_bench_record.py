@@ -143,3 +143,40 @@ def test_claim_met(tmp_path, monkeypatch, change_s, failed, met):
     claim = json.loads(out.read_text())["claim"]
     assert claim["change_wins"] == sum(c < p for c, p in zip(change_s, parent_s))
     assert claim["claim_met"] is met
+
+
+def test_outputs_names_each_differing_value_and_exits_1(monkeypatch, capsys):
+    calls = []
+
+    def fake(tree, workload, seed):
+        calls.append((tree, workload, seed))
+        moved = tree == "change" and workload == "mdp-n32" and seed == 2
+        return {"a.csv": "f00d" if moved else "beef", "b.csv": "cafe"}
+
+    monkeypatch.setattr(bench_record, "run_outputs", fake)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.outputs(argparse.Namespace(parent="parent", change="change", seeds="1-2"))
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mc-ou: seeds 1-2 identical", "mc-fluct: seeds 1-2 identical",
+        "mdp-n32: seeds 1-2 differ", "  seed 2 a.csv: beef != f00d",
+        "rate-n16: seeds 1-2 identical"]
+    assert sorted(calls) == sorted((tree, workload, seed) for tree in ("parent", "change")
+                                   for workload in bench_record.WORKLOADS for seed in (1, 2))
+
+
+def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
+    monkeypatch.setattr(bench_record, "run_outputs", lambda tree, workload, seed: {"hits": 3})
+    bench_record.outputs(argparse.Namespace(parent="p", change="c", seeds="5"))
+    assert capsys.readouterr().out.count("identical") == len(bench_record.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload, keys", [
+    ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
+    ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]), ("rate-n16", ["costs", "residuals"])])
+def test_run_outputs_reads_what_op_0_computed(workload, keys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    got = bench_record.run_outputs(root, workload, 1)
+    assert sorted(got) == keys
+    if workload == "rate-n16":
+        assert np.shape(got["costs"]) == np.shape(got["residuals"]) == (6, 2)

@@ -5,10 +5,12 @@ import pytest
 
 from lans2d import (
     Control,
+    NoiseOperator,
     SpectralField,
     additive_noise,
     control_cost,
     eigenmode_field,
+    make_lattice,
     projection_multiplicative_noise,
     random_field,
     sample_wiener,
@@ -18,6 +20,8 @@ from lans2d import (
     zero_control,
     zero_field,
 )
+from lans2d import deviations
+from lans2d.noise import ADDITIVE, MULTIPLICATIVE
 
 
 @pytest.fixture
@@ -58,6 +62,11 @@ class TestApply:
         with pytest.raises(ValueError, match="coordinates"):
             g_add.apply(None, [1.0, 0.0, 0.0])
 
+    def test_out_of_another_shape(self, lat16, g_add):
+        # one field's term is not spread over a batch of outputs
+        with pytest.raises(ValueError, match="out has shape"):
+            g_add.apply_smoothed(None, [1.0, 0.0], 0.1, out=np.empty((3,) + lat16.shape, complex))
+
     def test_output_valid(self, lat16, g_mult, rng):
         u = random_field(lat16, rng).coeffs
         SpectralField(lat16, g_mult.apply(u, rng.standard_normal(2))).validate()
@@ -79,6 +88,68 @@ class TestApply:
         lhs = g_mult.apply_smoothed(u, a + b, 0.3)
         rhs = g_mult.apply_smoothed(u, a, 0.3) + g_mult.apply_smoothed(u, b, 0.3)
         assert lat16.norm_h(lhs - rhs) < 1e-12
+
+
+def _unit_random(lat, rng):
+    f = random_field(lat, rng).coeffs
+    return f / lat.norm_h(f)
+
+
+def _same(a, b):
+    return np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+class TestSupport:
+    """``apply`` and ``apply_smoothed`` write the einsum over the outputs'
+    support; compared as floats with the dense einsum over every entry and
+    the division of the whole field."""
+
+    CASES = {
+        "additive": lambda lat, rng: additive_noise(lat, [2.0, 0.7], [(1, 0), (0, 1)]),
+        "multiplicative": lambda lat, rng: projection_multiplicative_noise(
+            lat, [1.5, 0.5], [(1, 0), (0, 1)], [(1, 1), (1, -1)], [0.3, -0.25]),
+        "one mode, two phases": lambda lat, rng: additive_noise(
+            lat, [0.9, 1.1], [(1, 1), (1, 1)], phases=[0.0, -np.pi / 2]),
+        "dense random outputs": lambda lat, rng: NoiseOperator(
+            lat, ADDITIVE, [0.4, 1.3, 0.8], np.stack([_unit_random(lat, rng) for _ in range(3)])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_equals_the_dense_einsum(self, case, n, batch, rng):
+        lat = make_lattice(n)
+        noise = self.CASES[case](lat, rng)
+        u = np.stack([random_field(lat, rng).coeffs for _ in range(5)])[:5 if batch else 1]
+        u = u.reshape(batch + lat.shape)
+        coords = rng.standard_normal(batch + (noise.rank,))
+        dense = np.einsum("...k,kcij->...cij", noise.coefficients(u) * coords, noise.outputs)
+        assert _same(noise.apply(u, coords), dense)
+        for alpha in (0.0, 0.1, 1.0):
+            want = np.divide(dense, 1.0 + alpha * alpha * lat.eigenvalue)
+            assert _same(noise.apply_smoothed(u, coords, alpha), want)
+            out = np.full(dense.shape, 3.0 - 2.0j)  # stale entries off the support
+            assert noise.apply_smoothed(u, coords, alpha, out=out) is out
+            assert _same(out, want)
+        out = np.full(dense.shape, 3.0 - 2.0j)
+        assert noise.apply(u, coords, out=out) is out and _same(out, dense)
+
+    def test_support_of_eigenmode_directions(self, lat16):
+        # two entries per direction: (1, 0) sits in the k2 = 0 column at
+        # k and -k in its second component only, (1, 1) at k in both
+        noise = additive_noise(lat16, [1.0, 1.0], [(1, 0), (1, 1)])
+        assert noise._values.shape == (2, 2 + 2)
+
+    def test_arrays_are_read_only_copies(self, lat16):
+        outputs = np.stack([eigenmode_field(lat16, (1, 0)).coeffs])
+        probes = np.stack([eigenmode_field(lat16, (1, 1)).coeffs])
+        noise = NoiseOperator(lat16, MULTIPLICATIVE, np.array([1.0]), outputs, probes,
+                              np.array([0.5]))
+        for name in ("sigma", "outputs", "probes", "offsets"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(noise, name)[...] = 0.0
+        outputs[...] = 0.0  # the caller's array is not the operator's
+        assert lat16.norm_h(noise.apply(noise.probes[0], [1.0])) == pytest.approx(1.5)
 
 
 class TestHilbertSchmidt:
@@ -140,6 +211,14 @@ class TestWiener:
         assert np.abs(z.mean(axis=0)).max() <= 4.0 / np.sqrt(n)
         corr = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
         assert abs(corr) <= 0.05
+
+    def test_chunk_rows_are_the_trajectory_streams(self):
+        # README's stream contract: trajectory i of a batch draws the stream
+        # (master_seed, i), whatever chunk it lands in
+        rows = deviations._chunk_increments(3, 2e-3, 40, 11, 5, 9)
+        for i in range(5, 9):
+            want = trajectory_wiener(3, 2e-3, 40, 11, i).increments
+            assert rows[i - 5].tobytes() == want.tobytes()
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):

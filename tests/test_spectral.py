@@ -1,5 +1,6 @@
 """Operator algebra: lattice bookkeeping, projections, bilinear identities."""
 
+import math
 import os
 import pickle
 import subprocess
@@ -111,6 +112,27 @@ class TestDiagonalOperators:
         assert lat16.norm_h(lat16.smooth(m10, 1.0)) == pytest.approx(0.5 * lat16.norm_h(m10))
         rt = lat16.unsmooth(lat16.smooth(u, 0.37), 0.37)
         assert np.abs(rt - u).max() < 1e-14 * np.abs(u).max()
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("batch", [(), (3, 2)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+    def test_smoother_tables_divide_to_the_last_bit(self, n, batch, alpha, rng):
+        # multiplying by the cached reciprocal equals the division by
+        # 1 + a^2 lambda, compared as floats; with and without out=
+        lat = make_lattice(n)
+        u = np.stack([random_field(lat, rng).coeffs for _ in range(math.prod(batch))])
+        u = u.reshape(batch + lat.shape)
+        factor = 1.0 + alpha * alpha * lat.eigenvalue
+        for got, want in ((lat.smooth(u, alpha), np.divide(u, factor)),
+                          (lat.unsmooth(u, alpha), np.multiply(u, factor))):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        out = np.empty_like(u)
+        assert lat.smooth(u, alpha, out=out) is out
+        assert np.array_equal(out.view(np.float64), np.divide(u, factor).view(np.float64))
+        # one table per alpha, made once and read-only
+        inverse, table = lat.smoothing_tables(alpha)
+        assert lat.smoothing_tables(alpha)[0] is inverse
+        assert not inverse.flags.writeable and not table.flags.writeable
 
 
 class TestNorms:

@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py pairs PARENT CHANGE RUNS --workload W --seeds 211-220
     python3 tools/bench_record.py record PARENT CHANGE RUNS [--claim W --traced-seed S] --out FILE
+    python3 tools/bench_record.py outputs PARENT CHANGE --seeds 211-212
 
 PARENT and CHANGE are checkouts of the two commits; each side runs its own
 ``perfbench/run.py`` with the benchmark's run length.  ``pairs`` runs one
@@ -21,6 +22,12 @@ averaged over the first traced ops, read from the span file; without
 ``--claim``, ``claim`` is null and nothing is traced.  The benchmark's own
 traced report averages over however many ops fit in the run, so its counts
 move with the speed when ops differ in work.
+
+``outputs`` runs op 0 of every workload once per seed on each side, each in
+a fresh process with its own ``perfbench/workloads.py``, and compares what
+the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
+and rate-n16's costs and residuals.  It prints one line per workload and
+exits 1 if any of them differs between the sides.
 """
 
 import argparse
@@ -34,10 +41,35 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
-from run import load_spec, quantiles  # noqa: E402
+from run import WORKLOADS, load_spec, quantiles  # noqa: E402
 
 SIDES = ("parent", "change")
 FIRST_OPS = 5
+# run from the root of a checkout: op 0 of one workload, what it computed
+# printed as one JSON object; importing the benchmark's worker first pins
+# every thread pool to one thread before numpy loads, as the benchmark runs
+OUTPUTS_SCRIPT = """
+import hashlib, json, os, sys, tempfile
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+import worker
+from workloads import WORKLOADS
+name, seed = sys.argv[1], int(sys.argv[2])
+with tempfile.TemporaryDirectory() as work:
+    wl = WORKLOADS[name](seed, work)
+    args = wl.inputs(0)
+    result = wl.op(*args)
+    if name == "mdp-n32":
+        got = {}
+        for file in wl.data_files:
+            with open(os.path.join(args[0], file), "rb") as fh:
+                got[file] = hashlib.sha256(fh.read()).hexdigest()
+    elif name == "rate-n16":
+        got = {"costs": [[r.cost for r in pair] for pair in result],
+               "residuals": [[r.residual for r in pair] for pair in result]}
+    else:
+        got = {"hits": result.hits}
+print(json.dumps(got))
+"""
 
 
 def run_bench(tree, results, workload, seed, trace):
@@ -51,9 +83,13 @@ def run_bench(tree, results, workload, seed, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
 def pairs(args):
-    lo, _, hi = args.seeds.partition("-")
-    for i, seed in enumerate(range(int(lo), int(hi or lo) + 1)):
+    for i, seed in enumerate(seed_range(args.seeds)):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             line = run_bench(getattr(args, side), os.path.join(args.runs, side), args.workload,
@@ -61,6 +97,32 @@ def pairs(args):
             print(args.workload, seed, side, json.dumps(line["metrics"]), flush=True)
         with open(os.path.join(args.runs, "pairs.jsonl"), "a") as fh:
             fh.write(json.dumps({"workload": args.workload, "seed": seed, "first": order[0]}) + "\n")
+
+
+def run_outputs(tree, workload, seed):
+    """What op 0 of ``workload`` computes on ``tree``, from a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT, workload, str(seed)],
+                          cwd=tree, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def outputs(args):
+    """Compare every workload's outputs on both sides; exit 1 on a difference."""
+    seeds, differ = seed_range(args.seeds), False
+    for workload in WORKLOADS:
+        diffs = []
+        for seed in seeds:
+            got = {side: run_outputs(getattr(args, side), workload, seed) for side in SIDES}
+            diffs += [f"seed {seed} {key}: {got['parent'].get(key)} != {got['change'].get(key)}"
+                      for key in sorted(got["parent"].keys() | got["change"].keys())
+                      if got["parent"].get(key) != got["change"].get(key)]
+        print(f"{workload}: seeds {args.seeds} {'differ' if diffs else 'identical'}",
+              *diffs, sep="\n  ", flush=True)
+        differ = differ or bool(diffs)
+    if differ:
+        raise SystemExit(1)
 
 
 def first_ops(spans_path, count=FIRST_OPS):
@@ -166,18 +228,21 @@ def record(args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pairs", "record"):
+    for name in ("pairs", "record", "outputs"):
         p = sub.add_parser(name)
-        for side in SIDES + ("runs",):
+        for side in SIDES + (("runs",) if name != "outputs" else ()):
             p.add_argument(side)
     sub.choices["pairs"].add_argument("--workload", required=True)
-    sub.choices["pairs"].add_argument("--seeds", required=True, help="first-last, e.g. 211-220")
+    for name in ("pairs", "outputs"):
+        sub.choices[name].add_argument("--seeds", required=True, help="first-last, e.g. 211-220")
     sub.choices["record"].add_argument("--claim", help="the claimed workload, if any")
     sub.choices["record"].add_argument("--traced-seed", type=int)
     sub.choices["record"].add_argument("--out", required=True)
     args = ap.parse_args()
     if args.command == "record" and (args.claim is None) != (args.traced_seed is None):
         ap.error("--claim and --traced-seed go together")
+    if args.command == "outputs":
+        return outputs(args)
     os.makedirs(args.runs, exist_ok=True)
     (pairs if args.command == "pairs" else record)(args)
 
