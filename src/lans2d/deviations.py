@@ -8,10 +8,14 @@ system to a target.  Here this is solved on the discrete grid:
   solved exactly through the discrete controllability Gramian assembled by one
   adjoint sweep; terminal-field targets by conjugate gradients on the Gramian
   operator (forward + adjoint applications only), with the residuals kept
-  orthogonal.
+  orthogonal.  CG sums its control from the ones its applications made, so
+  only the reported residual takes a march of its own.
 * delta=0 targets use a quadratic-penalty formulation with an increasing
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
-  gradient; results are upper bounds (the problem is nonconvex).
+  gradient; results are upper bounds (the problem is nonconvex).  An
+  evaluation sweeps the unscaled terminal seed, so one memo of the last
+  control serves every weight: each weight's start and residual reuse the
+  march and sweep of the control the last weight ended at.
 
 Monte Carlo tail estimation runs independent trajectories of the stochastic
 system (vectorized in batches, reproducible per-trajectory streams) and
@@ -134,7 +138,8 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
     """Backward pass: returns d<terminal functional>/dh as a (steps, J) array.
 
     ``p_terminal`` is the H-gradient of the terminal functional at y(T); the
-    cost term of the objective is *not* included here.
+    cost term of the objective is *not* included here.  The result is linear
+    in ``p_terminal``.
     """
     lat = cfg.lattice
     S = cfg.implicit_multiplier()
@@ -156,7 +161,8 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
 
 
 def _terminal_pieces(target, lat, y_terminal):
-    """Residual rho and the terminal H-gradient seed for the penalty term."""
+    """Residual rho and the unscaled terminal seed: ``g`` for an observable
+    target, ``y(T) - x`` for a field target."""
     if isinstance(target, TerminalObservable):
         rho = float(lat.inner_h(y_terminal, target.g.coeffs)) - target.level
         return rho, target.g.coeffs
@@ -172,28 +178,40 @@ def skeleton_gradient(
     xi: SpectralField,
     beta: float,
     nse: Optional[TrajectoryRecord] = None,
+    memo: Optional[dict] = None,
 ):
     """Value and exact gradient of ``J_beta(h) = cost(h) + (beta/2) rho(h)^2``.
 
     ``rho`` is the terminal constraint residual (scalar-observable gap or
     H-distance to the field target).  The gradient is the exact reverse-mode
     derivative of the discrete forward scheme, returned as a (steps, J) array.
+    It takes one forward march and one adjoint sweep of the unscaled terminal
+    seed, ``a = d<y(T), g>/dh`` or ``d(|y(T) - x|^2 / 2)/dh``; the sweep is
+    linear in its seed, so the penalty's gradient is ``beta rho a`` or
+    ``beta a``.
+
+    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last control
+    evaluated, keyed by its bytes: a call at the same control, at any
+    ``beta``, returns what a fresh call returns and marches nothing.  A memo
+    serves one problem only (one delta, target, config, ``xi`` and ``nse``).
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
     u_fields = _dense_fields(nse, cfg, "skeleton_gradient") if delta == 1 else None
-    lat = cfg.lattice
     hv = h.values
-    states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
-    rho, rho_grad = _terminal_pieces(target, lat, states[-1])
-    cost = 0.5 * cfg.dt * float(np.sum(hv**2))
-    value = cost + 0.5 * beta * rho**2
-    if isinstance(target, TerminalObservable):
-        p_terminal = beta * rho * rho_grad
+    key = hv.tobytes()
+    if memo is not None and key in memo:
+        cost, rho, a = memo[key]
     else:
-        p_terminal = beta * rho_grad  # gradient of (beta/2)|y - x|^2
-    grad = cfg.dt * hv + _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, cfg.noise)
-    return value, grad
+        states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
+        rho, seed = _terminal_pieces(target, cfg.lattice, states[-1])
+        cost = 0.5 * cfg.dt * float(np.sum(hv**2))
+        a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed, cfg.noise)
+        if memo is not None:
+            memo.clear()
+            memo[key] = cost, rho, a
+    scale = beta * rho if isinstance(target, TerminalObservable) else beta
+    return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
 
 
 def _response_functional(cfg, g_coeffs, u_fields, noise):
@@ -237,6 +255,11 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     CG loses conjugacy there: it runs past that rank and its result follows
     the rounding.  So each new residual is orthogonalized (twice) against
     the earlier ones, which CG keeps orthogonal in exact arithmetic.
+
+    The control ``G* mu`` of the multiplier ``mu = sum a_k d_k`` is summed
+    from the controls each Gramian application already made, ``sum a_k G*
+    d_k``, so an iteration is one adjoint sweep and one forward march, and
+    the reported residual comes from one more march of that control.
     """
     lat = cfg.lattice
     noise = cfg.noise
@@ -247,7 +270,7 @@ def _gramian_cg_field(problem, cfg, xi, nse):
         hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu, noise) / cfg.dt
         return _skeleton_march(1, hv, cfg, xi, u_fields, None), hv
 
-    mu = np.zeros_like(x)
+    hv = np.zeros((cfg.steps, noise.rank))
     r = x.copy()
     d = r.copy()
     rr = float(lat.inner_h(r, r))
@@ -256,12 +279,12 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     residuals = []  # the earlier residuals, normalized
     iterations = 0
     for iterations in range(1, problem.max_iterations + 1):
-        q, _ = apply_gram(d)
+        q, hv_d = apply_gram(d)
         dq = float(lat.inner_h(d, q))
         if dq <= 0:
             break
         a = rr / dq
-        mu = mu + a * d
+        hv = hv + a * hv_d
         residuals.append(r / math.sqrt(rr))
         r = r - a * q
         basis = np.stack(residuals)
@@ -273,13 +296,13 @@ def _gramian_cg_field(problem, cfg, xi, nse):
             break
         d = r + (rr_new / rr) * d
         rr = rr_new
-    y_final, best_hv = apply_gram(mu)
+    y_final = _skeleton_march(1, hv, cfg, xi, u_fields, None)
     residual = float(lat.norm_h(y_final - x))
     converged = residual <= tol * x_norm
-    cost = 0.5 * cfg.dt * float(np.sum(best_hv**2))
+    cost = 0.5 * cfg.dt * float(np.sum(hv**2))
     result_cost = cost if converged else math.inf
     return RateResult(
-        result_cost, Control(cfg.dt, best_hv), residual, converged, math.sqrt(rr),
+        result_cost, Control(cfg.dt, hv), residual, converged, math.sqrt(rr),
         {"iterations": iterations, "feasible_cost": cost, "bound": "exact" if converged else "infeasible"},
     )
 
@@ -291,7 +314,12 @@ def _target_scale(target):
 
 
 def _penalized_descent(problem, cfg, xi):
-    """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``."""
+    """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``.
+
+    One memo serves the whole schedule.  L-BFGS ends a weight at the last
+    control it evaluated (unless its line search fails), so that weight's
+    residual and the next weight's first evaluation march nothing.
+    """
     from scipy.optimize import minimize
 
     noise = cfg.noise
@@ -300,10 +328,11 @@ def _penalized_descent(problem, cfg, xi):
     hv = np.zeros(shape)
     scale = _target_scale(problem.target)
     history = []
+    memo = {}
     for beta in problem.beta_schedule:
         def fun(flat):
             val, grad = skeleton_gradient(
-                0, Control(cfg.dt, flat.reshape(shape)), problem.target, cfg, xi, beta
+                0, Control(cfg.dt, flat.reshape(shape)), problem.target, cfg, xi, beta, memo=memo
             )
             return val, grad.ravel()
 
@@ -312,8 +341,12 @@ def _penalized_descent(problem, cfg, xi):
             options={"maxiter": problem.max_iterations, "ftol": 1e-14, "gtol": 1e-12},
         )
         hv = res.x.reshape(shape)
-        y_final = _skeleton_march(0, hv, cfg, xi, None, None)
-        rho, _ = _terminal_pieces(problem.target, cfg.lattice, y_final)
+        key = hv.tobytes()
+        if key in memo:
+            _, rho, _ = memo[key]
+        else:
+            y_final = _skeleton_march(0, hv, cfg, xi, None, None)
+            rho, _ = _terminal_pieces(problem.target, cfg.lattice, y_final)
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
         history.append({"beta": beta, "cost": cost, "residual": abs(rho)})
     # extrapolate cost(beta) = cost_inf - a / beta using the last two weights

@@ -4,6 +4,7 @@ against its bound, and whether a claim is met."""
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -165,6 +166,37 @@ def test_outputs_names_each_differing_value_and_exits_1(monkeypatch, capsys):
                                    for workload in bench_record.WORKLOADS for seed in (1, 2))
 
 
+def test_outputs_gives_numbers_their_largest_relative_difference(monkeypatch, capsys):
+    def fake(tree, workload, seed):
+        if workload != "rate-n16":
+            return {"hits": 3}
+        moved = tree == "change" and seed == 1
+        return {"costs": [[1.0, 5.0 if moved else 4.0], [math.inf, 2.0]],
+                "residuals": [[0.5, 0.25], [1e-3, 1e-7 if moved else 2e-7]],
+                "cg_iterations": [10, 10 + moved]}
+
+    monkeypatch.setattr(bench_record, "run_outputs", fake)
+    with pytest.raises(SystemExit) as exc:
+        bench_record.outputs(argparse.Namespace(parent="parent", change="change", seeds="1-2"))
+    assert exc.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:] == [
+        "rate-n16: seeds 1-2 differ", "  seed 1 cg_iterations: largest relative difference 0.0909",
+        "  seed 1 costs: largest relative difference 0.2",
+        "  seed 1 residuals: largest relative difference 0.5"]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    (3, 4, "largest relative difference 0.25"),
+    ([1.0, math.inf], [1.0, 2.0], "largest relative difference inf"),
+    ([1.0, 2.0], [1.0], "[1.0, 2.0] != [1.0]"),
+    (None, 2.0, "None != 2.0"),
+    ("beef", "f00d", "beef != f00d"),
+])
+def test_difference(parent, change, want):
+    assert bench_record.difference(parent, change) == want
+
+
 def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
     monkeypatch.setattr(bench_record, "run_outputs", lambda tree, workload, seed: {"hits": 3})
     bench_record.outputs(argparse.Namespace(parent="p", change="c", seeds="5"))
@@ -173,10 +205,12 @@ def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
 
 @pytest.mark.parametrize("workload, keys", [
     ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
-    ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]), ("rate-n16", ["costs", "residuals"])])
+    ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]),
+    ("rate-n16", ["cg_iterations", "costs", "residuals"])])
 def test_run_outputs_reads_what_op_0_computed(workload, keys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     got = bench_record.run_outputs(root, workload, 1)
     assert sorted(got) == keys
     if workload == "rate-n16":
         assert np.shape(got["costs"]) == np.shape(got["residuals"]) == (6, 2)
+        assert all(isinstance(i, int) and i > 0 for i in got["cg_iterations"])

@@ -139,6 +139,34 @@ class TestSkeletonGradient:
             skeleton_gradient(0, h, TerminalObservable(g, 0.0), cfg, xi, beta=1.0)
 
 
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_sweep_is_linear_in_its_seed(self, kind, delta):
+        # skeleton_gradient sweeps the unscaled seed and scales the result
+        from lans2d import projection_multiplicative_noise
+
+        lat = make_lattice(8)
+        rng = np.random.default_rng(26)
+        xi = random_field(lat, rng, norm=0.5)
+        if kind == "additive":
+            noise = additive_noise(lat, [0.8, 0.5], [(1, 0), (0, 1)])
+        else:
+            noise = projection_multiplicative_noise(lat, [0.7], [(1, 0)], [(0, 1)], [0.5])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.0, noise=noise)
+        hv = rng.standard_normal((cfg.steps, noise.rank))
+        u_fields = dense_nse(xi, cfg).fields if delta == 1 else None
+        states = deviations._skeleton_forward(delta, hv, cfg, xi, u_fields)
+        seed = random_field(lat, rng).coeffs
+
+        def sweep(p):
+            return deviations._adjoint_sweep(delta, hv, cfg, states, u_fields, p, noise)
+
+        unit = sweep(seed)
+        assert np.abs(unit).max() > 0
+        for c in (-3.7, 1e-4, 250.0):
+            assert np.abs(sweep(c * seed) - c * unit).max() <= 1e-13 * np.abs(c * unit).max()
+
+
 class TestRateFunction:
     def test_problem_validation(self):
         lat = make_lattice(8)
@@ -279,6 +307,117 @@ class TestRateFunction:
         assert res.converged and res_nudged.converged
         assert res.details["iterations"] <= cfg.steps * noise.rank
         assert res_nudged.cost == pytest.approx(res.cost, rel=1e-10)
+
+
+class TestEvaluationReuse:
+    """Each control is marched and swept once per rate solve."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"march": 0, "sweep": 0}
+        march, sweep = deviations.march, deviations._adjoint_sweep
+
+        def counted_march(*args, **kwargs):
+            calls["march"] += 1
+            return march(*args, **kwargs)
+
+        def counted_sweep(*args, **kwargs):
+            calls["sweep"] += 1
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(deviations, "march", counted_march)
+        monkeypatch.setattr(deviations, "_adjoint_sweep", counted_sweep)
+        return calls
+
+    @staticmethod
+    def setup(seed=27):
+        lat = make_lattice(8)
+        rng = np.random.default_rng(seed)
+        xi = random_field(lat, rng, norm=0.5)
+        noise = additive_noise(lat, [0.8, 0.5], [(1, 0), (0, 1)])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.1, noise=noise)
+        return lat, rng, xi, cfg
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("field", [False, True])
+    def test_memo_hit_is_a_fresh_call(self, counted, delta, field):
+        lat, rng, xi, cfg = self.setup()
+        nse = dense_nse(xi, cfg) if delta == 1 else None
+        if field:
+            target = TerminalField(random_field(lat, rng, norm=0.1))
+        else:
+            target = TerminalObservable(eigenmode_field(lat, (1, 0)), 0.3)
+        h = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
+        memo = {}
+        skeleton_gradient(delta, h, target, cfg, xi, 50.0, nse=nse, memo=memo)
+        assert counted == {"march": 1, "sweep": 1} and len(memo) == 1
+        for beta in (50.0, 7.0):
+            fresh = skeleton_gradient(delta, h, target, cfg, xi, beta, nse=nse)
+            marches = counted["march"]
+            hit = skeleton_gradient(delta, Control(cfg.dt, h.values.copy()), target, cfg, xi,
+                                    beta, nse=nse, memo=memo)
+            assert counted["march"] == marches
+            assert hit[0] == fresh[0]
+            assert hit[1].tobytes() == fresh[1].tobytes()
+        # the memo keeps the last control only
+        skeleton_gradient(delta, Control(cfg.dt, 2.0 * h.values), target, cfg, xi, 7.0,
+                          nse=nse, memo=memo)
+        assert len(memo) == 1 and h.values.tobytes() not in memo
+
+    @pytest.mark.parametrize("max_iterations", [2, 500])
+    @pytest.mark.parametrize("field", [False, True])
+    def test_delta0_solve_marches_once_per_new_control(self, counted, monkeypatch, field,
+                                                       max_iterations):
+        # reachable targets, as in the benchmark's rate problems; every
+        # weight's L-BFGS ends here at the last control it evaluated (one whose
+        # line search fails returns an earlier one, which marches again)
+        lat, rng, xi, cfg = self.setup()
+        terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
+        if field:
+            h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
+            target = TerminalField(solve_skeleton(0, xi, terminal, h0).field_at(-1, lat))
+        else:
+            g = eigenmode_field(lat, (1, 0))
+            free = solve_skeleton(0, xi, terminal, zero_control(2, cfg.dt, cfg.steps))
+            target = TerminalObservable(g, float(lat.inner_h(free.fields[-1], g.coeffs)) + 0.1)
+        evaluated = []
+        gradient = deviations.skeleton_gradient
+
+        def recorded(delta, h, *args, **kwargs):
+            evaluated.append(h.values.tobytes())
+            return gradient(delta, h, *args, **kwargs)
+
+        monkeypatch.setattr(deviations, "skeleton_gradient", recorded)
+        counted["march"] = counted["sweep"] = 0
+        betas = (1e1, 1e2, 1e3, 1e4)
+        res = rate_function(RateProblem(0, target, beta_schedule=betas,
+                                        max_iterations=max_iterations), cfg, xi)
+        assert res.converged
+        # each weight after the first starts where the last one ended, and
+        # neither that start nor any weight's residual marches again; the
+        # memo holds one control, so a line search that comes back to an
+        # earlier one marches it again (the observable capped at 2 does)
+        changed = [i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated)]
+        assert len(evaluated) - sum(changed) == len(betas) - 1
+        assert counted["march"] == counted["sweep"] == sum(changed)
+
+    @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])
+    def test_cg_sweeps_once_per_iteration(self, counted, tolerance, max_iterations):
+        lat, rng, xi, cfg = self.setup(29)
+        nse = dense_nse(xi, cfg)
+        h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
+        terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
+        x = solve_skeleton(1, xi, terminal, h0, nse=nse).field_at(-1, lat)
+        problem = RateProblem(1, TerminalField(x), tolerance=tolerance,
+                              max_iterations=max_iterations)
+        res = rate_function(problem, cfg, xi, nse=nse)
+        iterations = res.details["iterations"]
+        assert res.converged == (max_iterations == 100)
+        assert iterations >= 3
+        assert counted == {"march": iterations + 1, "sweep": iterations}
+        # the reported residual is the summed control's, marched
+        y = solve_skeleton(1, xi, terminal, res.control, nse=nse).fields[-1]
+        assert float(lat.norm_h(y - x.coeffs)) == pytest.approx(res.residual, rel=1e-9, abs=1e-15)
 
 
 class TestMcTail:

@@ -26,8 +26,10 @@ move with the speed when ops differ in work.
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
 the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
-and rate-n16's costs and residuals.  It prints one line per workload and
-exits 1 if any of them differs between the sides.
+and rate-n16's costs, residuals and each field solve's CG iterations.  It
+prints one line per workload, then each differing value (numbers by their
+largest relative difference), and exits 1 if any of them differs between
+the sides.
 """
 
 import argparse
@@ -65,7 +67,8 @@ with tempfile.TemporaryDirectory() as work:
                 got[file] = hashlib.sha256(fh.read()).hexdigest()
     elif name == "rate-n16":
         got = {"costs": [[r.cost for r in pair] for pair in result],
-               "residuals": [[r.residual for r in pair] for pair in result]}
+               "residuals": [[r.residual for r in pair] for pair in result],
+               "cg_iterations": [pair[1].details["iterations"] for pair in result]}
     else:
         got = {"hits": result.hits}
 print(json.dumps(got))
@@ -108,6 +111,20 @@ def run_outputs(tree, workload, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def difference(parent, change):
+    """How two unequal values differ: the largest relative difference of two
+    numbers or equally shaped arrays of numbers, else both values."""
+    try:
+        a, b = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
+    except (TypeError, ValueError):
+        a = b = None
+    if a is None or None in (parent, change) or a.shape != b.shape:
+        return f"{parent} != {change}"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(a == b, 0.0, np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
+    return f"largest relative difference {np.max(np.nan_to_num(rel, nan=np.inf)):.3g}"
+
+
 def outputs(args):
     """Compare every workload's outputs on both sides; exit 1 on a difference."""
     seeds, differ = seed_range(args.seeds), False
@@ -115,7 +132,7 @@ def outputs(args):
         diffs = []
         for seed in seeds:
             got = {side: run_outputs(getattr(args, side), workload, seed) for side in SIDES}
-            diffs += [f"seed {seed} {key}: {got['parent'].get(key)} != {got['change'].get(key)}"
+            diffs += [f"seed {seed} {key}: {difference(got['parent'].get(key), got['change'].get(key))}"
                       for key in sorted(got["parent"].keys() | got["change"].keys())
                       if got["parent"].get(key) != got["change"].get(key)]
         print(f"{workload}: seeds {args.seeds} {'differ' if diffs else 'identical'}",
