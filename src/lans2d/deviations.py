@@ -13,8 +13,8 @@ system to a target.  Here this is solved on the discrete grid:
 * delta=0 targets use a quadratic-penalty formulation with an increasing
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
   gradient; results are upper bounds (the problem is nonconvex).  An
-  evaluation sweeps the unscaled terminal seed, so one memo of the last
-  control serves every weight: each weight's start and residual reuse the
+  evaluation sweeps the unscaled terminal seed, so one memo of the last two
+  controls serves every weight: each weight's start and residual reuse the
   march and sweep of the control the last weight ended at.
 
 Monte Carlo tail estimation runs independent trajectories of the stochastic
@@ -39,6 +39,7 @@ from .dynamics import (
     SolverConfig,
     TrajectoryRecord,
     UnifiedStepper,
+    _check_wiener,
     _dense_fields,
     dense_nse,
     indexed_step,
@@ -46,7 +47,7 @@ from .dynamics import (
     march,
     solve_skeleton,
 )
-from .noise import Control, sine_control, zero_control
+from .noise import Control, WienerPath, sine_control, zero_control
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,11 @@ def _terminal_pieces(target, lat, y_terminal):
     return float(lat.norm_h(diff)), diff
 
 
+# the controls a memo of ``skeleton_gradient`` keeps: L-BFGS-B's line search
+# can step back to the control before the last one
+_MEMO_ENTRIES = 2
+
+
 def skeleton_gradient(
     delta: int,
     h: Control,
@@ -190,10 +196,11 @@ def skeleton_gradient(
     linear in its seed, so the penalty's gradient is ``beta rho a`` or
     ``beta a``.
 
-    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last control
-    evaluated, keyed by its bytes: a call at the same control, at any
-    ``beta``, returns what a fresh call returns and marches nothing.  A memo
-    serves one problem only (one delta, target, config, ``xi`` and ``nse``).
+    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last
+    ``_MEMO_ENTRIES`` controls evaluated, keyed by their bytes: a call at one
+    of them, at any ``beta``, returns what a fresh call returns and marches
+    nothing.  A memo serves one problem only (one delta, target, config,
+    ``xi`` and ``nse``).
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
@@ -208,7 +215,8 @@ def skeleton_gradient(
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
         a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed, cfg.noise)
         if memo is not None:
-            memo.clear()
+            if len(memo) >= _MEMO_ENTRIES:
+                del memo[next(iter(memo))]  # the oldest entry
             memo[key] = cost, rho, a
     scale = beta * rho if isinstance(target, TerminalObservable) else beta
     return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
@@ -317,8 +325,9 @@ def _penalized_descent(problem, cfg, xi):
     """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``.
 
     One memo serves the whole schedule.  L-BFGS ends a weight at the last
-    control it evaluated (unless its line search fails), so that weight's
-    residual and the next weight's first evaluation march nothing.
+    control it evaluated unless its line search fails, so that weight's
+    residual and the next weight's first evaluation march nothing; a failed
+    line search returns an earlier control, which the memo may still hold.
     """
     from scipy.optimize import minimize
 
@@ -676,28 +685,51 @@ def weak_continuity_probe(
 
 
 def mdp_rescale(
-    u_alpha_traj: TrajectoryRecord,
-    u_traj: TrajectoryRecord,
+    xi: SpectralField,
+    cfg: SolverConfig,
+    wiener: Optional[WienerPath],
+    nse: TrajectoryRecord,
     scaling: ScalingLaw,
-    lattice,
-) -> TrajectoryRecord:
-    """Pointwise ``(u_a(t) - u(t)) / (sqrt(a) lambda(a))`` with fresh scalars."""
-    if u_alpha_traj.fields is None or u_traj.fields is None:
-        raise ValueError("mdp_rescale needs snapshots in both records")
-    if len(u_alpha_traj) != len(u_traj) or not np.allclose(
-        u_alpha_traj.times, u_traj.times
-    ):
-        raise ValueError("records live on different time grids")
-    alpha = u_alpha_traj.alpha
-    fac = 1.0 / (math.sqrt(alpha) * scaling.lam(alpha))
-    fields = [fac * (a - b) for a, b in zip(u_alpha_traj.fields, u_traj.fields)]
-    table = lattice.norm_table(alpha)
-    nh, nv, na, nal = np.array([lattice.stacked_norms(f, table) for f in fields]).T
-    dts = np.diff(u_alpha_traj.times)
-    diss = np.concatenate([[0.0], np.cumsum(dts * nv[1:] ** 2)])
-    return TrajectoryRecord(
-        u_alpha_traj.times.copy(), nh, nv, na, nal, diss, alpha, u_alpha_traj.dt, fields
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rescaled fluctuation ``(u_a - u) / (sqrt(a) lambda(a))`` at
+    ``a = cfg.alpha`` against the delta=1 unified run ``y``, step by step.
+
+    The smoothed run (``solve_lans``) and ``solve_unified(1, ...)`` march as
+    the two rows of one state through one ``UnifiedStepper``, driven by the
+    same ``wiener`` path, with ``u`` and ``B(u, u)`` taken from the dense
+    ``nse`` record.  Returns the H-norm of the rescaled fluctuation and the
+    gap ``|rescaled - y|_H`` at every step from ``t = 0``, each equal bit for
+    bit to the norm of the difference of the two separate runs' states; no
+    state but the current one is kept.
+    """
+    _check_wiener(cfg, wiener)
+    u_fields = _dense_fields(nse, cfg, "mdp_rescale")
+    if nse.drifts is None:
+        raise ValueError("mdp_rescale needs the limit flow's drifts (run dense_nse)")
+    lat = cfg.lattice
+    fac = 1.0 / (math.sqrt(cfg.alpha) * scaling.lam(cfg.alpha))
+    inc = None if (wiener is None or cfg.noise is None) else wiener.increments
+    stepper = UnifiedStepper(cfg, (0, 1))
+    # the reference rows: zero for the delta=0 row, u_m and B(u_m, u_m) for
+    # the delta=1 row, written at each step
+    u_n = np.zeros((2,) + lat.shape, np.complex128)
+    b_n = np.zeros_like(u_n)
+
+    def step(m, y):
+        u_n[1], b_n[1] = u_fields[m], nse.drifts[m]
+        return stepper.step(y, u_n=u_n, b_n=b_n, dw=None if inc is None else inc[m])
+
+    pair = np.empty_like(u_n)  # the rescaled fluctuation and the gap
+    norms = np.empty((cfg.steps + 1, 2))
+
+    def observe(m, y, nh):
+        rescaled = np.subtract(y[0], u_fields[m], out=pair[0])
+        np.multiply(rescaled, fac, out=rescaled)
+        np.subtract(rescaled, y[1], out=pair[1])
+        norms[m] = lat.norm_h(pair)
+
+    march(step, np.stack([xi.coeffs, initial_state(1, xi.coeffs)]), cfg.steps, observe, lat)
+    return norms[:, 0], norms[:, 1]
 
 
 def ldp_speed(scaling: ScalingLaw, alpha: float) -> float:

@@ -9,7 +9,10 @@ and the unified fluctuation system exact (see ``solve_unified``).
 
 Every forward run, single path or Monte Carlo batch, goes through the one
 loop ``march``, which hands each state and its H-norm to an observer and
-applies the blowup rule of ``BlowupError`` to each trajectory.
+applies the blowup rule of ``BlowupError`` to each trajectory.  The unified
+stepper also takes delta per leading row: a delta=0 row is the delta=1
+formula at ``u = 0`` and ``lam_delta = 1``, so the smoothed run and the
+delta=1 run can march as the two rows of one state (``mdp_rescale``).
 
 Systems
 -------
@@ -330,18 +333,31 @@ class UnifiedStepper(_Stepper):
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.
 
+    ``delta`` may also be a sequence, one delta per leading row of ``y``.
+    ``lam_delta``, its reciprocal and ``noise_scale`` then become per-row
+    factors of shape ``(rows, 1, 1, 1)``, and with any delta=1 row every row
+    takes the delta=1 formula.  A delta=0 row takes it at ``lam_delta = 1``
+    with its rows of ``u_n`` and ``b_n`` zero, which is the delta=0 step, so
+    each row gets the floats of a stepper of its own delta.  A single delta
+    keeps the factors plain floats.
+
     A step allocates only the state it returns: ``w`` lives in buffer 0 and
     ``(I + a^2 A) w`` in buffer 1, the noise term is formed in buffer 1 once
     the drift is done, and the drift array is updated in place into the new
     state.
     """
 
-    def __init__(self, cfg: SolverConfig, delta: int):
+    def __init__(self, cfg: SolverConfig, delta):
         if not 0.0 < cfg.alpha <= 1.0:
             raise ValueError("the unified system needs alpha in (0, 1]")
-        super().__init__(cfg, delta)
+        rows = np.ndim(delta) == 1
+        deltas = tuple(delta) if rows else (delta,)
+        if not deltas or any(d not in (0, 1) for d in deltas):
+            raise ValueError("delta must be 0 or 1")
+        super().__init__(cfg, max(deltas))  # 1 when any row takes the delta=1 formula
         self.alpha = cfg.alpha
-        self.lam_delta = 1.0 if delta == 0 else ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
+        lam = [ScalingLaw(cfg.kappa, d).lam_delta(cfg.alpha) for d in deltas]
+        self.lam_delta = np.reshape(lam, (-1, 1, 1, 1)) if rows else lam[0]
         # multiplying by it divides by lam_delta to the last bit (see spectral)
         self._inv_lam_delta = 1.0 / self.lam_delta
         self.noise_scale = math.sqrt(cfg.alpha) * self._inv_lam_delta

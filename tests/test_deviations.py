@@ -359,10 +359,11 @@ class TestEvaluationReuse:
             assert counted["march"] == marches
             assert hit[0] == fresh[0]
             assert hit[1].tobytes() == fresh[1].tobytes()
-        # the memo keeps the last control only
-        skeleton_gradient(delta, Control(cfg.dt, 2.0 * h.values), target, cfg, xi, 7.0,
-                          nse=nse, memo=memo)
-        assert len(memo) == 1 and h.values.tobytes() not in memo
+        # the memo keeps the last two controls
+        for scale in (2.0, 3.0):
+            skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
+                              nse=nse, memo=memo)
+            assert len(memo) == 2 and (h.values.tobytes() in memo) == (scale == 2.0)
 
     @pytest.mark.parametrize("max_iterations", [2, 500])
     @pytest.mark.parametrize("field", [False, True])
@@ -370,7 +371,7 @@ class TestEvaluationReuse:
                                                        max_iterations):
         # reachable targets, as in the benchmark's rate problems; every
         # weight's L-BFGS ends here at the last control it evaluated (one whose
-        # line search fails returns an earlier one, which marches again)
+        # line search fails returns an earlier one)
         lat, rng, xi, cfg = self.setup()
         terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
         if field:
@@ -395,11 +396,16 @@ class TestEvaluationReuse:
         assert res.converged
         # each weight after the first starts where the last one ended, and
         # neither that start nor any weight's residual marches again; the
-        # memo holds one control, so a line search that comes back to an
-        # earlier one marches it again (the observable capped at 2 does)
+        # memo holds two controls, so a line search that comes back further
+        # marches again (the observable capped at 2 returns three back)
         changed = [i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated)]
         assert len(evaluated) - sum(changed) == len(betas) - 1
-        assert counted["march"] == counted["sweep"] == sum(changed)
+        kept, misses = [], 0  # the memo's controls, oldest first
+        for h in evaluated:
+            if h not in kept:
+                misses += 1
+                kept = (kept + [h])[-2:]
+        assert counted["march"] == counted["sweep"] == misses
 
     @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])
     def test_cg_sweeps_once_per_iteration(self, counted, tolerance, max_iterations):
@@ -681,46 +687,87 @@ class TestWeakProbe:
         assert es[-1] <= es[0] / 4
 
 
+def _bridge_noise(lat, variant):
+    from lans2d import projection_multiplicative_noise
+
+    if variant == "additive":
+        return additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
+    return projection_multiplicative_noise(lat, [0.4, 0.3], [(1, 0), (1, 1)],
+                                           [(0, 1), (1, 0)], [0.5, -0.2])
+
+
 class TestMdpBridge:
+    @staticmethod
+    def separate_runs(xi, cfg, w, scaling):
+        """The oracle: the smoothed and the delta=1 run marched apart, the
+        first rescaled against the limit flow; per-step norms and gaps."""
+        lat = cfg.lattice
+        nse = dense_nse(xi, cfg)
+        lans = solve_lans(xi, replace(cfg, store_fields=True), w)
+        unified = solve_unified(1, xi, replace(cfg, store_fields=True), wiener=w, nse=nse)
+        fac = 1.0 / (math.sqrt(cfg.alpha) * scaling.lam(cfg.alpha))
+        rescaled = [fac * (a - u) for a, u in zip(lans.fields, nse.fields)]
+        norms = [float(lat.norm_h(r)) for r in rescaled]
+        gaps = [float(lat.norm_h(r - y)) for r, y in zip(rescaled, unified.fields)]
+        return nse, np.array(norms), np.array(gaps)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    @pytest.mark.parametrize("alpha", [0.2, 0.05])
+    def test_pair_march_is_the_separate_runs_bit_for_bit(self, n, variant, alpha):
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(n))
+        cfg = SolverConfig(lattice=lat, dt=1e-3, t_final=0.05, alpha=alpha,
+                           noise=_bridge_noise(lat, variant))
+        w = sample_wiener(2, cfg.dt, cfg.steps, 88)
+        scaling = ScalingLaw(cfg.kappa, 1)
+        nse, norms, gaps = self.separate_runs(xi, cfg, w, scaling)
+        got_norms, got_gaps = mdp_rescale(xi, cfg, w, nse, scaling)
+        assert got_norms.tobytes() == norms.tobytes()
+        assert got_gaps.tobytes() == gaps.tobytes()
+        assert norms.max() > 0.0
+
     def test_identical_records_rescale_to_zero(self):
+        # from a zero field with no noise the smoothed run and the limit
+        # flow are the same zero run
         lat = make_lattice(8)
-        xi = taylor_green(lat)
-        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.2,
-                           store_fields=True)
-        traj = solve_nse(xi, cfg)
-        traj_alpha = solve_nse(xi, cfg)
-        traj_alpha.alpha = 0.2
-        out = mdp_rescale(traj_alpha, traj, ScalingLaw(0.25, 1), lat)
-        assert out.norm_h.max() == 0.0
+        xi = zero_field(lat)
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.2)
+        norms, gaps = mdp_rescale(xi, cfg, None, dense_nse(xi, cfg), ScalingLaw(0.25, 1))
+        assert norms.shape == gaps.shape == (cfg.steps + 1,)
+        assert norms.max() == 0.0 and gaps.max() == 0.0
 
     def test_rescale_linearity(self):
+        # the rescaled norms scale by the ratio of the factors
+        # 1 / (sqrt(a) lambda(a)) = a^(kappa - 1/2) of two scaling laws
         lat = make_lattice(8)
-        rng = np.random.default_rng(34)
-        xi = random_field(lat, rng)
+        xi = random_field(lat, np.random.default_rng(34))
         cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.3,
-                           store_fields=True)
-        a = solve_nse(xi, cfg)
-        b = solve_nse(0.5 * xi, cfg)
-        a.alpha = 0.3
-        out1 = mdp_rescale(a, b, ScalingLaw(0.25, 1), lat)
-        doubled = mdp_rescale(a, b, ScalingLaw(0.25, 1), lat)
-        for f1, f2 in zip(out1.fields, doubled.fields):
-            assert np.array_equal(f1, f2)
+                           noise=_bridge_noise(lat, "additive"))
+        w = sample_wiener(2, cfg.dt, cfg.steps, 34)
+        nse = dense_nse(xi, cfg)
+        low, _ = mdp_rescale(xi, cfg, w, nse, ScalingLaw(0.2, 1))
+        high, _ = mdp_rescale(xi, cfg, w, nse, ScalingLaw(0.3, 1))
+        np.testing.assert_allclose(high, 0.3**0.1 * low, rtol=1e-12)
 
     def test_matches_unified_delta1(self):
         lat = make_lattice(16)
         rng = np.random.default_rng(35)
         xi = random_field(lat, rng)
         noise = additive_noise(lat, [0.3], [(1, 0)])
-        cfg = SolverConfig(lattice=lat, dt=1e-3, t_final=0.1, alpha=0.2,
-                           noise=noise, store_fields=True)
+        cfg = SolverConfig(lattice=lat, dt=1e-3, t_final=0.1, alpha=0.2, noise=noise)
         w = sample_wiener(1, 1e-3, 100, 88)
-        nse = dense_nse(xi, cfg)
-        lans = solve_lans(xi, cfg, w)
-        unified = solve_unified(1, xi, cfg, wiener=w, nse=nse)
-        bridged = mdp_rescale(lans, nse, ScalingLaw(cfg.kappa, 1), lat)
-        gap = max(float(lat.norm_h(a - b)) for a, b in zip(bridged.fields, unified.fields))
-        assert gap <= 1e-8
+        _, gaps = mdp_rescale(xi, cfg, w, dense_nse(xi, cfg), ScalingLaw(cfg.kappa, 1))
+        assert gaps.max() <= 1e-8
+
+    def test_needs_the_dense_reference(self):
+        lat = make_lattice(8)
+        xi = random_field(lat, np.random.default_rng(36))
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.2)
+        for record, match in ((solve_nse(xi, cfg), "snapshots at every step"),
+                              (solve_nse(xi, replace(cfg, store_fields=True)), "drifts")):
+            with pytest.raises(ValueError, match=match):
+                mdp_rescale(xi, cfg, None, record, ScalingLaw(0.25, 1))
 
 
 class TestSpeed:

@@ -155,19 +155,25 @@ class TestNse:
             assert direct == pytest.approx(traj.norm_alpha[i], abs=1e-10)
 
     def test_recorded_norms_are_the_norm_methods_bit_for_bit(self):
-        # the recorder and mdp_rescale take their norms from one reduction each
+        # the recorder takes its norms from one reduction, and mdp_rescale
+        # the norms of both of its rows from one
         lat = make_lattice(16)
         xi = random_field(lat, np.random.default_rng(12))
         noise = additive_noise(lat, [0.3], [(1, 0)])
         cfg = cfg_for(lat, dt=1e-3, T=0.05, alpha=0.3, noise=noise, store_fields=True)
-        lans = solve_lans(xi, cfg, sample_wiener(1, 1e-3, 50, 3))
-        rescaled = mdp_rescale(lans, dense_nse(xi, cfg), ScalingLaw(cfg.kappa, 1), lat)
-        for traj in (lans, rescaled):
-            for name, norm in (("norm_h", lat.norm_h), ("norm_v", lat.norm_v),
-                               ("norm_a", lat.norm_a),
-                               ("norm_alpha", lambda f: lat.norm_alpha(f, 0.3))):
-                each = np.array([float(norm(f)) for f in traj.fields])
-                assert getattr(traj, name).tobytes() == each.tobytes(), name
+        w = sample_wiener(1, 1e-3, 50, 3)
+        lans = solve_lans(xi, cfg, w)
+        for name, norm in (("norm_h", lat.norm_h), ("norm_v", lat.norm_v),
+                           ("norm_a", lat.norm_a),
+                           ("norm_alpha", lambda f: lat.norm_alpha(f, 0.3))):
+            each = np.array([float(norm(f)) for f in lans.fields])
+            assert getattr(lans, name).tobytes() == each.tobytes(), name
+        nse = dense_nse(xi, cfg)
+        scaling = ScalingLaw(cfg.kappa, 1)
+        norms, _ = mdp_rescale(xi, cfg, w, nse, scaling)
+        fac = 1.0 / (math.sqrt(0.3) * scaling.lam(0.3))
+        each = np.array([float(lat.norm_h(fac * (a - u))) for a, u in zip(lans.fields, nse.fields)])
+        assert norms.tobytes() == each.tobytes()
 
 
 class TestMarch:
@@ -364,6 +370,40 @@ class TestUnified:
         march(step, np.zeros(lat.shape, complex), cfg.steps,
               lambda m, y, nh: states.append(y), lat)
         assert [a.tobytes() for a in unified.fields] == [b.tobytes() for b in states]
+
+    @pytest.mark.parametrize("n", [4, 16])  # the Galerkin tensor and the transforms
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_rows_of_delta_step_as_their_own_steppers(self, n, variant):
+        # rows (0, 1) through one stepper: the delta=0 row with its u_n and
+        # b_n rows zero, the delta=1 row with the reference's
+        from lans2d import projection_multiplicative_noise
+
+        lat = make_lattice(n)
+        rng = np.random.default_rng(n)
+        if variant == "additive":
+            noise = additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
+        else:
+            noise = projection_multiplicative_noise(lat, [0.4, 0.3], [(1, 0), (1, 1)],
+                                                    [(0, 1), (1, 0)], [0.5, -0.2])
+        cfg = cfg_for(lat, dt=2e-3, T=0.2, alpha=0.1, noise=noise)
+        y0, y1, u = (random_field(lat, rng).coeffs for _ in range(3))
+        b = lat.bilinear_b(u, u)
+        dw, h = 0.05 * rng.standard_normal((2, 2))
+        rows = UnifiedStepper(cfg, (0, 1))
+        assert rows.lam_delta.shape == (2, 1, 1, 1)
+        zero = np.zeros_like(u)
+        pair = rows.step(np.stack([y0, y1]), u_n=np.stack([zero, u]),
+                         b_n=np.stack([zero, b]), dw=dw, h_n=h)
+        single0 = UnifiedStepper(cfg, 0).step(y0, dw=dw, h_n=h)
+        single1 = UnifiedStepper(cfg, 1).step(y1, u_n=u, b_n=b, dw=dw, h_n=h)
+        assert pair[0].tobytes() == single0.tobytes()
+        assert pair[1].tobytes() == single1.tobytes()
+
+    def test_delta_rows_must_be_zero_or_one(self):
+        cfg = cfg_for(make_lattice(8))
+        for delta in ((0, 2), (), 2):
+            with pytest.raises(ValueError, match="delta must be 0 or 1"):
+                UnifiedStepper(cfg, delta)
 
     def test_delta1_zero_reference_zero_trajectory(self, setup):
         lat, _, noise = setup
