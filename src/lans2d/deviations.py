@@ -14,8 +14,9 @@ system to a target.  Here this is solved on the discrete grid:
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
   gradient; results are upper bounds (the problem is nonconvex).  An
   evaluation sweeps the unscaled terminal seed, so one memo of the last two
-  controls serves every weight: each weight's start and residual reuse the
-  march and sweep of the control the last weight ended at.
+  controls and the last one L-BFGS accepted serves every weight: each
+  weight's start and residual reuse the march and sweep of the control the
+  last weight ended at.
 
 Monte Carlo tail estimation runs independent trajectories of the stochastic
 system (vectorized in batches, reproducible per-trajectory streams) and
@@ -47,7 +48,7 @@ from .dynamics import (
     march,
     solve_skeleton,
 )
-from .noise import Control, WienerPath, sine_control, zero_control
+from .noise import Control, WienerPath, _SeedWords, _stream_seeds, sine_control, zero_control
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,12 @@ def _terminal_pieces(target, lat, y_terminal):
 _MEMO_ENTRIES = 2
 
 
+class _Memo(dict):
+    """A ``skeleton_gradient`` memo that also keeps the ``pinned`` control."""
+
+    pinned = None
+
+
 def skeleton_gradient(
     delta: int,
     h: Control,
@@ -197,10 +204,11 @@ def skeleton_gradient(
     ``beta a``.
 
     ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last
-    ``_MEMO_ENTRIES`` controls evaluated, keyed by their bytes: a call at one
-    of them, at any ``beta``, returns what a fresh call returns and marches
-    nothing.  A memo serves one problem only (one delta, target, config,
-    ``xi`` and ``nse``).
+    ``_MEMO_ENTRIES`` controls evaluated, keyed by their bytes, and a
+    ``_Memo`` also keeps its ``pinned`` control's: a call at one of them, at
+    any ``beta``, returns what a fresh call returns and marches nothing.  A
+    memo serves one problem only (one delta, target, config, ``xi`` and
+    ``nse``).
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
@@ -215,8 +223,9 @@ def skeleton_gradient(
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
         a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed, cfg.noise)
         if memo is not None:
-            if len(memo) >= _MEMO_ENTRIES:
-                del memo[next(iter(memo))]  # the oldest entry
+            recent = [k for k in memo if k != getattr(memo, "pinned", None)]
+            if len(recent) >= _MEMO_ENTRIES:
+                del memo[recent[0]]  # the oldest entry but the pinned one
             memo[key] = cost, rho, a
     scale = beta * rho if isinstance(target, TerminalObservable) else beta
     return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
@@ -324,10 +333,11 @@ def _target_scale(target):
 def _penalized_descent(problem, cfg, xi):
     """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``.
 
-    One memo serves the whole schedule.  L-BFGS ends a weight at the last
-    control it evaluated unless its line search fails, so that weight's
-    residual and the next weight's first evaluation march nothing; a failed
-    line search returns an earlier control, which the memo may still hold.
+    One memo serves the whole schedule, and it pins each weight's start and
+    then each control L-BFGS accepts (its ``callback`` reports them).  L-BFGS
+    ends a weight at the last control it accepted, also where a line search
+    fails after many evaluations, so that weight's residual and the next
+    weight's first evaluation march nothing.
     """
     from scipy.optimize import minimize
 
@@ -337,7 +347,7 @@ def _penalized_descent(problem, cfg, xi):
     hv = np.zeros(shape)
     scale = _target_scale(problem.target)
     history = []
-    memo = {}
+    memo = _Memo()
     for beta in problem.beta_schedule:
         def fun(flat):
             val, grad = skeleton_gradient(
@@ -345,8 +355,12 @@ def _penalized_descent(problem, cfg, xi):
             )
             return val, grad.ravel()
 
+        def pin(accepted):
+            memo.pinned = accepted.tobytes()
+
+        memo.pinned = hv.tobytes()
         res = minimize(
-            fun, hv.ravel(), jac=True, method="L-BFGS-B",
+            fun, hv.ravel(), jac=True, method="L-BFGS-B", callback=pin,
             options={"maxiter": problem.max_iterations, "ftol": 1e-14, "gtol": 1e-12},
         )
         hv = res.x.reshape(shape)
@@ -469,10 +483,12 @@ def _batch_size(cfg):
 
 def _chunk_increments(J, dt, steps, master_seed, start, stop):
     """Row ``i - start``: ``trajectory_wiener(J, dt, steps, master_seed, i).increments``,
-    drawn in place and scaled once for the chunk."""
+    drawn in place and scaled once for the chunk.  Each row's PCG64 takes its
+    seed from ``noise._stream_seeds``, which hashes the whole chunk's
+    ``(master_seed, i)`` in one vectorized pass, as ``SeedSequence`` would."""
     out = np.empty((stop - start, steps, J))
-    for i in range(start, stop):
-        np.random.default_rng((int(master_seed), int(i))).standard_normal(out=out[i - start])
+    for row, words in zip(out, _stream_seeds(master_seed, start, stop)):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
     return np.multiply(out, np.sqrt(dt), out=out)
 
 

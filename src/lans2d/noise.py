@@ -23,6 +23,13 @@ support.  Both equal the dense ``einsum`` over every entry and the division
 of the whole field as floats: einsum sums the same products in the same
 order, which a BLAS product does not (its order follows the shape and the
 thread count).
+
+Trajectory ``i`` of a Monte Carlo run draws its increments from the stream
+``default_rng((master_seed, i))`` (``trajectory_wiener``).  A batch seeds its
+streams in bulk: ``_stream_seeds`` computes the PCG64 seeds that
+``SeedSequence((master_seed, i))`` gives, for a whole index range, in numpy
+uint32 arithmetic, and ``_SeedWords`` hands each one to its ``PCG64``, so a
+batch row holds the stream's bits.
 """
 
 from __future__ import annotations
@@ -222,6 +229,104 @@ def sample_wiener(J: int, dt: float, steps: int, seed) -> WienerPath:
 def trajectory_wiener(J: int, dt: float, steps: int, master_seed: int, index: int) -> WienerPath:
     """Independent per-trajectory stream derived from (master seed, index)."""
     return sample_wiener(J, dt, steps, (int(master_seed), int(index)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words; its hash constants do not depend on the entropy
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as SeedSequence reads an int: little-endian 32-bit words."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's hash constant before and after each of its updates."""
+    while True:
+        after = init * mult & _MASK32
+        yield init, after
+        init = after
+
+
+def _hashmix(value, constants):
+    before, after = next(constants)
+    value = (value ^ before) * after
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> 16)
+
+
+def _stream_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seeds of streams ``start..stop-1``, shape ``(stop - start, 4)``.
+
+    Row ``i - start`` is ``np.random.SeedSequence((master_seed, i))
+    .generate_state(4, np.uint64)``, the seed ``trajectory_wiener`` gives its
+    generator, computed by SeedSequence's hash in uint32 arithmetic over the
+    whole index range at once.  The range is split where an index's high words
+    change (at multiples of 2**32), so that only the lowest index word varies
+    within a part.
+    """
+    entropy_head = _uint32_words(int(master_seed))
+    start, stop = int(start), int(stop)
+    seeds = np.empty((max(stop - start, 0), 2 * _POOL), np.uint32)
+    lo = start
+    while lo < stop:
+        hi = min(stop, ((lo >> 32) + 1) << 32)
+        words = np.array(entropy_head + _uint32_words(lo), np.uint32)
+        entropy = np.repeat(words[:, None], hi - lo, axis=1)
+        entropy[len(entropy_head)] += np.arange(hi - lo, dtype=np.uint32)  # the low index word
+        seeds[lo - start:hi - start] = _generate_state(_mix_entropy(entropy)).T
+        lo = hi
+    # SeedSequence pairs its words little-endian into each uint64
+    return seeds.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _mix_entropy(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's pool from ``entropy``, one word per row of columns."""
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(entropy.shape[1], np.uint32)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, constants)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """``generate_state`` of 8 uint32 words (4 uint64) from the pool's words."""
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    return np.stack([_hashmix(pool[i % _POOL], constants) for i in range(2 * _POOL)])
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = np.ascontiguousarray(words, np.uint64)  # PCG64 reads its buffer
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {self.words.size} uint64 words")
+        return self.words
 
 
 @dataclass(frozen=True)

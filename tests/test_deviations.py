@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from lans2d import (
     BlowupError,
@@ -364,6 +365,13 @@ class TestEvaluationReuse:
             skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
                               nse=nse, memo=memo)
             assert len(memo) == 2 and (h.values.tobytes() in memo) == (scale == 2.0)
+        # and a pinned control beside them
+        memo = deviations._Memo()
+        memo.pinned = h.values.tobytes()
+        for scale in (1.0, 2.0, 3.0, 4.0):
+            skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
+                              nse=nse, memo=memo)
+        assert len(memo) == 3 and memo.pinned in memo
 
     @pytest.mark.parametrize("max_iterations", [2, 500])
     @pytest.mark.parametrize("field", [False, True])
@@ -381,14 +389,27 @@ class TestEvaluationReuse:
             g = eigenmode_field(lat, (1, 0))
             free = solve_skeleton(0, xi, terminal, zero_control(2, cfg.dt, cfg.steps))
             target = TerminalObservable(g, float(lat.inner_h(free.fields[-1], g.coeffs)) + 0.1)
-        evaluated = []
+        events = []  # ("eval", control) and ("accept", control), in order
         gradient = deviations.skeleton_gradient
+        minimize = scipy.optimize.minimize
 
         def recorded(delta, h, *args, **kwargs):
-            evaluated.append(h.values.tobytes())
+            events.append(("eval", h.values.tobytes()))
             return gradient(delta, h, *args, **kwargs)
 
+        def recorded_minimize(fun, x0, callback, **kwargs):
+            events.append(("accept", x0.tobytes()))
+
+            def accept(xk):
+                events.append(("accept", xk.tobytes()))
+                callback(xk)
+
+            res = minimize(fun, x0, callback=accept, **kwargs)
+            assert ("accept", res.x.tobytes()) in events
+            return res
+
         monkeypatch.setattr(deviations, "skeleton_gradient", recorded)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
         counted["march"] = counted["sweep"] = 0
         betas = (1e1, 1e2, 1e3, 1e4)
         res = rate_function(RateProblem(0, target, beta_schedule=betas,
@@ -396,15 +417,22 @@ class TestEvaluationReuse:
         assert res.converged
         # each weight after the first starts where the last one ended, and
         # neither that start nor any weight's residual marches again; the
-        # memo holds two controls, so a line search that comes back further
-        # marches again (the observable capped at 2 returns three back)
+        # memo holds the last two controls and the last one accepted (or the
+        # weight's start), so a line search that comes back further to a
+        # control L-BFGS did not accept marches again
+        evaluated = [h for kind, h in events if kind == "eval"]
         changed = [i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated)]
         assert len(evaluated) - sum(changed) == len(betas) - 1
-        kept, misses = [], 0  # the memo's controls, oldest first
-        for h in evaluated:
-            if h not in kept:
+        kept, accepted, misses = [], None, 0  # the memo's controls, oldest first
+        for kind, h in events:
+            if kind == "accept":
+                accepted = h
+            elif h not in kept:
                 misses += 1
-                kept = (kept + [h])[-2:]
+                recent = [k for k in kept if k != accepted]
+                if len(recent) == 2:
+                    kept.remove(recent[0])
+                kept.append(h)
         assert counted["march"] == counted["sweep"] == misses
 
     @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])

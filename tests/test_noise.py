@@ -21,7 +21,7 @@ from lans2d import (
     zero_field,
 )
 from lans2d import deviations
-from lans2d.noise import ADDITIVE, MULTIPLICATIVE
+from lans2d.noise import ADDITIVE, MULTIPLICATIVE, _stream_seeds
 
 
 @pytest.fixture
@@ -219,6 +219,28 @@ class TestWiener:
         for i in range(5, 9):
             want = trajectory_wiener(3, 2e-3, 40, 11, i).increments
             assert rows[i - 5].tobytes() == want.tobytes()
+
+    # an entropy word is added at 2**32 and 2**64 of the seed and at 2**32 of
+    # the index, so the bulk seeding must split its range where SeedSequence does
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 10**30])
+    @pytest.mark.parametrize("start, stop", [(0, 6), (2**32 - 3, 2**32 + 3)])
+    def test_bulk_seeds_are_seed_sequences(self, master_seed, start, stop):
+        words = _stream_seeds(master_seed, start, stop)
+        rows = deviations._chunk_increments(1, 1e-2, 3, master_seed, start, stop)
+        assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+        for i in range(start, stop):
+            seq = np.random.SeedSequence((master_seed, i))
+            assert words[i - start].tobytes() == seq.generate_state(4, np.uint64).tobytes()
+            want = trajectory_wiener(1, 1e-2, 3, master_seed, i).increments
+            assert rows[i - start].tobytes() == want.tobytes()
+
+    def test_bulk_seeds_reject_a_negative_seed(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng((-1, 0))
+        with pytest.raises(ValueError):
+            _stream_seeds(-1, 0, 3)
+        with pytest.raises(ValueError):
+            deviations._chunk_increments(1, 1e-2, 3, -1, 0, 3)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
