@@ -452,6 +452,8 @@ class SkeletonStepper(_Stepper):
     Like ``UnifiedStepper`` a step allocates only the state it returns: the
     coefficient argument is ``y`` or ``u_n`` itself, so only buffer 1 is
     used, for the noise term, and the drift array becomes the new state.
+    Batched: ``y`` may carry leading axes and ``h_n`` the same ones, one
+    control per state; ``u_n`` broadcasts against them.
     Set ``drifts`` to a list to keep a copy of each step's drift in it.
     """
 
@@ -475,7 +477,10 @@ class SkeletonStepper(_Stepper):
         np.subtract(y, rhs, out=rhs)
         if h_n is not None and self.noise is not None:
             arg = self.coefficient_argument(y, u_n)
-            g = self.noise.apply(arg, h_n, out=self._buffer(arg.shape, 1))
+            # one control's term has the batch of arg, a batch of controls
+            # that of the new state (which y must then carry)
+            shape = arg.shape if h_n.ndim == 1 else rhs.shape
+            g = self.noise.apply(arg, h_n, out=self._buffer(shape, 1))
             rhs += np.multiply(g, self.dt, out=g)
         return np.multiply(self.S, rhs, out=rhs)
 

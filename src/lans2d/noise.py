@@ -110,7 +110,7 @@ class NoiseOperator:
     def coefficients(self, u: np.ndarray | None) -> np.ndarray:
         """Per-direction scalar weights sigma_j * ((u, psi_j) + c_j) (or sigma_j)."""
         if self.variant == ADDITIVE:
-            if u is None:
+            if u is None or u.ndim == 3:  # one field: sigma itself (read-only)
                 return self.sigma
             return np.broadcast_to(self.sigma, u.shape[:-3] + (self.rank,))
         if u is None:

@@ -61,8 +61,19 @@ samples and transform intermediates live in a scratch kept on the lattice,
 one per plane count (3 for ``B~``, 6 for ``B``, ``adjoint_b_first`` and
 ``linearized_b``), and a contraction's coordinates and products in one per
 form; each is made for the first batch shape and replaced when the shape
-changes.  So a lattice is not to be shared between threads that use it at the
-same time; pickling it sends only ``n``, neither the scratch nor the tensors.
+changes.  The kernel's scratch also holds every view a call goes through,
+made with it: each term's planes of the stack and of the grid samples, the
+transposed ``k1 >= 0`` and ``k1 < 0`` halves of the stack and of the padded
+band copy, the padding and low columns of the half spectra, and the views
+that assemble the band coefficients from the forward transform.  So a call
+by transforms is a fixed, short run of numpy calls.  It hands the scratch to
+``to_physical`` and ``to_spectral``, which allocate their arrays only for
+other callers, and it broadcasts its operands' shapes only when they differ.
+numpy buffers a ufunc operand that it broadcasts or that is not one
+contiguous run, so for one field the kernel multiplies by whole ``i k``
+tables and forms the grid products plane by plane.  A lattice is not to be
+shared between threads that use it at the same time; pickling it sends only
+``n``, neither the scratch nor the tensors.
 
 The reports at the end take the worst ratio of each check over random field
 triples ``u, v, w``, from one table per triple: each identity's residual and
@@ -159,6 +170,12 @@ class TorusLattice:
             ("_p_diag", proj[[0, 1], [0, 1]].astype(np.complex128)),  # p11, p22
             ("_p_cross", proj[[0, 1], [1, 0]].astype(np.complex128)),  # p12, p21
             ("_ik", ik),  # i k1, i k2
+            # i k_j for both components of a vector, and i k2, i k1, as whole
+            # tables: numpy buffers a ufunc operand it broadcasts or that is
+            # not one contiguous run, and an unbatched kernel call does not
+            ("_ik_1", ik[[0, 0]]),
+            ("_ik_2", ik[[1, 1]]),
+            ("_ik_reversed", ik[::-1].copy()),
             ("_w_h", w_h),
             ("_w_v", w_h * lam),
             ("_w_a", w_h * lam**2),
@@ -187,49 +204,46 @@ class TorusLattice:
 
     # -- transforms ---------------------------------------------------------
 
-    def to_physical(self, coeffs: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
+    def to_physical(self, coeffs: np.ndarray, scratch=None) -> np.ndarray:
         """Collocation samples of a real field's coefficients, shape ``(..., n, n)``.
 
-        ``out`` (the samples), ``half`` (``(..., n, n // 2 + 1)`` complex) and
-        ``band`` (``(..., K + 1, n)`` complex) are written if given, else
+        ``scratch``, a kernel scratch whose stack ``coeffs`` is, holds the
+        samples and the transform's intermediates; without it they are
         allocated.
         """
-        n, K = self.n, self._edge
-        lead = coeffs.shape[:-2]
-        band = _buffer(band, lead + (K + 1, n))
-        half = _buffer(half, lead + (n, n // 2 + 1))
-        out = _buffer(out, lead + (n, n), np.float64)
+        n = self.n
+        if scratch is None:
+            s = _Inverse.allocate(n, self._edge, coeffs)
+        else:
+            s = scratch.inverse
+            if coeffs is not s.coeffs:
+                raise ValueError("a kernel scratch transforms only its own stack")
         # numpy transforms short strided rows slowly: transform k1 (padded to
         # n rows) along a contiguous last axis, then k2 -> x2 transposed back
-        rows = np.swapaxes(coeffs, -1, -2)
-        np.copyto(band[..., : K + 1], rows[..., : K + 1])
-        band[..., K + 1 : n - K] = 0
-        np.copyto(band[..., n - K :], rows[..., K + 1 :])
-        np.fft.ifft(band, axis=-1, norm="forward", out=band)
-        np.copyto(half[..., : K + 1], np.swapaxes(band, -1, -2))
-        half[..., K + 1 :] = 0
-        return np.fft.irfft(half, n=n, axis=-1, norm="forward", out=out)
+        np.copyto(s.band_low, s.rows_low)
+        s.band_padding.fill(0)
+        np.copyto(s.band_high, s.rows_high)
+        np.fft.ifft(s.band, axis=-1, norm="forward", out=s.band)
+        np.copyto(s.half_low, s.band_columns)
+        s.half_padding.fill(0)
+        return np.fft.irfft(s.half, n=n, axis=-1, norm="forward", out=s.phys)
 
-    def to_spectral(self, phys: np.ndarray, out=None, half=None, band=None) -> np.ndarray:
+    def to_spectral(self, phys: np.ndarray, scratch=None) -> np.ndarray:
         """Band coefficients of real grid samples, shape ``(..., 2K+1, K+1)``.
 
         The ``k2 = 0`` column's rows ``k1 < 0`` are the conjugates of its rows
-        ``k1 > 0``, so the result is a real field's by construction.  ``out``,
-        ``half`` and ``band`` are as for :meth:`to_physical`.
+        ``k1 > 0``, so the result is a real field's by construction.
+        ``scratch``, a kernel scratch for ``phys``' batch, holds the result and
+        the transform's intermediates; without it they are allocated.
         """
-        n, K = self.n, self._edge
-        lead = phys.shape[:-2]
-        half = _buffer(half, lead + (n, n // 2 + 1))
-        band = _buffer(band, lead + (K + 1, n))
-        out = _buffer(out, lead + (2 * K + 1, K + 1))
-        np.fft.rfft(phys, axis=-1, norm="forward", out=half)
-        np.copyto(band, np.swapaxes(half[..., : K + 1], -1, -2))
-        np.fft.fft(band, axis=-1, norm="forward", out=band)
-        h = np.swapaxes(band, -1, -2)  # rows k1 in FFT order for n, columns k2 = 0..K
-        out[..., : K + 1, :] = h[..., : K + 1, :]
-        out[..., K + 1 :, 1:] = h[..., n - K :, 1:]
-        np.conjugate(h[..., K:0:-1, 0], out=out[..., K + 1 :, 0])  # u(-k) = conj u(k)
-        return out
+        s = _Forward.allocate(self.n, self._edge, phys) if scratch is None else scratch.forward
+        np.fft.rfft(phys, axis=-1, norm="forward", out=s.half)
+        np.copyto(s.band, s.half_columns)
+        np.fft.fft(s.band, axis=-1, norm="forward", out=s.band)
+        np.copyto(s.out_low, s.rows_low)
+        np.copyto(s.out_high, s.rows_high)
+        np.conjugate(s.mirrored, out=s.out_mirrors)  # u(-k) = conj u(k)
+        return s.out
 
     def grid(self):
         """Physical collocation points (X, Y), each shape (n, n)."""
@@ -246,9 +260,9 @@ class TorusLattice:
         """
         # whole-array products: numpy buffers each operand of a broadcast ufunc
         # that is not one contiguous run, here only the table
-        work = _buffer(work, coeffs.shape)
-        np.copyto(work[..., 0, :, :], coeffs[..., 1, :, :])
-        np.copyto(work[..., 1, :, :], coeffs[..., 0, :, :])
+        if work is None:
+            work = np.empty(coeffs.shape, np.complex128)
+        np.copyto(work, coeffs[..., ::-1, :, :])
         np.multiply(self._p_cross, work, out=work)  # p12 u2, p12 u1
         out = np.multiply(self._p_diag, coeffs)  # p11 u1, p22 u2
         return np.add(out, work, out=out)
@@ -333,8 +347,8 @@ class TorusLattice:
         terms go through the transforms.
         """
         x, _, f = terms[0]
-        swapped = all(t[0] is f and t[2] is x for t in terms[1:])
-        if self._tensors is not None and len(terms) <= 2 and swapped:
+        if (self._tensors is not None and len(terms) <= 2
+                and all(t[0] is f and t[2] is x for t in terms[1:])):
             return self._contract(x, f, tuple(t[1] for t in terms))
         return self._transform_quadratic(terms)
 
@@ -343,41 +357,43 @@ class TorusLattice:
         planes it needs on the band into one stack: a ``"curl"`` term 3
         (``(-x_2, x_1)`` and ``q``), a ``"d"`` or ``"grad"`` term 6 (``x``,
         ``g_1`` and ``g_2``).  One inverse transform brings the stack to the
-        grid, where each product of a scalar with a vector is formed in place
-        of the vector and the products are summed; one forward transform
-        (which keeps only the band) brings the sum back, and it is projected.
-        Everything but the projected result lives in the lattice's scratch."""
-        ik, pairings = self._ik, tuple(pairing for _, pairing, _ in terms)
-        shape = np.broadcast_shapes(*(a.shape for x, _, f in terms for a in (x, f)))
-        planes = sum(_PLANES[pairing] for pairing in pairings)
+        grid, where each term's products of scalars with vectors are formed in
+        place of the vectors and the products are summed; one forward
+        transform (which keeps only the band) brings the sum back, and it is
+        projected.  Everything but the projected result lives in the
+        lattice's scratch, written through views it made once."""
+        shapes = [a.shape for x, _, f in terms for a in (x, f)]
+        shape = shapes[0]
+        if shapes.count(shape) < len(shapes):
+            shape = np.broadcast_shapes(*shapes)
+        pairings = tuple([pairing for _, pairing, _ in terms])
+        planes = sum([_PLANES[pairing] for pairing in pairings])
         s = self._scratch.get(planes)
         if s is None or s.batch != shape[:-3]:
             s = self._scratch[planes] = _KernelScratch(self.n, self._edge, shape[:-3], planes)
-        stacked, products = s.layout(pairings)
-        for (x, pairing, f), views in zip(terms, stacked):
-            if pairing == "curl":  # (-x_2, x_1), then q = d_1 f_2 - d_2 f_1
-                rotated_1, rotated_2, q = views
-                np.multiply(f[..., 1:, :, :], ik[0], out=q)
-                np.multiply(f[..., :1, :, :], ik[1], out=rotated_1)  # d_2 f_1, until -x_2
-                np.subtract(q, rotated_1, out=q)
-                np.negative(x[..., 1:, :, :], out=rotated_1)
-                np.copyto(rotated_2, x[..., :1, :, :])
+        fills, products, (w, *addends) = s.layout(pairings)
+        for (x, pairing, f), views in zip(terms, fills):
+            if pairing == "curl":
+                rotated, reversed_, first, second, q = views
+                np.multiply(f, self._ik_reversed, out=rotated)  # d_2 f_1, d_1 f_2
+                np.subtract(second, first, out=q)  # q = d_1 f_2 - d_2 f_1
+                np.copyto(reversed_, x)  # x_2, x_1
+                np.negative(first, out=first)  # -x_2, x_1
                 continue
-            value, *gradients = views
+            value, g_1, g_2 = views
             np.copyto(value, x)
-            for j, g in enumerate(gradients):
-                if pairing == "d":  # g_j = d_j f
-                    np.multiply(f, ik[j], out=g)
-                else:  # g_j = grad f_j
-                    np.multiply(f[..., j : j + 1, :, :], ik, out=g)
-        self.to_physical(s.stack, out=s.phys, half=s.half, band=s.band)
-        w = products[0][1]  # the sum accumulates in place of the first product
-        for i, (scalar, vector) in enumerate(products):
+            if pairing == "d":  # g_j = d_j f
+                np.multiply(f, self._ik_1, out=g_1)
+                np.multiply(f, self._ik_2, out=g_2)
+            else:  # g_j = grad f_j
+                np.multiply(f[..., :1, :, :], self._ik, out=g_1)
+                np.multiply(f[..., 1:, :, :], self._ik, out=g_2)
+        self.to_physical(s.stack, s)
+        for scalar, vector in products:
             np.multiply(scalar, vector, out=vector)
-            if i:
-                np.add(w, vector, out=w)
-        spec = self.to_spectral(w, out=s.spectrum, half=s.product_half, band=s.product_band)
-        return self.leray(spec, work=s.work)
+        for vector in addends:  # the sum accumulates in place of the first product
+            np.add(w, vector, out=w)
+        return self.leray(self.to_spectral(w, s), work=s.work)
 
     def _tensor(self, pairings):
         """A form's Galerkin tensor ``(x_at, f_at, rows)``.  Row ``p`` of ``rows``
@@ -482,29 +498,78 @@ class TorusLattice:
         return coeffs
 
 
-def _buffer(buf, shape, dtype=np.complex128):
-    """``buf``, or a fresh array of ``shape`` when none is given."""
-    return np.empty(shape, dtype) if buf is None else buf
+class _Inverse:
+    """The arrays :meth:`TorusLattice.to_physical` writes for planes
+    ``coeffs`` (``(..., 2K + 1, K + 1)``) and the views it copies through:
+    the ``k1 >= 0`` and ``k1 < 0`` rows of ``coeffs``, transposed, and where
+    they go in the band copy ``band`` (``(..., K + 1, n)``), whose other rows
+    are its padding; the band transposed, and the low columns of the half
+    spectrum ``half`` (``(..., n, n // 2 + 1)``) it goes to, whose other
+    columns are its padding; and the samples ``phys``."""
+
+    def __init__(self, n, K, coeffs, band, half, phys):
+        rows = coeffs.swapaxes(-1, -2)
+        self.coeffs, self.band, self.half, self.phys = coeffs, band, half, phys
+        self.rows_low, self.rows_high = rows[..., : K + 1], rows[..., K + 1 :]
+        self.band_low, self.band_high = band[..., : K + 1], band[..., n - K :]
+        self.band_padding = band[..., K + 1 : n - K]
+        self.band_columns = band.swapaxes(-1, -2)
+        self.half_low, self.half_padding = half[..., : K + 1], half[..., K + 1 :]
+
+    @classmethod
+    def allocate(cls, n, K, coeffs):
+        lead, c16 = coeffs.shape[:-2], np.complex128
+        return cls(n, K, coeffs, np.empty(lead + (K + 1, n), c16),
+                   np.empty(lead + (n, n // 2 + 1), c16), np.empty(lead + (n, n)))
+
+
+class _Forward:
+    """The arrays :meth:`TorusLattice.to_spectral` writes, the half spectrum
+    ``half`` of the samples (``(..., n, n // 2 + 1)``), its low columns
+    ``band`` (``(..., K + 1, n)``) and the coefficients ``out``
+    (``(..., 2K + 1, K + 1)``), and the views it copies through: the low
+    columns of ``half``, transposed, and the band's ``k1 >= 0`` rows, its
+    ``k1 < 0`` rows but the ``k2 = 0`` column's, and that column's ``k1 > 0``
+    entries mirrored, each with where it goes in ``out``."""
+
+    def __init__(self, n, K, half, band, out):
+        rows = band.swapaxes(-1, -2)  # rows k1 in FFT order for n, columns k2 = 0..K
+        self.half, self.band, self.out = half, band, out
+        self.half_columns = half[..., : K + 1].swapaxes(-1, -2)
+        self.rows_low, self.out_low = rows[..., : K + 1, :], out[..., : K + 1, :]
+        self.rows_high, self.out_high = rows[..., n - K :, 1:], out[..., K + 1 :, 1:]
+        self.mirrored, self.out_mirrors = rows[..., K:0:-1, 0], out[..., K + 1 :, 0]
+
+    @classmethod
+    def allocate(cls, n, K, phys):
+        lead, c16 = phys.shape[:-2], np.complex128
+        return cls(n, K, np.empty(lead + (n, n // 2 + 1), c16), np.empty(lead + (K + 1, n), c16),
+                   np.empty(lead + (2 * K + 1, K + 1), c16))
 
 
 class _KernelScratch:
-    """Work arrays of ``_quadratic`` for one batch shape and plane count.
+    """Work arrays of ``_quadratic`` for one batch shape and plane count, and
+    the views a call writes and reads them through, all made once.
 
-    Views into two arenas.  Each arena holds runs of arrays: the arrays of a
-    run are alive together and lie end to end, the runs of an arena are alive
-    one after another and all start at its beginning.  Arena one holds the
-    stack (``planes * prod(batch)`` planes ``(2K + 1, K + 1)``: each vector or
-    scalar a term writes is one block of whole fields) and the inverse
-    transform's band copy, then the grid samples, then the band copy of the
-    product's forward transform.  Arena two holds the half spectrum of the
-    inverse transform, then the product's half spectrum and its band
-    coefficients, then the Leray product.
+    The arrays are views into two arenas.  Each arena holds runs of arrays:
+    the arrays of a run are alive together and lie end to end, the runs of an
+    arena are alive one after another and all start at its beginning.  Arena
+    one holds the stack (``planes * prod(batch)`` planes ``(2K + 1, K + 1)``:
+    each vector or scalar a term writes is one block of whole fields) and the
+    inverse transform's band copy, then the grid samples, then the band copy
+    of the product's forward transform.  Arena two holds the half spectrum of
+    the inverse transform, then the product's half spectrum and its band
+    coefficients, then the Leray product.  So the padding of the inverse
+    transform's band copy and half spectrum does not outlive a call, and each
+    call zeroes it again through its views.  ``inverse`` and ``forward`` hold
+    the two transforms' arrays and views, ``layout`` the terms' views.
     """
 
     def __init__(self, n, K, batch, planes):
         self.batch, self._layouts = batch, {}
         lead, prod, c16 = (planes * math.prod(batch),), batch + (2,), np.complex128
         rows = 2 * K + 1
+        arrays = {}
         for runs in (
             [[("stack", lead + (rows, K + 1), c16), ("band", lead + (K + 1, n), c16)],
              [("phys", lead + (n, n), np.float64)],
@@ -520,14 +585,21 @@ class _KernelScratch:
             for run, run_sizes in zip(runs, sizes):
                 start = 0
                 for (name, shape, dtype), size in zip(run, run_sizes):
-                    setattr(self, name, arena[start : start + size].view(dtype).reshape(shape))
+                    arrays[name] = arena[start : start + size].view(dtype).reshape(shape)
                     start += size
+        self.stack, self.phys, self.work = arrays["stack"], arrays["phys"], arrays["work"]
+        self.inverse = _Inverse(n, K, self.stack, arrays["band"], arrays["half"], self.phys)
+        self.forward = _Forward(n, K, arrays["product_half"], arrays["product_band"],
+                                arrays["spectrum"])
 
     def layout(self, pairings):
         """Views for the terms ``pairings``, made on first use: per term, the
-        stack views it writes (``"curl"``: ``-x_2``, ``x_1``, ``q``; else
-        ``x``, ``g_1``, ``g_2``), and the ``(scalar, vector)`` views of the
-        grid samples whose products sum to the form."""
+        stack views it writes (``"curl"``: ``(-x_2, x_1)``, the same reversed,
+        its two planes and ``q``; else ``x``, ``g_1`` and ``g_2``); the
+        ``(scalar, vector)`` views of the grid samples whose products are
+        formed in place of the vectors, plane by plane for one field, where
+        that makes every operand one contiguous run; and the product vectors
+        whose sum is the form, the first of which holds the sum."""
         views = self._layouts.get(pairings)
         if views is None:
             fields = math.prod(self.batch)
@@ -536,20 +608,24 @@ class _KernelScratch:
                 return a[at * fields : (at + planes) * fields].reshape(
                     self.batch + (planes,) + a.shape[1:])
 
-            stacked, products, at = [], [], 0
+            fills, products, at = [], [], 0
             for pairing in pairings:
                 if pairing == "curl":
                     rotated = block(self.stack, at, 2)
-                    stacked.append((rotated[..., :1, :, :], rotated[..., 1:, :, :],
-                                    block(self.stack, at + 2, 1)))
+                    fills.append((rotated, rotated[..., ::-1, :, :], rotated[..., :1, :, :],
+                                  rotated[..., 1:, :, :], block(self.stack, at + 2, 1)))
                     products.append((block(self.phys, at + 2, 1), block(self.phys, at, 2)))
                 else:
-                    stacked.append(tuple(block(self.stack, at + 2 * i, 2) for i in range(3)))
+                    fills.append(tuple(block(self.stack, at + 2 * i, 2) for i in range(3)))
                     x = block(self.phys, at, 2)
                     products += [(x[..., j : j + 1, :, :], block(self.phys, at + 2 + 2 * j, 2))
                                  for j in (0, 1)]
                 at += _PLANES[pairing]
-            views = self._layouts[pairings] = (stacked, products)
+            vectors = [vector for _, vector in products]
+            if fields == 1:
+                products = [(scalar, vector[..., c : c + 1, :, :])
+                            for scalar, vector in products for c in (0, 1)]
+            views = self._layouts[pairings] = (fills, products, vectors)
         return views
 
 

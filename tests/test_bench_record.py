@@ -206,7 +206,7 @@ def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
 @pytest.mark.parametrize("workload, keys", [
     ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
     ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]),
-    ("rate-n16", ["cg_iterations", "costs", "residuals"])])
+    ("rate-n16", ["cg_iterations", "controls", "costs", "residuals"])])
 def test_run_outputs_reads_what_op_0_computed(workload, keys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     got = bench_record.run_outputs(root, workload, 1)
@@ -214,3 +214,5 @@ def test_run_outputs_reads_what_op_0_computed(workload, keys):
     if workload == "rate-n16":
         assert np.shape(got["costs"]) == np.shape(got["residuals"]) == (6, 2)
         assert all(isinstance(i, int) and i > 0 for i in got["cg_iterations"])
+        assert np.shape(got["controls"]) == (6, 2)
+        assert all(len(digest) == 64 for pair in got["controls"] for digest in pair)

@@ -29,7 +29,7 @@ from lans2d import (
     zero_control,
     zero_field,
 )
-from lans2d.dynamics import UnifiedStepper, indexed_step, march
+from lans2d.dynamics import SkeletonStepper, UnifiedStepper, indexed_step, march
 
 
 def cfg_for(lat, dt=1e-3, T=0.5, alpha=0.1, noise=None, **kw):
@@ -531,6 +531,35 @@ class TestSkeleton:
         nse = dense_nse(xi, cfg)
         traj = solve_skeleton(1, xi, cfg, zero_control(2, 1e-3, 100), nse=nse)
         assert traj.norm_h.max() == 0.0
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_batch_of_controls_marches_as_single_marches(self, delta, variant):
+        # a batch of states under a batch of controls: the noise term takes
+        # the controls' batch, where delta=1 evaluates G at the unbatched u_n
+        from lans2d import projection_multiplicative_noise
+
+        lat = make_lattice(16)
+        rng = np.random.default_rng(21)
+        if variant == "additive":
+            noise = additive_noise(lat, [0.5, 0.4], [(1, 0), (0, 1)])
+        else:
+            noise = projection_multiplicative_noise(lat, [0.4, 0.3], [(1, 0), (1, 1)],
+                                                    [(0, 1), (1, 0)], [0.5, -0.2])
+        cfg = cfg_for(lat, dt=2e-3, T=0.02, alpha=0.0, noise=noise, store_fields=True)
+        xi = random_field(lat, rng)
+        u = dense_nse(xi, cfg).fields if delta == 1 else None
+        h = rng.standard_normal((cfg.steps, 3, 2))
+        y0 = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs
+
+        def final(y, hv):
+            step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u, h_n=hv)
+            return march(step, y, cfg.steps, None, lat)
+
+        batch = final(np.stack([y0] * 3), h)
+        assert batch.shape == (3,) + lat.shape
+        for i in range(3):
+            assert batch[i].tobytes() == final(y0, h[:, i]).tobytes()
 
     def test_delta1_linearity(self, setup):
         lat, rng, xi, noise = setup

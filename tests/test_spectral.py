@@ -521,22 +521,45 @@ class TestGalerkinTensors:
         assert digests[0] == digests[1]
 
 
+FORMS = ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b")
+
+
 class TestScratch:
     def test_batched_btilde_allocates_little_beyond_its_result(self):
-        # the stack, grid samples and transform intermediates come from the
-        # lattice's scratch, made by the warm-up call; numpy reports its
-        # arrays to tracemalloc, so the traced peak is what a call allocates
+        # every form, one field and a batch: the stack, grid samples and
+        # transform intermediates come from the lattice's scratch, made by the
+        # warm-up call; numpy reports its arrays (and the buffers of its
+        # ufuncs) to tracemalloc, so the traced peak is what a call allocates
         lat = make_lattice(16)
         rng = np.random.default_rng(8)
-        u, v = _fields(lat, rng, 64), _fields(lat, rng, 64)
-        lat.bilinear_btilde(u, v)
-        tracemalloc.start()
-        try:
-            result = lat.bilinear_btilde(u, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * result.nbytes
+        for batch in (None, 64):
+            u, v = _fields(lat, rng, batch), _fields(lat, rng, batch)
+            for name in FORMS:
+                form = getattr(lat, name)
+                form(u, v)
+                tracemalloc.start()
+                try:
+                    result = form(u, v)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 2.5 * result.nbytes, (name, batch)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_interleaved_forms_and_batches_match_a_fresh_lattice(self, n):
+        # the three 6-plane forms share one scratch and B~ has its own; each
+        # call must write every plane and padding entry it reads, whatever
+        # form or batch shape used the scratch last
+        lat = make_lattice(n)
+        rng = np.random.default_rng(n)
+        batches = [None, 5, None]
+        operands = [(_fields(lat, rng, b), _fields(lat, rng, b)) for b in batches]
+        for u, v in operands:
+            for name in FORMS + FORMS[::-1]:
+                got = getattr(lat, name)(u, v)
+                want = getattr(make_lattice(n), name)(u, v)
+                assert got.tobytes() == want.tobytes(), name
+        assert sorted(lat._scratch) == [3, 6]
 
     def test_pickle_sends_only_n(self):
         lat = make_lattice(32)

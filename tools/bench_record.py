@@ -26,7 +26,8 @@ move with the speed when ops differ in work.
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
 the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
-and rate-n16's costs, residuals and each field solve's CG iterations.  It
+and rate-n16's costs, residuals, each field solve's CG iterations and the
+sha256 of each solve's control values.  It
 prints one line per workload, then each differing value (numbers by their
 largest relative difference), and exits 1 if any of them differs between
 the sides.
@@ -54,6 +55,7 @@ OUTPUTS_SCRIPT = """
 import hashlib, json, os, sys, tempfile
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
 import worker
+import numpy as np
 from workloads import WORKLOADS
 name, seed = sys.argv[1], int(sys.argv[2])
 with tempfile.TemporaryDirectory() as work:
@@ -68,7 +70,9 @@ with tempfile.TemporaryDirectory() as work:
     elif name == "rate-n16":
         got = {"costs": [[r.cost for r in pair] for pair in result],
                "residuals": [[r.residual for r in pair] for pair in result],
-               "cg_iterations": [pair[1].details["iterations"] for pair in result]}
+               "cg_iterations": [pair[1].details["iterations"] for pair in result],
+               "controls": [[hashlib.sha256(np.ascontiguousarray(r.control.values).tobytes())
+                             .hexdigest() for r in pair] for pair in result]}
     else:
         got = {"hits": result.hits}
 print(json.dumps(got))
