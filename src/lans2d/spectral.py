@@ -171,8 +171,9 @@ class TorusLattice:
             ("_p_cross", proj[[0, 1], [1, 0]].astype(np.complex128)),  # p12, p21
             ("_ik", ik),  # i k1, i k2
             # i k_j for both components of a vector, and i k2, i k1, as whole
-            # tables: numpy buffers a ufunc operand it broadcasts or that is
-            # not one contiguous run, and an unbatched kernel call does not
+            # tables: numpy buffers a ufunc operand that it broadcasts or that
+            # is not one contiguous run, and an unbatched kernel call
+            # multiplies whole fields by these without either
             ("_ik_1", ik[[0, 0]]),
             ("_ik_2", ik[[1, 1]]),
             ("_ik_reversed", ik[::-1].copy()),
