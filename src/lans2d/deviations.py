@@ -124,15 +124,17 @@ class TailEstimate:
 
 
 def _skeleton_march(delta, hv, cfg, xi, u_fields, observe):
-    """March the controlled system under control values ``hv``; returns y(T)."""
+    """March the controlled system under control values ``hv``; returns y(T).
+    ``hv`` of shape ``(steps, B, J)`` marches a batch of ``B`` states."""
     step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=hv)
-    return march(step, initial_state(delta, xi.coeffs), cfg.steps, observe, cfg.lattice)
+    y0 = initial_state(delta, xi.coeffs, hv.shape[1:-1])
+    return march(step, y0, cfg.steps, observe, cfg.lattice)
 
 
 def _skeleton_forward(delta, hv, cfg, xi, u_fields):
     """March the controlled system, returning all states (steps+1 arrays)."""
     states = []
-    _skeleton_march(delta, hv, cfg, xi, u_fields, lambda m, y, nh: states.append(y))
+    _skeleton_march(delta, hv, cfg, xi, u_fields, lambda m, y: states.append(y))
     return states
 
 
@@ -172,9 +174,10 @@ def _terminal_pieces(target, lat, y_terminal):
     return float(lat.norm_h(diff)), diff
 
 
-# the controls a memo of ``skeleton_gradient`` keeps: L-BFGS-B's line search
-# can step back to the control before the last one
-_MEMO_ENTRIES = 2
+# the controls a memo of ``skeleton_gradient`` keeps, those evaluated most
+# recently: L-BFGS-B's line search can step back to a control 2 or 3
+# evaluations before the last one, and return to one again and again
+_MEMO_ENTRIES = 3
 
 
 class _Memo(dict):
@@ -203,12 +206,12 @@ def skeleton_gradient(
     linear in its seed, so the penalty's gradient is ``beta rho a`` or
     ``beta a``.
 
-    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last
-    ``_MEMO_ENTRIES`` controls evaluated, keyed by their bytes, and a
-    ``_Memo`` also keeps its ``pinned`` control's: a call at one of them, at
-    any ``beta``, returns what a fresh call returns and marches nothing.  A
-    memo serves one problem only (one delta, target, config, ``xi`` and
-    ``nse``).
+    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the
+    ``_MEMO_ENTRIES`` controls evaluated most recently (a hit counts as an
+    evaluation), keyed by their bytes, and a ``_Memo`` also keeps its
+    ``pinned`` control's: a call at one of them, at any ``beta``, returns
+    what a fresh call returns and marches nothing.  A memo serves one
+    problem only (one delta, target, config, ``xi`` and ``nse``).
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
@@ -216,7 +219,7 @@ def skeleton_gradient(
     hv = h.values
     key = hv.tobytes()
     if memo is not None and key in memo:
-        cost, rho, a = memo[key]
+        cost, rho, a = memo[key] = memo.pop(key)  # now the most recent entry
     else:
         states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
         rho, seed = _terminal_pieces(target, cfg.lattice, states[-1])
@@ -225,7 +228,7 @@ def skeleton_gradient(
         if memo is not None:
             recent = [k for k in memo if k != getattr(memo, "pinned", None)]
             if len(recent) >= _MEMO_ENTRIES:
-                del memo[recent[0]]  # the oldest entry but the pinned one
+                del memo[recent[0]]  # the least recent entry but the pinned one
             memo[key] = cost, rho, a
     scale = beta * rho if isinstance(target, TerminalObservable) else beta
     return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
@@ -500,8 +503,7 @@ def _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop, obse
         inc = _chunk_increments(cfg.noise.rank, cfg.dt, cfg.steps, master_seed, start, stop)
         inc = inc.transpose(1, 0, 2)  # step-major: inc[m] is the batch's increment
     step = indexed_step(UnifiedStepper(cfg, delta).step, u_n=u_fields, dw=inc)
-    y0 = initial_state(delta, xi_coeffs)
-    y0 = np.broadcast_to(y0, (stop - start,) + y0.shape)  # a read-only view, never written
+    y0 = initial_state(delta, xi_coeffs, (stop - start,))
     return march(step, y0, cfg.steps, observe, cfg.lattice)
 
 
@@ -509,13 +511,15 @@ def _mc_chunk(shared, start, stop):
     """Hits among trajectories ``start..stop-1``; ``shared`` is ``(delta,
     cfg, xi_coeffs, u_fields, event, master_seed)``."""
     delta, cfg, xi_coeffs, u_fields, event, master_seed = shared
-    peak = np.zeros(stop - start)
-    y = _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop,
-                     lambda m, y, nh: np.maximum(peak, nh, out=peak))
+    lat = cfg.lattice
     if isinstance(event, SupNormEvent):
+        peak = np.zeros(stop - start)
+        _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop,
+                     lambda m, y: np.maximum(peak, lat.norm_h(y), out=peak))
         hit = peak > event.threshold
-    else:
-        hit = cfg.lattice.inner_h(y, event.g.coeffs) > event.level
+    else:  # a terminal event observes nothing on the way
+        y = _march_batch(delta, cfg, xi_coeffs, u_fields, master_seed, start, stop, None)
+        hit = lat.inner_h(y, event.g.coeffs) > event.level
     return int(np.sum(hit))
 
 
@@ -629,7 +633,7 @@ def convergence_study(
             stop = min(start + chunk, n_samples)
             sup, dis = sup_sq[start:stop], diss[start:stop]
 
-            def observe(m, y, nh):
+            def observe(m, y):
                 diff = y - u_path[m]
                 np.maximum(sup, lat.norm_h(diff) ** 2, out=sup)
                 np.add(dis, cfg.dt * lat.norm_v(diff) ** 2, out=dis)
@@ -682,7 +686,7 @@ def weak_continuity_probe(
         h_n = sine_control(J, cfg.dt, steps, osc, direction=direction, amplitude=amplitude)
         sup = diss = 0.0
 
-        def observe(m, y, nh):
+        def observe(m, y):
             nonlocal sup, diss
             diff = y - base_states[m]
             sup = max(sup, float(lat.norm_h(diff)))
@@ -738,7 +742,7 @@ def mdp_rescale(
     pair = np.empty_like(u_n)  # the rescaled fluctuation and the gap
     norms = np.empty((cfg.steps + 1, 2))
 
-    def observe(m, y, nh):
+    def observe(m, y):
         rescaled = np.subtract(y[0], u_fields[m], out=pair[0])
         np.multiply(rescaled, fac, out=rescaled)
         np.subtract(rescaled, y[1], out=pair[1])

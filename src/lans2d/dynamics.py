@@ -8,11 +8,15 @@ difference-quotient identity between the smoothed system, the limit system
 and the unified fluctuation system exact (see ``solve_unified``).
 
 Every forward run, single path or Monte Carlo batch, goes through the one
-loop ``march``, which hands each state and its H-norm to an observer and
-applies the blowup rule of ``BlowupError`` to each trajectory.  The unified
-stepper also takes delta per leading row: a delta=0 row is the delta=1
-formula at ``u = 0`` and ``lam_delta = 1``, so the smoothed run and the
-delta=1 run can march as the two rows of one state (``mdp_rescale``).
+loop ``march``, which hands each state to an observer and applies the
+blowup rule of ``BlowupError`` to each trajectory.  A step's rule is
+certified by one bound on the largest entry of the whole batch, and an
+H-norm is taken only where that bound does not settle it; an observer
+computes the norms it uses (the recorder all four in one reduction).  The
+noise term is scaled on its support, so a step adds it in one pass.  The
+unified stepper also takes delta per leading row: a delta=0 row is the
+delta=1 formula at ``u = 0`` and ``lam_delta = 1``, so the smoothed run and
+the delta=1 run can march as the two rows of one state (``mdp_rescale``).
 
 Systems
 -------
@@ -41,6 +45,11 @@ from .noise import Control, NoiseOperator, WienerPath
 from .spectral import SpectralField, TorusLattice
 
 _BLOWUP_FACTOR = 1.0e6
+# ``march`` certifies a step when its norm bound times this margin, far above
+# the rounding of the bound and of the norm, is at most the smallest limit;
+# and only below ``_CEILING_MAX``, where no square in a norm can overflow
+_CEILING_MARGIN = 1.0 + 1.0e-6
+_CEILING_MAX = 1.0e150
 
 
 class BlowupError(RuntimeError):
@@ -166,24 +175,35 @@ def march(step, y: np.ndarray, steps: int, observe, lattice: TorusLattice) -> np
     """The forward time loop ``y_{m+1} = step(m, y_m)`` from ``y_0 = y``;
     returns ``y_steps``.
 
-    Batched over leading axes of ``y``.  ``observe(m, y_m, |y_m|_H)``, if
-    given, sees every state from ``y_0`` on; a trajectory that breaks the
+    Batched over leading axes of ``y``.  ``observe(m, y_m)``, if given, sees
+    every state from ``y_0`` on, once; a trajectory that breaks the
     ``BlowupError`` rule raises before it is observed.
+
+    The rule is certified without a norm where it can be: a state whose
+    float view has no entry above ``M`` has ``|y|_H <= 2 M sqrt(sum w_h)``
+    (``TorusLattice.norm_h_ceiling``) in every trajectory, so a step where
+    that bound, times ``_CEILING_MARGIN``, is at most the smallest limit
+    cannot break the rule.  Any other step, NaN and inf among them, takes
+    the H-norms and applies the rule exactly.  The limits come from the
+    exact norms of ``y_0``.
     """
     nh = lattice.norm_h(y)
     limit = _BLOWUP_FACTOR * np.maximum(1.0, nh)
+    # the largest entry M that certifies every trajectory (NaN if a limit is)
+    peak_cap = np.minimum(np.min(limit), _CEILING_MAX) / lattice.norm_h_ceiling(_CEILING_MARGIN)
     if observe is not None:
-        observe(0, y, nh)
+        observe(0, y)
     for m in range(1, steps + 1):
         y = step(m - 1, y)
-        nh = lattice.norm_h(y)
-        if not (nh <= limit).all():  # NaN fails every comparison
-            bad = np.flatnonzero(~(nh <= limit))[0]
-            where = f" in trajectory {bad}" if np.ndim(nh) else ""
-            size = np.ravel(nh)[bad]
-            raise BlowupError(f"solution blew up at step {m}{where}: |y| = {size:.3e}", step=m)
+        if not np.abs(y.view(np.float64)).max() <= peak_cap:  # NaN fails every comparison
+            nh = lattice.norm_h(y)
+            if not (nh <= limit).all():
+                bad = np.flatnonzero(~(nh <= limit))[0]
+                where = f" in trajectory {bad}" if np.ndim(nh) else ""
+                size = np.ravel(nh)[bad]
+                raise BlowupError(f"solution blew up at step {m}{where}: |y| = {size:.3e}", step=m)
         if observe is not None:
-            observe(m, y, nh)
+            observe(m, y)
     return y
 
 
@@ -194,31 +214,44 @@ def indexed_step(step, **series):
     return lambda m, y: step(y, **{k: v[m] for k, v in series.items()})
 
 
-def initial_state(delta: int, coeffs: np.ndarray) -> np.ndarray:
-    """Initial value ``(1 - delta) xi`` of the unified and skeleton systems."""
-    return np.zeros_like(coeffs) if delta == 1 else coeffs
+def initial_state(delta: int, coeffs: np.ndarray, batch: tuple = ()) -> np.ndarray:
+    """Initial value ``(1 - delta) xi`` of the unified and skeleton systems;
+    for a ``batch`` of runs a read-only view of it, one per run."""
+    y0 = np.zeros_like(coeffs) if delta == 1 else coeffs
+    return np.broadcast_to(y0, batch + y0.shape) if batch else y0
 
 
 class _Recorder:
-    """Observer that builds a ``TrajectoryRecord`` every ``record_stride`` steps."""
+    """Observer that builds a ``TrajectoryRecord`` every ``record_stride`` steps.
+
+    It takes each state's H, V, A and alpha norms from one ``stacked_norms``
+    reduction over the four ``norm_table`` rows.  A batch of states records
+    each norm and the dissipation per trajectory, each the float a run of its
+    own records: the square in the dissipation is a float's (``pow``), which
+    numpy's square of an array is not to the last bit.
+    """
 
     def __init__(self, cfg: SolverConfig, alpha: float):
         self.cfg = cfg
         self.alpha = alpha
-        self._table = cfg.lattice.norm_table(alpha)[1:]  # V, A and alpha weights
+        self._table = cfg.lattice.norm_table(alpha)
         self.times, self.nh, self.nv, self.na, self.nal, self.diss = [], [], [], [], [], []
         self.fields = [] if cfg.store_fields else None
         self._dissipation = 0.0
 
-    def __call__(self, m, y, nh):
+    def __call__(self, m, y):
         cfg = self.cfg
-        nv, na, nal = cfg.lattice.stacked_norms(y, self._table).tolist()
-        if m:
+        # floats for one state, a list of them for a batch
+        nh, nv, na, nal = cfg.lattice.stacked_norms(y, self._table).tolist()
+        if y.ndim > 3:
+            terms = [cfg.dt * v**2 if m else 0.0 for v in nv]
+            self._dissipation = np.add(self._dissipation, terms)
+        elif m:
             self._dissipation += cfg.dt * nv**2
         if m % cfg.record_stride and m != cfg.steps:
             return
         self.times.append(m * cfg.dt)
-        self.nh.append(float(nh))
+        self.nh.append(nh)
         self.nv.append(nv)
         self.na.append(na)
         self.nal.append(nal)
@@ -342,9 +375,9 @@ class UnifiedStepper(_Stepper):
     keeps the factors plain floats.
 
     A step allocates only the state it returns: ``w`` lives in buffer 0 and
-    ``(I + a^2 A) w`` in buffer 1, the noise term is formed in buffer 1 once
-    the drift is done, and the drift array is updated in place into the new
-    state.
+    ``(I + a^2 A) w`` in buffer 1, the noise term, scaled on its support
+    (by ``dt`` or ``noise_scale``), is formed in buffer 1 once the drift is
+    done, and the drift array is updated in place into the new state.
     """
 
     def __init__(self, cfg: SolverConfig, delta):
@@ -361,6 +394,8 @@ class UnifiedStepper(_Stepper):
         # multiplying by it divides by lam_delta to the last bit (see spectral)
         self._inv_lam_delta = 1.0 / self.lam_delta
         self.noise_scale = math.sqrt(cfg.alpha) * self._inv_lam_delta
+        # the noise term's scale on its support values, (rows, 1) per row
+        self._support_scale = np.reshape(self.noise_scale, (-1, 1)) if rows else self.noise_scale
 
     def coefficient_argument(self, y, u_n):
         """``w``: ``y`` itself for delta=0; for delta=1 the stepper's buffer,
@@ -385,17 +420,16 @@ class UnifiedStepper(_Stepper):
     def step(self, y, u_n=None, b_n=None, dw=None, h_n=None):
         if self.delta == 1 and u_n is None:
             raise ValueError("delta=1 needs the reference-system state u_n")
-        alpha = self.alpha
         w = self.coefficient_argument(y, u_n)
         # S (y - dt drift + dt G h + noise_scale G dW), in place on the drift
         rhs = self.drift(w, u_n, b_n)
         np.multiply(rhs, self.dt, out=rhs)
         np.subtract(y, rhs, out=rhs)
         if self.noise is not None:
-            for coords, scale in ((h_n, self.dt), (dw, self.noise_scale)):
+            for coords, scale in ((h_n, self.dt), (dw, self._support_scale)):
                 if coords is not None:
-                    g = self.noise.apply_smoothed(w, coords, alpha, out=self._buffer(w.shape, 1))
-                    rhs += np.multiply(g, scale, out=g)
+                    rhs += self.noise.apply_smoothed(w, coords, self.alpha, scale,
+                                                     out=self._buffer(w.shape, 1))
         return np.multiply(self.S, rhs, out=rhs)
 
 
@@ -480,8 +514,7 @@ class SkeletonStepper(_Stepper):
             # one control's term has the batch of arg, a batch of controls
             # that of the new state (which y must then carry)
             shape = arg.shape if h_n.ndim == 1 else rhs.shape
-            g = self.noise.apply(arg, h_n, out=self._buffer(shape, 1))
-            rhs += np.multiply(g, self.dt, out=g)
+            rhs += self.noise.apply(arg, h_n, self.dt, out=self._buffer(shape, 1))
         return np.multiply(self.S, rhs, out=rhs)
 
 
@@ -492,7 +525,12 @@ def solve_skeleton(
     h: Control,
     nse: Optional[TrajectoryRecord] = None,
 ) -> TrajectoryRecord:
-    """Deterministic controlled system: the rate-function solution map."""
+    """Deterministic controlled system: the rate-function solution map.
+
+    ``h.values`` may also be ``(steps, B, J)``, a batch of ``B`` controls: the
+    run then marches ``B`` states from ``(1 - delta) xi``, and the record holds
+    each norm and the dissipation per control, shape ``(times, B)``.
+    """
     if h is None:
         raise ValueError("solve_skeleton needs a control (possibly zero)")
     if h.steps < cfg.steps or abs(h.dt - cfg.dt) > 1e-15:
@@ -501,7 +539,8 @@ def solve_skeleton(
         raise ValueError("solve_skeleton needs the noise operator that shapes the control")
     u_fields = _dense_fields(nse, cfg, "solve_skeleton") if delta == 1 else None
     step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=h.values)
-    return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=0.0)
+    y0 = initial_state(delta, xi.coeffs, h.values.shape[1:-1])
+    return _drive(cfg, y0, step, alpha_for_norms=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ multiplies those ``s`` sums by the smoother's reciprocal table on the
 support.  Both equal the dense ``einsum`` over every entry and the division
 of the whole field as floats: einsum sums the same products in the same
 order, which a BLAS product does not (its order follows the shape and the
-thread count).
+thread count).  Both also take the step's ``scale`` and multiply the
+support values by it last, so a stepper adds the scaled term to its state
+in one pass where it scaled the whole term first.
 
 Trajectory ``i`` of a Monte Carlo run draws its increments from the stream
 ``default_rng((master_seed, i))`` (``trajectory_wiener``).  A batch seeds its
@@ -108,34 +110,44 @@ class NoiseOperator:
         return int(self.sigma.size)
 
     def coefficients(self, u: np.ndarray | None) -> np.ndarray:
-        """Per-direction scalar weights sigma_j * ((u, psi_j) + c_j) (or sigma_j)."""
+        """Per-direction scalar weights sigma_j * ((u, psi_j) + c_j), with the
+        batch axes of ``u``; additive noise gives sigma itself (read-only),
+        which broadcasts against any batch."""
         if self.variant == ADDITIVE:
-            if u is None or u.ndim == 3:  # one field: sigma itself (read-only)
-                return self.sigma
-            return np.broadcast_to(self.sigma, u.shape[:-3] + (self.rank,))
+            return self.sigma
         if u is None:
             raise ValueError("multiplicative noise needs the current field")
         proj = self.lattice.inner_h(u[..., None, :, :, :], self.probes)
         return self.sigma * (proj + self.offsets)
 
-    def apply(self, u: np.ndarray | None, coords: np.ndarray, out=None) -> np.ndarray:
-        """``G(u) . coords`` as a raw coefficient array (batch axes allowed),
-        written into ``out`` if given."""
-        return self._scatter(u, coords, out)
+    def apply(self, u: np.ndarray | None, coords: np.ndarray, scale=1.0, out=None) -> np.ndarray:
+        """``scale G(u) . coords`` as a raw coefficient array (batch axes
+        allowed), written into ``out`` if given.
 
-    def apply_smoothed(self, u, coords, alpha: float, out=None) -> np.ndarray:
-        """``(I + alpha^2 A)^{-1} G(u) . coords``, smoothed on the support only."""
-        return self._scatter(u, coords, out, self.lattice.smoothing_tables(alpha)[0])
+        ``scale`` (a step's ``dt`` or noise scale) multiplies the support
+        values before they are scattered: a float, or per-row factors of
+        shape ``batch + (1,)``.  Each value is then the float that scaling
+        the unscaled term gives, and off the support the term is ``+0``, so a
+        caller adds it in one pass."""
+        return self._scatter(u, coords, scale, out)
 
-    def _scatter(self, u, coords, out, smoother=None):
+    def apply_smoothed(self, u, coords, alpha: float, scale=1.0, out=None) -> np.ndarray:
+        """``scale (I + alpha^2 A)^{-1} G(u) . coords``, smoothed and then
+        scaled on the support only (``scale`` as in ``apply``)."""
+        return self._scatter(u, coords, scale, out, self.lattice.smoothing_tables(alpha)[0])
+
+    def _scatter(self, u, coords, scale, out, smoother=None):
         coords = np.asarray(coords, float)
         if coords.shape[-1] != self.rank:
             raise ValueError(f"expected {self.rank} noise coordinates, got {coords.shape[-1]}")
-        w = self.coefficients(u) * coords
-        values = np.einsum("...k,ks->...s", w, self._values)
+        values = np.einsum("...k,ks->...s", self.coefficients(u) * coords, self._values)
         if smoother is not None:
             np.multiply(values, smoother[self._support[1:]], out=values)
-        shape = w.shape[:-1] + self.lattice.shape
+        values = np.multiply(values, scale)
+        lead = values.shape[:-1]
+        if u is not None and u.shape[:-3] != lead:  # additive: u's batch
+            lead = np.broadcast_shapes(lead, u.shape[:-3])
+        shape = lead + self.lattice.shape
         if out is None:
             out = np.zeros(shape, np.complex128)
         elif out.shape != shape:  # the scatter would broadcast into it
@@ -334,7 +346,7 @@ class Control:
     """Piecewise-constant deterministic control on the solver time grid."""
 
     dt: float
-    values: np.ndarray  # (steps, J)
+    values: np.ndarray  # (steps, J), or (steps, B, J) for a batch of B controls
 
     @property
     def steps(self) -> int:
@@ -342,7 +354,7 @@ class Control:
 
     @property
     def rank(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def same_grid(self, other: "Control") -> None:
         if self.values.shape != other.values.shape or self.dt != other.dt:

@@ -309,6 +309,13 @@ class TorusLattice:
     def norm_h(self, a: np.ndarray) -> np.ndarray:
         return self._weighted_norm(a, self._w_h)
 
+    def norm_h_ceiling(self, peak: float) -> float:
+        """An upper bound on ``norm_h`` of every field whose float view has no
+        entry above ``peak`` in magnitude: an entry's modulus is at most
+        ``sqrt(2) peak`` and each of the 2 components weights it by ``_w_h``,
+        so ``|a|_H <= 2 peak sqrt(sum _w_h)``."""
+        return 2.0 * peak * math.sqrt(float(np.sum(self._w_h)))
+
     def norm_v(self, a: np.ndarray) -> np.ndarray:
         return self._weighted_norm(a, self._w_v)
 

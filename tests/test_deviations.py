@@ -25,6 +25,7 @@ from lans2d import (
     make_lattice,
     mc_tail,
     mdp_rescale,
+    preset,
     random_field,
     rate_function,
     sample_wiener,
@@ -360,18 +361,19 @@ class TestEvaluationReuse:
             assert counted["march"] == marches
             assert hit[0] == fresh[0]
             assert hit[1].tobytes() == fresh[1].tobytes()
-        # the memo keeps the last two controls
-        for scale in (2.0, 3.0):
+        # the memo keeps the last three controls
+        assert deviations._MEMO_ENTRIES == 3
+        for i, scale in enumerate((2.0, 3.0, 4.0)):
             skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
                               nse=nse, memo=memo)
-            assert len(memo) == 2 and (h.values.tobytes() in memo) == (scale == 2.0)
+            assert len(memo) == min(i + 2, 3) and (h.values.tobytes() in memo) == (scale < 4.0)
         # and a pinned control beside them
         memo = deviations._Memo()
         memo.pinned = h.values.tobytes()
-        for scale in (1.0, 2.0, 3.0, 4.0):
+        for scale in (1.0, 2.0, 3.0, 4.0, 5.0):
             skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
                               nse=nse, memo=memo)
-        assert len(memo) == 3 and memo.pinned in memo
+        assert len(memo) == 4 and memo.pinned in memo
 
     @pytest.mark.parametrize("max_iterations", [2, 500])
     @pytest.mark.parametrize("field", [False, True])
@@ -417,23 +419,56 @@ class TestEvaluationReuse:
         assert res.converged
         # each weight after the first starts where the last one ended, and
         # neither that start nor any weight's residual marches again; the
-        # memo holds the last two controls and the last one accepted (or the
-        # weight's start), so a line search that comes back further to a
-        # control L-BFGS did not accept marches again
+        # memo holds the last three controls and the last one accepted (or
+        # the weight's start), so only a line search that comes back further
+        # to a control L-BFGS did not accept marches again
         evaluated = [h for kind, h in events if kind == "eval"]
         changed = [i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated)]
         assert len(evaluated) - sum(changed) == len(betas) - 1
-        kept, accepted, misses = [], None, 0  # the memo's controls, oldest first
+        kept, accepted, misses = [], None, 0  # the memo's controls, least recent first
         for kind, h in events:
             if kind == "accept":
                 accepted = h
-            elif h not in kept:
+            elif h in kept:
+                kept.append(kept.pop(kept.index(h)))
+            else:
                 misses += 1
                 recent = [k for k in kept if k != accepted]
-                if len(recent) == 2:
+                if len(recent) == deviations._MEMO_ENTRIES:
                     kept.remove(recent[0])
                 kept.append(h)
         assert counted["march"] == counted["sweep"] == misses
+
+    @pytest.mark.parametrize("field_seed", [3196802727, 1204021905])
+    def test_uncapped_solve_marches_each_control_once(self, counted, monkeypatch, field_seed):
+        # two of the benchmark's n = 16 observable problems (seeds 8302 and
+        # 8304 of its rate workload), uncapped: L-BFGS-B's line search comes
+        # back to controls it did not accept, 2 and 3 evaluations later, and
+        # to one control again and again.  A memo of the two controls
+        # evaluated last marched 1 and 2 controls again.
+        run = preset("unified-default")
+        run.n, run.dt, run.t_final, run.seed = 16, 5e-3, 0.025, field_seed
+        run.validate()
+        lat = run.build_lattice()
+        cfg, xi, g = run.build_solver_config(lat), run.build_initial(lat), run.observable_field(lat)
+        terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
+        free = solve_skeleton(0, xi, terminal, zero_control(cfg.noise.rank, cfg.dt, cfg.steps))
+        target = TerminalObservable(g, float(lat.inner_h(free.fields[-1], g.coeffs)) + 0.1)
+        evaluated = []
+        gradient = deviations.skeleton_gradient
+
+        def recorded(delta, h, *args, **kwargs):
+            evaluated.append(h.values.tobytes())
+            return gradient(delta, h, *args, **kwargs)
+
+        monkeypatch.setattr(deviations, "skeleton_gradient", recorded)
+        counted["march"] = 0
+        res = rate_function(RateProblem(0, target, beta_schedule=(1e1, 1e2, 1e3, 1e4, 1e5),
+                                        max_iterations=500), cfg, xi)
+        assert res.converged
+        # some control comes back after two others
+        assert any(h in evaluated[:max(i - 2, 0)] for i, h in enumerate(evaluated))
+        assert counted["march"] == len(set(evaluated))
 
     @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])
     def test_cg_sweeps_once_per_iteration(self, counted, tolerance, max_iterations):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from lans2d import (
     SpectralField,
     additive_noise,
     dense_nse,
+    deviations,
     energy_report,
     make_lattice,
     mdp_rescale,
+    projection_multiplicative_noise,
     random_field,
     sample_wiener,
     single_shear,
@@ -30,6 +33,7 @@ from lans2d import (
     zero_field,
 )
 from lans2d.dynamics import SkeletonStepper, UnifiedStepper, indexed_step, march
+from lans2d.spectral import TorusLattice
 
 
 def cfg_for(lat, dt=1e-3, T=0.5, alpha=0.1, noise=None, **kw):
@@ -154,20 +158,51 @@ class TestNse:
             direct = math.sqrt(traj.norm_h[i] ** 2 + 0.3**2 * traj.norm_a[i] ** 2)
             assert direct == pytest.approx(traj.norm_alpha[i], abs=1e-10)
 
+    @pytest.mark.parametrize("solver", ["solve_nse", "dense_nse", "solve_lans", "solve_unified",
+                                        "solve_skeleton"])
+    def test_records_hold_the_norm_methods_and_their_running_sum(self, solver):
+        # the recorder takes its four norms from one reduction; each is the
+        # norm method's value on the stored field, and the dissipation the
+        # running sum of dt |y_m|_V^2 over every step, recorded or not
+        lat = make_lattice(16)
+        rng = np.random.default_rng(12)
+        xi = random_field(lat, rng)
+        noise = additive_noise(lat, [0.3, 0.2], [(1, 0), (1, 1)])
+        cfg = cfg_for(lat, dt=1e-3, T=0.03, alpha=0.3, noise=noise, store_fields=True)
+        w = sample_wiener(2, cfg.dt, cfg.steps, 3)
+        h = Control(cfg.dt, rng.standard_normal((cfg.steps, 2)))
+        nse = dense_nse(xi, cfg)
+        run = {
+            "solve_nse": lambda c: solve_nse(xi, c),
+            "dense_nse": lambda c: dense_nse(xi, c),
+            "solve_lans": lambda c: solve_lans(xi, c, w),
+            "solve_unified": lambda c: solve_unified(1, xi, c, h=h, wiener=w, nse=nse),
+            "solve_skeleton": lambda c: solve_skeleton(0, xi, c, h),
+        }[solver]
+        every = run(cfg)
+        record = run(replace(cfg, record_stride=3)) if solver == "solve_unified" else every
+        assert len(record) == (11 if solver == "solve_unified" else 31)
+        for name, norm in (("norm_h", lat.norm_h), ("norm_v", lat.norm_v),
+                           ("norm_a", lat.norm_a),
+                           ("norm_alpha", lambda f: lat.norm_alpha(f, record.alpha))):
+            each = np.array([float(norm(f)) for f in record.fields])
+            assert getattr(record, name).tobytes() == each.tobytes(), name
+        running, total = [], 0.0
+        for m, f in enumerate(every.fields):
+            if m:
+                total += cfg.dt * float(lat.norm_v(f)) ** 2
+            running.append(total)
+        steps = np.rint(record.times / cfg.dt).astype(int)
+        assert record.dissipation.tobytes() == np.array(running)[steps].tobytes()
+
     def test_recorded_norms_are_the_norm_methods_bit_for_bit(self):
-        # the recorder takes its norms from one reduction, and mdp_rescale
-        # the norms of both of its rows from one
+        # mdp_rescale takes the norms of both of its rows from one reduction
         lat = make_lattice(16)
         xi = random_field(lat, np.random.default_rng(12))
         noise = additive_noise(lat, [0.3], [(1, 0)])
         cfg = cfg_for(lat, dt=1e-3, T=0.05, alpha=0.3, noise=noise, store_fields=True)
         w = sample_wiener(1, 1e-3, 50, 3)
         lans = solve_lans(xi, cfg, w)
-        for name, norm in (("norm_h", lat.norm_h), ("norm_v", lat.norm_v),
-                           ("norm_a", lat.norm_a),
-                           ("norm_alpha", lambda f: lat.norm_alpha(f, 0.3))):
-            each = np.array([float(norm(f)) for f in lans.fields])
-            assert getattr(lans, name).tobytes() == each.tobytes(), name
         nse = dense_nse(xi, cfg)
         scaling = ScalingLaw(cfg.kappa, 1)
         norms, _ = mdp_rescale(xi, cfg, w, nse, scaling)
@@ -177,16 +212,15 @@ class TestNse:
 
 
 class TestMarch:
-    def test_observer_sees_each_state_and_its_norm(self):
+    def test_observer_sees_each_state_once(self):
         lat = make_lattice(8)
         y0 = np.stack([random_field(lat, np.random.default_rng(i)).coeffs for i in range(3)])
         seen = []
-        final = march(lambda m, y: 0.5 * y, y0, 4, lambda m, y, nh: seen.append((m, nh)), lat)
+        final = march(lambda m, y: 0.5 * y, y0, 4, lambda m, y: seen.append((m, y)), lat)
         assert [m for m, _ in seen] == [0, 1, 2, 3, 4]
-        for m, nh in seen:
-            assert nh.shape == (3,)
-            np.testing.assert_array_equal(nh, lat.norm_h(0.5**m * y0))
-        np.testing.assert_array_equal(final, 0.0625 * y0)
+        for m, y in seen:
+            assert y.tobytes() == (0.5**m * y0).tobytes()
+        assert seen[-1][1] is final
 
     def test_blowup_is_judged_per_trajectory(self):
         # each trajectory has its own limit 1e6 * max(1, |y0_i|): trajectory 1
@@ -204,6 +238,65 @@ class TestMarch:
         y0 = single_shear(lat).coeffs
         with np.errstate(over="ignore"), pytest.raises(BlowupError, match="inf"):
             march(lambda m, y: 1e300 * y, y0, 1, None, lat)
+
+    @pytest.fixture
+    def norms_taken(self, monkeypatch):
+        """The number of ``norm_h`` calls, counted."""
+        calls = []
+        norm_h = TorusLattice.norm_h
+        monkeypatch.setattr(TorusLattice, "norm_h",
+                            lambda self, a: calls.append(a.shape) or norm_h(self, a))
+        return calls
+
+    def test_certified_steps_take_no_norm(self, norms_taken):
+        # the bound 2 max|x| sqrt(sum w_h) settles the rule: only y_0's
+        # norm, which sets the limits, is taken
+        lat = make_lattice(8)
+        y0 = np.stack([random_field(lat, np.random.default_rng(i)).coeffs for i in range(3)])
+        assert lat.norm_h_ceiling(np.abs(y0.view(float)).max()) >= lat.norm_h(y0).max()
+        norms_taken.clear()
+        march(lambda m, y: 1.5 * y, y0, 5, None, lat)
+        assert norms_taken == [y0.shape]
+
+    def test_bound_above_the_smallest_limit_takes_the_exact_rule(self, norms_taken):
+        # trajectory 0 grows to 1e10, above trajectory 1's limit 1e6 but below
+        # its own 1e11: each step takes the norms, none raises, and the states
+        # are the steps' own
+        lat = make_lattice(8)
+        y0 = np.stack([1e5 * single_shear(lat).coeffs, single_shear(lat).coeffs])
+        scale = np.array([10.0, 1.0])[:, None, None, None]
+        seen = []
+        norms_taken.clear()
+        final = march(lambda m, y: scale * y, y0, 5, lambda m, y: seen.append(y), lat)
+        assert len(norms_taken) == 6
+        assert lat.norm_h(final)[0] > 1e6 * max(1.0, lat.norm_h(y0)[1])
+        want = y0
+        for y in seen[1:]:
+            want = scale * want
+            assert y.tobytes() == want.tobytes()
+
+    def test_nan_is_a_blowup_of_its_trajectory(self):
+        lat = make_lattice(8)
+        y0 = np.stack([single_shear(lat).coeffs] * 4)
+
+        def step(m, y):
+            y = 0.5 * y
+            if m == 2:
+                y[2, 1, 1, 0] = complex(np.nan, 0.0)
+            return y
+
+        with pytest.raises(BlowupError, match="step 3 in trajectory 2: .*nan") as exc:
+            march(step, y0, 5, None, lat)
+        assert exc.value.step == 3
+
+    def test_overflowing_norm_is_a_blowup_under_a_huge_limit(self):
+        # y_0 sets a limit of 1e159, and the bound of the state stays below
+        # it while its norm overflows: the rule takes the exact norm
+        lat = make_lattice(8)
+        y0 = 1e153 * single_shear(lat).coeffs
+        assert lat.norm_h_ceiling(1e3 * np.abs(y0.view(float)).max()) < 1e159
+        with np.errstate(over="ignore"), pytest.raises(BlowupError, match="inf"):
+            march(lambda m, y: 1e3 * y, y0, 1, None, lat)
 
 
 class TestLans:
@@ -287,7 +380,7 @@ class TestUnified:
             return S * rhs
 
         states = []
-        march(step, xi.coeffs, cfg.steps, lambda m, y, nh: states.append(y), lat)
+        march(step, xi.coeffs, cfg.steps, lambda m, y: states.append(y), lat)
         for a, b in zip(lans.fields, states):
             assert np.array_equal(a, b)
 
@@ -368,7 +461,7 @@ class TestUnified:
         step = indexed_step(UnifiedStepper(cfg, 1).step, u_n=nse.fields, dw=w.increments)
         states = []
         march(step, np.zeros(lat.shape, complex), cfg.steps,
-              lambda m, y, nh: states.append(y), lat)
+              lambda m, y: states.append(y), lat)
         assert [a.tobytes() for a in unified.fields] == [b.tobytes() for b in states]
 
     @pytest.mark.parametrize("n", [4, 16])  # the Galerkin tensor and the transforms
@@ -376,8 +469,6 @@ class TestUnified:
     def test_rows_of_delta_step_as_their_own_steppers(self, n, variant):
         # rows (0, 1) through one stepper: the delta=0 row with its u_n and
         # b_n rows zero, the delta=1 row with the reference's
-        from lans2d import projection_multiplicative_noise
-
         lat = make_lattice(n)
         rng = np.random.default_rng(n)
         if variant == "additive":
@@ -532,13 +623,8 @@ class TestSkeleton:
         traj = solve_skeleton(1, xi, cfg, zero_control(2, 1e-3, 100), nse=nse)
         assert traj.norm_h.max() == 0.0
 
-    @pytest.mark.parametrize("delta", [0, 1])
-    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
-    def test_batch_of_controls_marches_as_single_marches(self, delta, variant):
-        # a batch of states under a batch of controls: the noise term takes
-        # the controls' batch, where delta=1 evaluates G at the unbatched u_n
-        from lans2d import projection_multiplicative_noise
-
+    @staticmethod
+    def batch_setup(variant):
         lat = make_lattice(16)
         rng = np.random.default_rng(21)
         if variant == "additive":
@@ -547,7 +633,14 @@ class TestSkeleton:
             noise = projection_multiplicative_noise(lat, [0.4, 0.3], [(1, 0), (1, 1)],
                                                     [(0, 1), (1, 0)], [0.5, -0.2])
         cfg = cfg_for(lat, dt=2e-3, T=0.02, alpha=0.0, noise=noise, store_fields=True)
-        xi = random_field(lat, rng)
+        return lat, rng, cfg, random_field(lat, rng)
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_batch_of_controls_marches_as_single_marches(self, delta, variant):
+        # a batch of states under a batch of controls: the noise term takes
+        # the controls' batch, where delta=1 evaluates G at the unbatched u_n
+        lat, rng, cfg, xi = self.batch_setup(variant)
         u = dense_nse(xi, cfg).fields if delta == 1 else None
         h = rng.standard_normal((cfg.steps, 3, 2))
         y0 = np.zeros_like(xi.coeffs) if delta == 1 else xi.coeffs
@@ -560,6 +653,26 @@ class TestSkeleton:
         assert batch.shape == (3,) + lat.shape
         for i in range(3):
             assert batch[i].tobytes() == final(y0, h[:, i]).tobytes()
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_batch_of_controls_starts_from_one_field(self, delta, variant):
+        # solve_skeleton and the rate solves' march take (steps, B, J)
+        # controls and start each of the B states from (1 - delta) xi
+        lat, rng, cfg, xi = self.batch_setup(variant)
+        nse = dense_nse(xi, cfg) if delta == 1 else None
+        u = nse.fields if delta == 1 else None
+        h = rng.standard_normal((cfg.steps, 3, 2))
+        assert Control(cfg.dt, h).rank == 2
+        batch = solve_skeleton(delta, xi, cfg, Control(cfg.dt, h), nse=nse)
+        final = deviations._skeleton_march(delta, h, cfg, xi, u, None)
+        assert final.shape == (3,) + lat.shape
+        for i in range(3):
+            single = solve_skeleton(delta, xi, cfg, Control(cfg.dt, h[:, i]), nse=nse)
+            assert [f[i].tobytes() for f in batch.fields] == [f.tobytes() for f in single.fields]
+            for name in ("norm_h", "norm_v", "norm_a", "norm_alpha", "dissipation"):
+                assert getattr(batch, name)[:, i].tobytes() == getattr(single, name).tobytes()
+            assert final[i].tobytes() == single.fields[-1].tobytes()
 
     def test_delta1_linearity(self, setup):
         lat, rng, xi, noise = setup
