@@ -357,8 +357,10 @@ class UnifiedStepper(_Stepper):
     ``lam_delta = 1``).  The drift is the difference quotient
     ``[J_a Btilde(w, (I + a^2 A) w) - B(u_n, u_n)] / lam_delta`` of the smoothed
     and the limit drifts, so for delta=1 ``y`` is exactly ``(u_a - u) / lam_delta``.
-    ``Btilde`` is one kernel call in rotational form, ``P(q (-w_2, w_1))``
-    with ``q`` the curl of ``(I + a^2 A) w``: 3 planes per field on the grid.
+    The smoothed drift is one call, ``btilde_alpha``: at n = 4 and 6 one
+    contraction with the lattice's drift tensor of ``a``; above, ``Btilde``
+    in rotational form, ``P(q (-w_2, w_1))`` with ``q`` the curl of
+    ``(I + a^2 A) w`` (3 planes per field on the grid), smoothed in place.
     ``B(u_n, u_n)`` is the reference step's own drift: ``b_n``, from the dense
     record's ``drifts``, is the same kernel call on the same state, so the
     step is the same bit for bit with it.  Without ``b_n`` the step forms it.
@@ -374,10 +376,11 @@ class UnifiedStepper(_Stepper):
     each row gets the floats of a stepper of its own delta.  A single delta
     keeps the factors plain floats.
 
-    A step allocates only the state it returns: ``w`` lives in buffer 0 and
-    ``(I + a^2 A) w`` in buffer 1, the noise term, scaled on its support
-    (by ``dt`` or ``noise_scale``), is formed in buffer 1 once the drift is
-    done, and the drift array is updated in place into the new state.
+    A step allocates only the state it returns: ``w`` lives in buffer 0 and,
+    by transforms, ``(I + a^2 A) w`` in buffer 1, the noise term, scaled on
+    its support (by ``dt`` or ``noise_scale``), is formed in buffer 1 once
+    the drift is done, and the drift array is updated in place into the new
+    state.
     """
 
     def __init__(self, cfg: SolverConfig, delta):
@@ -410,8 +413,8 @@ class UnifiedStepper(_Stepper):
         """Drift at the coefficient argument ``w``: ``J_a Btilde(w, (I + a^2 A) w)``,
         and for delta=1 its difference quotient ``(... - B(u_n, u_n)) / lam_delta``,
         with ``B(u_n, u_n)`` given as ``b_n`` or formed here.  Returns a fresh array."""
-        lat, alpha = self.lat, self.alpha
-        drift = lat.btilde_alpha(w, lat.unsmooth(w, alpha, out=self._buffer(w.shape, 1)), alpha)
+        lat = self.lat
+        drift = lat.btilde_alpha(w, self.alpha, work=self._buffer(w.shape, 1))
         if self.delta == 1:
             np.subtract(drift, lat.bilinear_b(u_n, u_n) if b_n is None else b_n, out=drift)
             np.multiply(drift, self._inv_lam_delta, out=drift)

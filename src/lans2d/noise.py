@@ -374,9 +374,14 @@ def zero_control(J: int, dt: float, steps: int) -> Control:
     return Control(dt, np.zeros((steps, J)))
 
 
-def control_cost(h: Control) -> float:
-    """Energy ``0.5 * integral ||h||_K^2 dt`` of a piecewise-constant control."""
-    return 0.5 * h.dt * float(np.sum(h.values**2))
+def control_cost(h: Control):
+    """Energy ``0.5 * integral ||h||_K^2 dt`` of a piecewise-constant control,
+    a float; for a batch (``(steps, B, J)`` values) one energy per control,
+    shape ``(B,)``, each the float of that control alone."""
+    if h.values.ndim == 2:
+        return 0.5 * h.dt * float(np.sum(h.values**2))
+    per_control = np.moveaxis(h.values, 1, 0).reshape(h.values.shape[1], -1)
+    return 0.5 * h.dt * np.sum(per_control**2, axis=1)
 
 
 def sine_control(J: int, dt: float, steps: int, oscillation: int, direction=None,

@@ -375,7 +375,7 @@ class TestUnified:
         S, dt, alpha = cfg.implicit_multiplier(), cfg.dt, cfg.alpha
 
         def step(m, u):
-            rhs = u - dt * lat.btilde_alpha(u, lat.unsmooth(u, alpha), alpha)
+            rhs = u - dt * lat.smooth(lat.bilinear_btilde(u, lat.unsmooth(u, alpha)), alpha)
             rhs = rhs + math.sqrt(alpha) * noise.apply_smoothed(u, w.increments[m], alpha)
             return S * rhs
 
@@ -420,11 +420,14 @@ class TestUnified:
         ld = stepper.lam_delta
         z = lat.unsmooth(y, alpha)
         jinv_u = lat.unsmooth(u, alpha)
+        def btilde_alpha(a, b):
+            return lat.smooth(lat.bilinear_btilde(a, b), alpha)
+
         expanded = (
-            ld * lat.btilde_alpha(y, z, alpha)
-            + lat.btilde_alpha(u, z, alpha)
-            + lat.btilde_alpha(y, jinv_u, alpha)
-            + (lat.btilde_alpha(u, jinv_u, alpha) - lat.bilinear_b(u, u)) / ld
+            ld * btilde_alpha(y, z)
+            + btilde_alpha(u, z)
+            + btilde_alpha(y, jinv_u)
+            + (btilde_alpha(u, jinv_u) - lat.bilinear_b(u, u)) / ld
         )
         w = stepper.coefficient_argument(y, u)
         drift = stepper.drift(w, u)
@@ -432,7 +435,7 @@ class TestUnified:
         # a difference quotient rounds at eps times its operands over lam_delta;
         # max-abs sizes, since the operands over a tiny lam_delta overflow |.|^2
         size = lambda a: np.abs(a).max(axis=(-3, -2, -1))
-        operands = size(lat.btilde_alpha(w, lat.unsmooth(w, alpha), alpha))
+        operands = size(btilde_alpha(w, lat.unsmooth(w, alpha)))
         scale = size(expanded) + (operands + size(lat.bilinear_b(u, u))) / ld
         assert np.all(size(drift - expanded) <= 1e-10 * scale)
 

@@ -28,7 +28,11 @@ from lans2d import (
     zero_field,
 )
 from lans2d.dynamics import SkeletonStepper, UnifiedStepper
+from lans2d import spectral
 from lans2d.spectral import LatticeMismatchError, TorusLattice, identity_report
+
+# smoothing scales of the drift tensor's tests
+ALPHAS = [0.025, 0.1, 0.3, 1.0]
 
 
 class TestLattice:
@@ -219,7 +223,7 @@ class TestBilinear:
         alpha = 0.45
         for _ in range(10):
             u, v = (random_field(lat32, rng).coeffs for _ in range(2))
-            smoothed = lat32.btilde_alpha(u, v, alpha)
+            smoothed = lat32.smooth(lat32.bilinear_btilde(u, v), alpha)
             weighted = lat32.unsmooth(u, alpha)
             assert abs(lat32.inner_h(smoothed, weighted)) <= 1e-10
 
@@ -227,7 +231,8 @@ class TestBilinear:
         u, v = (random_field(lat16, rng).coeffs for _ in range(2))
         SpectralField(lat16, lat16.bilinear_b(u, v)).validate()
         SpectralField(lat16, lat16.bilinear_btilde(u, v)).validate()
-        SpectralField(lat16, lat16.btilde_alpha(u, v, 0.8)).validate()
+        SpectralField(lat16, lat16.smooth(lat16.bilinear_btilde(u, v), 0.8)).validate()
+        SpectralField(lat16, lat16.btilde_alpha(u, 0.8)).validate()
 
 
 def band_quadratic(lat, a, b, advect, transpose):
@@ -321,7 +326,7 @@ class TestIdentityProperties:
             "cancel_b": ip(buv, v) * nh(w),
             "cancel_btilde": ip(btuv, u) * nh(w),
             "btilde_decomposition": ip(btuv, w) - ip(buv, w) + ip(bwv, u),
-            "cancel_btilde_alpha": ip(lat.btilde_alpha(u, v, alpha), lat.unsmooth(u, alpha)) * nh(w),
+            "cancel_btilde_alpha": ip(lat.smooth(btuv, alpha), lat.unsmooth(u, alpha)) * nh(w),
             "adjoint_b_first": ip(lat.bilinear_b(v, u), w) - ip(v, lat.adjoint_b_first(u, w)),
             "adjoint_b_second": ip(bwv, u) - ip(v, lat.adjoint_b_second(w, u)),
         }
@@ -518,7 +523,8 @@ class TestSymmetries:
         assert np.abs(reflected - mirror).max() <= 1e-14
 
 
-# prints a digest of the n=4 Btilde of a 1 000-field batch (the tensor route)
+# prints a digest of the n=4 Btilde and drift of a 1 000-field batch (the
+# tensor route)
 BTILDE_DIGEST = """
 import hashlib
 import numpy as np
@@ -526,7 +532,9 @@ from lans2d import make_lattice, random_field
 lat = make_lattice(4)
 rng = np.random.default_rng(11)
 u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(1000)]) for _ in range(2))
-print(hashlib.sha256(lat.bilinear_btilde(u, v).tobytes()).hexdigest())
+digest = hashlib.sha256(lat.bilinear_btilde(u, v).tobytes())
+digest.update(lat.btilde_alpha(u, 0.1).tobytes())
+print(digest.hexdigest())
 """
 
 
@@ -555,6 +563,14 @@ class TestGalerkinTensors:
         rows = {n: [make_lattice(n)._tensor(p)[2].shape[0] for p in forms] for n in (4, 6)}
         assert rows[6] == rows[4] == [84, 84, 88, 80]
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_drift_tensor_keeps_a_row_per_unordered_pair(self, n, alpha):
+        # the 84 ordered pairs of the ("curl",) tensor merge into 60 pairs a <= b
+        x_at, f_at, rows = make_lattice(n)._drift_tensor(alpha)
+        assert rows.shape[0] == len(x_at) == len(f_at) == 60
+        assert np.all(x_at <= f_at) and np.unique(x_at * rows.size + f_at).size == 60
+
     def test_rotational_btilde_tensor_is_the_advective_one(self):
         # at n = 4 the rotational form's tensor is the two-term advective
         # form's, built by the kernel on the same basis pairs, bit for bit
@@ -575,6 +591,62 @@ class TestGalerkinTensors:
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.split()[-1])
         assert digests[0] == digests[1]
+
+
+class TestDriftTensor:
+    """``btilde_alpha`` on the lattices with Galerkin tensors: one contraction
+    with the drift tensor of ``alpha``, against the route by transforms."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("batch", [None, 7])
+    def test_drift_is_the_smoothed_btilde_by_transforms(self, n, alpha, batch):
+        lat = make_lattice(n)
+        u = _fields(lat, np.random.default_rng(ALPHAS.index(alpha) * 10 + n), batch)
+        btilde = lat._transform_quadratic([(u, "curl", lat.unsmooth(u, alpha))])
+        want = lat.smooth(btilde, alpha)
+        got = lat.btilde_alpha(u, alpha)
+        assert got.shape == want.shape == u.shape
+        size = np.abs(want).max(axis=(-3, -2, -1))
+        assert np.all(np.abs(got - want).max(axis=(-3, -2, -1)) <= 1e-14 * size)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_a_rows_drift_does_not_depend_on_its_batch(self, n, alpha):
+        lat = make_lattice(n)
+        u = _fields(lat, np.random.default_rng(3), 1000)
+        whole = lat.btilde_alpha(u, alpha)
+        part = lat.btilde_alpha(u[:33], alpha)
+        for row in (0, 999):
+            alone = lat.btilde_alpha(u[row], alpha)
+            assert alone.tobytes() == whole[row].tobytes()
+        assert part.tobytes() == whole[:33].tobytes()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_single_shear_modes_have_exactly_zero_drift(self, n, alpha):
+        # a shear mode's own products fall outside the band or are gradients,
+        # so its pairs hold no row and its drift is 0.0, not rounding
+        lat = make_lattice(n)
+        shears = np.stack([eigenmode_field(lat, k, phase, amplitude).coeffs
+                           for k in ((1, 0), (0, 1), (1, 1), (1, -1))
+                           for phase, amplitude in ((0.0, 1.0), (0.7, 3.0), (-np.pi / 2, 0.1))])
+        assert np.all(lat.btilde_alpha(shears, alpha) == 0.0)
+        assert np.all(lat.btilde_alpha(shears[5], alpha) == 0.0)
+
+    def test_a_sweep_over_alpha_keeps_bounded_tensors_and_one_scratch(self):
+        lat = make_lattice(4)
+        u = _fields(lat, np.random.default_rng(4), 40)
+        for alpha in np.linspace(0.05, 1.0, 20):
+            lat.btilde_alpha(u, float(alpha))
+            lat.btilde_alpha(u[:3], float(alpha))
+            drifts = [entry[1] for entry in lat._smoothers.values() if entry[1] is not None]
+            assert 1 <= len(drifts) <= len(lat._smoothers) <= spectral._SMOOTHERS
+            assert list(lat._scratch) == [("drift",)]
+        # the last alpha's tensor is the one a fresh lattice builds
+        fresh = make_lattice(4)._drift_tensor(float(alpha))
+        for got, want in zip(lat._drift_tensor(float(alpha)), fresh):
+            assert got.tobytes() == want.tobytes()
 
 
 FORMS = ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b")
