@@ -35,6 +35,20 @@ Physica D 152, 2001): ``B~(u, v) = P(q (-u_2, u_1))`` with
 field and the two gradients it is contracted with.  All operations accept
 leading batch axes, i.e. shape ``(..., 2, 2K+1, K+1)``, and broadcast them.
 
+The transforms go one axis at a time.  pocketfft (``numpy.fft``) takes the
+complex axis ``k1 <-> x1``, on a band copy padded to ``n`` rows.  The real
+axis ``k2 <-> x2`` carries only the band's ``K + 1`` columns of the
+``n // 2 + 1`` that ``irfft`` and ``rfft`` transform, so where its GEMM is
+small (``_DFT_WORK``: n <= 72) it runs as one GEMM per plane against two
+DFT tables made with the lattice (``_dft_tables``).  A plane's GEMM has the
+same shape whatever the batch, and OpenBLAS runs a GEMM that small on one
+thread, so a field's rounding depends neither on its batch, its place in it
+nor the thread count; from n = 116 on, two threads split the GEMM and round
+it otherwise.  Against a direct DFT in long double the tables err by at most
+5.3e-16 of the largest value, as pocketfft does.  On one BLAS thread they
+took the real axis of 64 fields in 45 us where ``irfft`` took 290 at n = 16,
+and 1 670 against 2 373 us at n = 64; at n = 128 they were slower.
+
 On the two-thirds band that product is the exact Galerkin convolution
 (Orszag, J. Atmos. Sci. 28, 1971), so each quadratic form is a fixed bilinear
 map of the ``m`` real coordinates of its operands: the re/im parts of the
@@ -74,14 +88,16 @@ form; each is made for the first batch shape and replaced when the shape
 changes.  The kernel's scratch also holds every view a call goes through,
 made with it: each term's planes of the stack and of the grid samples, the
 transposed ``k1 >= 0`` and ``k1 < 0`` halves of the stack and of the padded
-band copy, the padding and low columns of the half spectra, and the views
-that assemble the band coefficients from the forward transform.  So a call
-by transforms is a fixed, short run of numpy calls.  It hands the scratch to
-``to_physical`` and ``to_spectral``, which allocate their arrays only for
-other callers, and it broadcasts its operands' shapes only when they differ.
-numpy buffers a ufunc operand that it broadcasts or that is not one
-contiguous run, so for one field the kernel multiplies by whole ``i k``
-tables and forms the grid products plane by plane.  A lattice is not to be
+band copy, the band copy's padding, the half spectra and their float views,
+and the views that assemble the band coefficients from the forward
+transform.  So a call by transforms is a fixed, short run of numpy calls.
+It hands the scratch to ``to_physical``, ``to_spectral`` and ``leray``,
+which allocate their arrays only for other callers, and it broadcasts its
+operands' shapes only when they differ.  numpy buffers a ufunc operand that
+it broadcasts or that is not one contiguous run, so for one field the
+kernel multiplies by whole ``i k`` tables and forms the grid products plane
+by plane, and for a batch the scratch holds the Leray tables at the batch's
+shape, up to ``_LERAY_BLOCK`` fields.  A lattice is not to be
 shared between threads that use it at the same time; pickling it sends only
 ``n``, neither the scratch nor the tensors.
 
@@ -120,6 +136,16 @@ _PLANES = {"curl": 3, "d": 6, "grad": 6}
 # Smoothing scales whose tables and drift tensors a lattice keeps; a sweep
 # past them starts over.
 _SMOOTHERS = 8
+# The real axis of the transforms runs as one GEMM per plane against DFT
+# tables of the band's K + 1 frequencies where that GEMM has at most this many
+# multiply-adds (n * n * 2(K + 1); n <= 72), and through pocketfft's real
+# transforms otherwise.  OpenBLAS gives a GEMM this small one thread, so its
+# rounding does not depend on the thread count; the module docstring has the
+# crossover.
+_DFT_WORK = 1 << 18
+# Fields per block of a batched kernel call's Leray projection: a kernel
+# scratch holds the projector's tables for one block, not for its batch.
+_LERAY_BLOCK = 64
 
 
 class LatticeMismatchError(ValueError):
@@ -205,6 +231,8 @@ class TorusLattice:
         object.__setattr__(self, "shape", (2, rows, edge + 1))
         object.__setattr__(self, "_edge", edge)
         object.__setattr__(self, "_coords", coords)
+        dft = self.n * self.n * 2 * (edge + 1) <= _DFT_WORK
+        object.__setattr__(self, "_dft", _dft_tables(self.n, edge) if dft else None)
         object.__setattr__(self, "_tensors", {} if small else None)  # pairings -> tensor
         # plane count -> _KernelScratch, pairings or ("drift",) -> _ContractionScratch
         object.__setattr__(self, "_scratch", {})
@@ -224,9 +252,8 @@ class TorusLattice:
         samples and the transform's intermediates; without it they are
         allocated.
         """
-        n = self.n
         if scratch is None:
-            s = _Inverse.allocate(n, self._edge, coeffs)
+            s = _Inverse.allocate(self.n, self._edge, coeffs, self._dft is not None)
         else:
             s = scratch.inverse
             if coeffs is not s.coeffs:
@@ -237,9 +264,10 @@ class TorusLattice:
         s.band_padding.fill(0)
         np.copyto(s.band_high, s.rows_high)
         np.fft.ifft(s.band, axis=-1, norm="forward", out=s.band)
-        np.copyto(s.half_low, s.band_columns)
-        s.half_padding.fill(0)
-        return np.fft.irfft(s.half, n=n, axis=-1, norm="forward", out=s.phys)
+        np.copyto(s.half, s.band_columns)
+        if self._dft is None:  # irfft pads the K + 1 columns to n // 2 + 1 itself
+            return np.fft.irfft(s.half, n=self.n, axis=-1, norm="forward", out=s.phys)
+        return np.matmul(s.half_floats, self._dft[0], out=s.phys)  # one GEMM per plane
 
     def to_spectral(self, phys: np.ndarray, scratch=None) -> np.ndarray:
         """Band coefficients of real grid samples, shape ``(..., 2K+1, K+1)``.
@@ -249,8 +277,16 @@ class TorusLattice:
         ``scratch``, a kernel scratch for ``phys``' batch, holds the result and
         the transform's intermediates; without it they are allocated.
         """
-        s = _Forward.allocate(self.n, self._edge, phys) if scratch is None else scratch.forward
-        np.fft.rfft(phys, axis=-1, norm="forward", out=s.half)
+        if scratch is None:
+            # numpy hands matmul to BLAS only for contiguous planes; its own loop rounds otherwise
+            phys = np.ascontiguousarray(phys, np.float64)
+            s = _Forward.allocate(self.n, self._edge, phys, self._dft is not None)
+        else:
+            s = scratch.forward
+        if self._dft is None:
+            np.fft.rfft(phys, axis=-1, norm="forward", out=s.half)
+        else:
+            np.matmul(phys, self._dft[1], out=s.half_floats)  # one GEMM per plane
         np.copyto(s.band, s.half_columns)
         np.fft.fft(s.band, axis=-1, norm="forward", out=s.band)
         np.copyto(s.out_low, s.rows_low)
@@ -265,20 +301,31 @@ class TorusLattice:
 
     # -- diagonal operators --------------------------------------------------
 
-    def leray(self, coeffs: np.ndarray, work=None) -> np.ndarray:
+    def leray(self, coeffs: np.ndarray, scratch=None) -> np.ndarray:
         """Helmholtz-Leray projection ``I - k k^T / |k|^2``; zeroes the mean mode.
 
-        ``work`` (``coeffs``' shape, complex) holds the off-diagonal products
-        if given, else it is allocated.
+        ``scratch``, a kernel scratch for ``coeffs``' batch, holds the
+        off-diagonal products and the projector's tables at that batch's
+        shape, or at ``_LERAY_BLOCK`` fields for a larger batch, which is then
+        projected block by block; without it the products are allocated and
+        the tables broadcast.
         """
-        # whole-array products: numpy buffers each operand of a broadcast ufunc
-        # that is not one contiguous run, here only the table
-        if work is None:
-            work = np.empty(coeffs.shape, np.complex128)
-        np.copyto(work, coeffs[..., ::-1, :, :])
-        np.multiply(self._p_cross, work, out=work)  # p12 u2, p12 u1
-        out = np.multiply(self._p_diag, coeffs)  # p11 u1, p22 u2
-        return np.add(out, work, out=out)
+        # numpy buffers each operand of a ufunc that it broadcasts or that is
+        # not one contiguous run: here the tables, unless the scratch has them
+        # at the shape of what they multiply
+        if scratch is None:
+            return _project(coeffs, np.empty(coeffs.shape, np.complex128),
+                            self._p_diag, self._p_cross)
+        work, p_diag, p_cross = scratch.work, scratch.p_diag, scratch.p_cross
+        if p_diag.shape == work.shape:
+            return _project(coeffs, work, p_diag, p_cross)
+        fields, work = (a.reshape((-1,) + self.shape) for a in (coeffs, work))
+        out = np.empty(fields.shape, np.complex128)
+        for at in range(0, len(fields), len(p_diag)):
+            block = slice(at, at + len(p_diag))
+            rows = len(out[block])
+            _project(fields[block], work[block], p_diag[:rows], p_cross[:rows], out[block])
+        return out.reshape(coeffs.shape)
 
     def stokes(self, coeffs: np.ndarray, power: float) -> np.ndarray:
         """Apply ``A**power`` (diagonal: ``|k|**(2*power)``); mean mode stays 0."""
@@ -396,7 +443,7 @@ class TorusLattice:
         planes = sum([_PLANES[pairing] for pairing in pairings])
         s = self._scratch.get(planes)
         if s is None or s.batch != shape[:-3]:
-            s = self._scratch[planes] = _KernelScratch(self.n, self._edge, shape[:-3], planes)
+            s = self._scratch[planes] = _KernelScratch(self, shape[:-3], planes)
         fills, products, (w, *addends) = s.layout(pairings)
         for (x, pairing, f), views in zip(terms, fills):
             if pairing == "curl":
@@ -419,7 +466,7 @@ class TorusLattice:
             np.multiply(scalar, vector, out=vector)
         for vector in addends:  # the sum accumulates in place of the first product
             np.add(w, vector, out=w)
-        return self.leray(self.to_spectral(w, s), work=s.work)
+        return self.leray(self.to_spectral(w, s), s)
 
     def _tensor(self, pairings):
         """A form's Galerkin tensor ``(x_at, f_at, rows)``.  Row ``p`` of ``rows``
@@ -558,34 +605,70 @@ class TorusLattice:
         return coeffs
 
 
+def _dft_tables(n, K):
+    """The real axis of the transforms as read-only GEMM operands, one plane's
+    rows at a time.  The ``(2(K + 1), n)`` table takes the float view of a
+    half spectrum whose ``K + 1`` columns run from ``k2 = K`` down to 0 to
+    the samples (``irfft``: a ``k2 > 0`` column counts twice, for its mirror,
+    and the mean column's imaginary part not at all); a field's spectrum
+    falls off with ``|k|``, and BLAS sums in the table's row order, so the
+    small terms come first.  The ``(n, 2(K + 1))`` table takes samples to the
+    band's columns ``k2 = 0..K`` (``rfft``, divided by ``n``).  Each twiddle
+    is the cosine or sine of ``2 pi ((k2 x2) mod n) / n``, rounded once from
+    long double, and exactly 0 or +-1 at the quarter turns."""
+    turns = np.arange(K + 1)[:, None] * np.arange(n) % n
+    angle = turns.astype(np.longdouble) * (2 * np.pi / np.longdouble(n))
+    cos, sin = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
+    quarter = 4 * turns % n == 0
+    cos[quarter], sin[quarter] = (np.array(v)[4 * turns[quarter] // n]
+                                  for v in ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)))
+    inverse = np.stack([cos, -sin], axis=1) * np.where(np.arange(K + 1) > 0, 2.0, 1.0)[:, None, None]
+    forward = np.stack([cos, -sin], axis=1).transpose(2, 0, 1) / n
+    tables = inverse[::-1].reshape(2 * (K + 1), n), forward.reshape(n, 2 * (K + 1)).copy()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _project(coeffs, work, p_diag, p_cross, out=None):
+    """The Leray projection of ``coeffs`` by the tables ``p_diag`` and
+    ``p_cross``, its off-diagonal products written into ``work``."""
+    np.copyto(work, coeffs[..., ::-1, :, :])
+    np.multiply(p_cross, work, out=work)  # p12 u2, p12 u1
+    out = np.multiply(p_diag, coeffs, out=out)  # p11 u1, p22 u2
+    return np.add(out, work, out=out)
+
+
 class _Inverse:
     """The arrays :meth:`TorusLattice.to_physical` writes for planes
     ``coeffs`` (``(..., 2K + 1, K + 1)``) and the views it copies through:
-    the ``k1 >= 0`` and ``k1 < 0`` rows of ``coeffs``, transposed, and where
-    they go in the band copy ``band`` (``(..., K + 1, n)``), whose other rows
-    are its padding; the band transposed, and the low columns of the half
-    spectrum ``half`` (``(..., n, n // 2 + 1)``) it goes to, whose other
-    columns are its padding; and the samples ``phys``."""
+    the ``k1 >= 0`` and ``k1 < 0`` rows of ``coeffs``, transposed (``k2``
+    from ``K`` down to 0 for the DFT tables, ``reverse``), and where they go
+    in the band copy ``band`` (``(..., K + 1, n)``), whose other rows are its
+    padding; the band transposed, which is the half spectrum ``half``
+    (``(..., n, K + 1)``, the band's columns only) and its float view; and
+    the samples ``phys``."""
 
-    def __init__(self, n, K, coeffs, band, half, phys):
-        rows = coeffs.swapaxes(-1, -2)
+    def __init__(self, n, K, coeffs, band, half, phys, reverse):
+        rows = coeffs.swapaxes(-1, -2)[..., :: -1 if reverse else 1, :]
         self.coeffs, self.band, self.half, self.phys = coeffs, band, half, phys
         self.rows_low, self.rows_high = rows[..., : K + 1], rows[..., K + 1 :]
         self.band_low, self.band_high = band[..., : K + 1], band[..., n - K :]
         self.band_padding = band[..., K + 1 : n - K]
         self.band_columns = band.swapaxes(-1, -2)
-        self.half_low, self.half_padding = half[..., : K + 1], half[..., K + 1 :]
+        self.half_floats = half.view(np.float64)
 
     @classmethod
-    def allocate(cls, n, K, coeffs):
+    def allocate(cls, n, K, coeffs, reverse):
         lead, c16 = coeffs.shape[:-2], np.complex128
         return cls(n, K, coeffs, np.empty(lead + (K + 1, n), c16),
-                   np.empty(lead + (n, n // 2 + 1), c16), np.empty(lead + (n, n)))
+                   np.empty(lead + (n, K + 1), c16), np.empty(lead + (n, n)), reverse)
 
 
 class _Forward:
     """The arrays :meth:`TorusLattice.to_spectral` writes, the half spectrum
-    ``half`` of the samples (``(..., n, n // 2 + 1)``), its low columns
+    ``half`` of the samples (``(..., n, K + 1)`` by the DFT tables,
+    ``(..., n, n // 2 + 1)`` by ``rfft``) with its float view, its low columns
     ``band`` (``(..., K + 1, n)``) and the coefficients ``out``
     (``(..., 2K + 1, K + 1)``), and the views it copies through: the low
     columns of ``half``, transposed, and the band's ``k1 >= 0`` rows, its
@@ -595,16 +678,22 @@ class _Forward:
     def __init__(self, n, K, half, band, out):
         rows = band.swapaxes(-1, -2)  # rows k1 in FFT order for n, columns k2 = 0..K
         self.half, self.band, self.out = half, band, out
+        self.half_floats = half.view(np.float64)
         self.half_columns = half[..., : K + 1].swapaxes(-1, -2)
         self.rows_low, self.out_low = rows[..., : K + 1, :], out[..., : K + 1, :]
         self.rows_high, self.out_high = rows[..., n - K :, 1:], out[..., K + 1 :, 1:]
         self.mirrored, self.out_mirrors = rows[..., K:0:-1, 0], out[..., K + 1 :, 0]
 
+    @staticmethod
+    def columns(n, K, dft):
+        """The half spectrum's columns: the band's by the DFT tables, all by ``rfft``."""
+        return K + 1 if dft else n // 2 + 1
+
     @classmethod
-    def allocate(cls, n, K, phys):
+    def allocate(cls, n, K, phys, dft):
         lead, c16 = phys.shape[:-2], np.complex128
-        return cls(n, K, np.empty(lead + (n, n // 2 + 1), c16), np.empty(lead + (K + 1, n), c16),
-                   np.empty(lead + (2 * K + 1, K + 1), c16))
+        return cls(n, K, np.empty(lead + (n, cls.columns(n, K, dft)), c16),
+                   np.empty(lead + (K + 1, n), c16), np.empty(lead + (2 * K + 1, K + 1), c16))
 
 
 class _KernelScratch:
@@ -619,23 +708,29 @@ class _KernelScratch:
     inverse transform's band copy, then the grid samples, then the band copy
     of the product's forward transform.  Arena two holds the half spectrum of
     the inverse transform, then the product's half spectrum and its band
-    coefficients, then the Leray product.  So the padding of the inverse
-    transform's band copy and half spectrum does not outlive a call, and each
-    call zeroes it again through its views.  ``inverse`` and ``forward`` hold
-    the two transforms' arrays and views, ``layout`` the terms' views.
+    coefficients, then the Leray product.  The half spectra have the band's
+    ``K + 1`` columns (``n // 2 + 1`` for the product's where ``rfft`` makes
+    it), and every entry a call reads it wrote first: only the padding of
+    the inverse transform's band copy is zeroed, through its view, by each
+    call.  ``inverse`` and ``forward`` hold the two transforms' arrays and
+    views, ``layout`` the terms' views.  For a batch, ``p_diag`` and
+    ``p_cross`` are the Leray tables at the product's shape, or at
+    ``_LERAY_BLOCK`` fields for a larger batch, outside the arenas, so that
+    ``leray`` broadcasts no operand; for one field they are the lattice's own.
     """
 
-    def __init__(self, n, K, batch, planes):
+    def __init__(self, lattice, batch, planes):
         self.batch, self._layouts = batch, {}
+        n, K, dft = lattice.n, lattice._edge, lattice._dft is not None
         lead, prod, c16 = (planes * math.prod(batch),), batch + (2,), np.complex128
-        rows = 2 * K + 1
+        rows, columns = 2 * K + 1, _Forward.columns(n, K, dft)
         arrays = {}
         for runs in (
             [[("stack", lead + (rows, K + 1), c16), ("band", lead + (K + 1, n), c16)],
              [("phys", lead + (n, n), np.float64)],
              [("product_band", prod + (K + 1, n), c16)]],
-            [[("half", lead + (n, n // 2 + 1), c16)],
-             [("product_half", prod + (n, n // 2 + 1), c16),
+            [[("half", lead + (n, K + 1), c16)],
+             [("product_half", prod + (n, columns), c16),
               ("spectrum", prod + (rows, K + 1), c16)],
              [("work", prod + (rows, K + 1), c16)]],
         ):
@@ -648,9 +743,13 @@ class _KernelScratch:
                     arrays[name] = arena[start : start + size].view(dtype).reshape(shape)
                     start += size
         self.stack, self.phys, self.work = arrays["stack"], arrays["phys"], arrays["work"]
-        self.inverse = _Inverse(n, K, self.stack, arrays["band"], arrays["half"], self.phys)
+        self.inverse = _Inverse(n, K, self.stack, arrays["band"], arrays["half"], self.phys, dft)
         self.forward = _Forward(n, K, arrays["product_half"], arrays["product_band"],
                                 arrays["spectrum"])
+        tables = batch if math.prod(batch) <= _LERAY_BLOCK else (_LERAY_BLOCK,)
+        self.p_diag, self.p_cross = (np.broadcast_to(table, tables + table.shape).copy()
+                                     if batch else table
+                                     for table in (lattice._p_diag, lattice._p_cross))
 
     def layout(self, pairings):
         """Views for the terms ``pairings``, made on first use: per term, the

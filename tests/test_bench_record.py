@@ -84,7 +84,13 @@ def test_record_without_a_claim_summarizes_every_workload_and_traces_nothing(
     assert w1["change"]["setup_s"]["median"] == 0.5
     assert w1["parent"]["fail_frac"] == w1["change"]["fail_frac"] == 0.0
     assert w2["change"]["fail_frac"] == 1 / 20
-    assert got["env"] == {"nproc": 2}
+    # the worker's environment and the BLAS build, whose kernels round the
+    # transforms' GEMMs
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert got["env"] == {"nproc": 2, "blas": {
+        "name": blas["name"], "version": blas["version"],
+        "openblas configuration": blas.get("openblas configuration")}}
+    assert got["env"]["blas"]["name"] and got["env"]["blas"]["version"]
     # 3.0 -> 4.0 s, but the parent itself reads 2.0-4.0 s
     assert w1["verdicts"]["op_s_p50"]["verdict"] == "unresolved"
     assert w1["verdicts"]["setup_s"] == {"relative_change": 0.0, "bound": 0.25,

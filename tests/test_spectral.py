@@ -335,21 +335,24 @@ class TestIdentityProperties:
         diag = lat.bilinear_btilde(u, u) - lat.bilinear_b(u, u)
         assert np.all(nh(diag) <= 1e-13 * nh(u) ** 2)
 
-    # n=4 takes the Galerkin tensors (a scratch per form), n=16 the
-    # transforms (a scratch per plane count)
-    @pytest.mark.parametrize("n, scratch", [
-        (4, [("curl",), ("curl", "curl"), ("d",), ("grad",)]), (16, [3, 6])], ids=["4", "16"])
-    def test_batch_splits_are_bit_identical(self, n, scratch):
+    # n=4 takes the Galerkin tensors (a scratch per form), n=16 and 32 the
+    # transforms (a scratch per plane count).  A thousand fields give the
+    # transforms' real-axis GEMMs 48 000 rows at n=16; one GEMM over all of
+    # them would round some rows other than a field's own call does
+    @pytest.mark.parametrize("n, fields, scratch", [
+        (4, 100, [("curl",), ("curl", "curl"), ("d",), ("grad",)]), (16, 100, [3, 6]),
+        (16, 1000, [3, 6]), (32, 1000, [3, 6])], ids=["4", "16", "16-1000", "32-1000"])
+    def test_batch_splits_are_bit_identical(self, n, fields, scratch):
         lat = make_lattice(n)
         rng = np.random.default_rng(7)
-        u, v = _fields(lat, rng, 100), _fields(lat, rng, 100)
+        u, v = _fields(lat, rng, fields), _fields(lat, rng, fields)
+        for name in FORMS:
+            form = getattr(lat, name)
+            whole = form(u, v)
+            split = np.concatenate([form(u[:37], v[:37]), form(u[37:], v[37:])])
+            single = np.stack([form(u[i], v[i]) for i in range(fields)])
+            assert whole.tobytes() == split.tobytes() == single.tobytes(), name
         whole = lat.bilinear_btilde(u, v)
-        split = np.concatenate(
-            [lat.bilinear_btilde(u[:37], v[:37]), lat.bilinear_btilde(u[37:], v[37:])]
-        )
-        single = np.stack([lat.bilinear_btilde(u[i], v[i]) for i in range(100)])
-        assert np.array_equal(whole, split)
-        assert np.array_equal(whole, single)
         # the kernel's scratch is reused across calls: shapes and terms
         # interleaved on one lattice give what a fresh lattice gives, and no
         # later call touches an array returned earlier
@@ -421,6 +424,62 @@ class TestIdentityProperties:
             per_form[name] = list(planes)
         assert per_form == {"bilinear_btilde": [3, 2], "linearized_b": [6, 2],
                             "bilinear_b": [6, 2], "adjoint_b_first": [6, 2]}
+
+
+def _twiddles(k, x, n, sign):
+    """``exp(sign 2 pi i (k x mod n) / n)`` in long double, shape ``(len(k), len(x))``."""
+    turns = np.multiply.outer(k, x) % n
+    return np.exp(sign * 2j * np.pi * turns.astype(np.longdouble) / np.longdouble(n))
+
+
+class TestTransformOracle:
+    """The transforms against a direct DFT in long double, on both sides of
+    ``_DFT_WORK``: up to n = 72 the real axis runs as GEMMs against DFT
+    tables, from n = 74 on through pocketfft.  Relative to the largest exact
+    value, the worst errors over these draws were 2.2e-16-3.8e-16
+    (``to_physical``) and 2.8e-16-5.3e-16 (``to_spectral``) by the tables,
+    and at most 5.7e-16 and 4.6e-16 by pocketfft."""
+
+    BOUND = 1e-15
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 32, 64, 72, 74, 128])
+    def test_transforms_match_a_long_double_dft(self, n):
+        lat = make_lattice(n)
+        assert (lat._dft is None) == (n >= 74)
+        x = np.arange(n)
+        k1, k2 = lat.k1[:, 0], np.arange(lat.shape[2])
+        weight = np.where(k2 > 0, 2.0, 1.0)  # a k2 > 0 column and its mirror
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            c = _fields(lat, rng, 3)
+            exact = (_twiddles(x, k1, n, 1) @ (c.astype(np.clongdouble) * weight)
+                     @ _twiddles(k2, x, n, 1)).real
+            got = lat.to_physical(c)
+            assert np.abs(got - exact).max() <= self.BOUND * np.abs(exact).max()
+            samples = rng.standard_normal((3, n, n))
+            exact = (_twiddles(k1, x, n, -1) @ samples.astype(np.longdouble)
+                     @ _twiddles(x, k2, n, -1)) / np.longdouble(n * n)
+            got = lat.to_spectral(samples)
+            assert np.abs(got - exact).max() <= self.BOUND * np.abs(exact).max()
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 32])
+    def test_dft_tables_are_exact_at_the_quarter_turns(self, n):
+        # where (k2 x2) mod n is a multiple of n / 4 the twiddles are 0 and
+        # +-1, not cos(pi / 2) = 6e-17; the inverse table's rows run k2 = K..0,
+        # cosine then minus sine, a k2 > 0 pair twice, and the forward table
+        # holds the same twiddles divided by n
+        inverse, forward = make_lattice(n)._dft
+        K = (n - 1) // 3
+        turns = np.arange(K + 1)[:, None] * np.arange(n) % n
+        quarter = 4 * turns % n == 0
+        twice = np.where(np.arange(K + 1) > 0, 2.0, 1.0)[:, None]
+        cos, minus_sin = (inverse[i::2][::-1] / twice for i in (0, 1))
+        quadrant = 4 * turns[quarter] // n
+        assert np.array_equal(cos[quarter], np.array([1.0, 0.0, -1.0, 0.0])[quadrant])
+        assert np.array_equal(minus_sin[quarter], np.array([0.0, -1.0, 0.0, 1.0])[quadrant])
+        assert np.array_equal(forward[:, 0::2].T, cos / n)
+        assert np.array_equal(forward[:, 1::2].T, minus_sin / n)
+        assert not inverse.flags.writeable and not forward.flags.writeable
 
 
 def shift_cells(lat, a, s):
@@ -524,7 +583,12 @@ class TestSymmetries:
 
 
 # prints a digest of the n=4 Btilde and drift of a 1 000-field batch (the
-# tensor route)
+# tensor route), and of every form and the drift, on a batch and on one field,
+# at n=16, 32 and 72 (the transforms, whose real axis runs as GEMMs; 72 is the
+# largest n whose tables take it) and at n=122, whose real axis runs through
+# pocketfft: its tables' GEMMs are large enough for OpenBLAS to split them
+# over two threads, and then round differently, so the digests differ if the
+# tables serve n=122
 BTILDE_DIGEST = """
 import hashlib
 import numpy as np
@@ -534,6 +598,13 @@ rng = np.random.default_rng(11)
 u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(1000)]) for _ in range(2))
 digest = hashlib.sha256(lat.bilinear_btilde(u, v).tobytes())
 digest.update(lat.btilde_alpha(u, 0.1).tobytes())
+for n, fields in ((16, 200), (32, 200), (72, 8), (122, 2)):
+    lat = make_lattice(n)
+    u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(fields)]) for _ in range(2))
+    for x, y in ((u, v), (u[0], v[0])):
+        for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b"):
+            digest.update(getattr(lat, name)(x, y).tobytes())
+        digest.update(lat.btilde_alpha(x, 0.1).tobytes())
 print(digest.hexdigest())
 """
 
@@ -660,7 +731,7 @@ class TestScratch:
         # ufuncs) to tracemalloc, so the traced peak is what a call allocates
         lat = make_lattice(16)
         rng = np.random.default_rng(8)
-        for batch in (None, 64):
+        for batch in (None, 64, 150):
             u, v = _fields(lat, rng, batch), _fields(lat, rng, batch)
             for name in FORMS:
                 form = getattr(lat, name)
@@ -672,6 +743,22 @@ class TestScratch:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 2.5 * result.nbytes, (name, batch)
+            if batch is None:
+                continue
+            # the projection of a batch multiplies by Leray tables the scratch
+            # holds at the batch's shape, or at one block of fields for a
+            # batch of more, so numpy buffers no operand of it
+            s = lat._scratch[6]
+            assert s.p_diag.shape == s.p_cross.shape == (min(batch, 64),) + lat.shape
+            spectrum = s.forward.out
+            tracemalloc.start()
+            try:
+                result = lat.leray(spectrum, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.05 * result.nbytes, batch
+            assert result.tobytes() == lat.leray(spectrum).tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_interleaved_forms_and_batches_match_a_fresh_lattice(self, n):

@@ -21,7 +21,9 @@ once traced on each side and writes the per-layer calls and self times
 averaged over the first traced ops, read from the span file; without
 ``--claim``, ``claim`` is null and nothing is traced.  The benchmark's own
 traced report averages over however many ops fit in the run, so its counts
-move with the speed when ops differ in work.
+move with the speed when ops differ in work.  The record's ``env`` is the
+first run's, with the BLAS build numpy links (``blas``: name, version and
+OpenBLAS configuration), whose kernels set the rounding of the transforms.
 
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
@@ -162,6 +164,13 @@ def first_ops(spans_path, count=FIRST_OPS):
         for i, name in enumerate(layers) if np.any(chosen & (layer == i))}}
 
 
+def blas_build():
+    """The BLAS build numpy links, as ``np.show_config`` reports it: the
+    rounding of the transforms' GEMMs depends on its kernels."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def summary(values):
     q1, median, q3 = quantiles(values)
     return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
@@ -210,7 +219,7 @@ def record(args):
             entry[side] = {name: summary(v) for name, v in values[side].items()}
             entry[side]["fail_frac"] = (sum(r["failed"] for r in runs)
                                         / sum(r["attempted"] for r in runs))
-            out["env"] = runs[0]["env"]
+            out["env"] = dict(runs[0]["env"], blas=blas_build())
         entry["verdicts"] = {name: verdict(values["parent"][name], values["change"][name], metric)
                              for name, metric in gated.items()}
         entry["verdicts"]["fail_frac"] = (
