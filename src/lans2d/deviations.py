@@ -470,7 +470,7 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
 # the quadratic kernel's scratch and the stepper's buffers and peaks at 9-11
 # times the states by transforms (unified-default at T = 0.1, n = 16 and 32:
 # the grid samples of Btilde's three planes per field, 8-15 MB) and at 13
-# times by Galerkin tensors (ou-toy, n = 4: the products of the coordinates,
+# times by the drift tensor (ou-toy, n = 4: the products of the coordinates,
 # 5 MB); later steps allocate only the new state and numpy's iteration
 # buffers, 1.1-1.7 times the states (tracemalloc, one step of a fresh stepper
 # on a batch of this size)

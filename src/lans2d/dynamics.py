@@ -359,11 +359,12 @@ class UnifiedStepper(_Stepper):
     and the limit drifts, so for delta=1 ``y`` is exactly ``(u_a - u) / lam_delta``.
     The smoothed drift is one call, ``btilde_alpha``: at n = 4 and 6 one
     contraction with the lattice's drift tensor of ``a``; above, ``Btilde``
-    in rotational form, ``P(q (-w_2, w_1))`` with ``q`` the curl of
-    ``(I + a^2 A) w`` (3 planes per field on the grid), smoothed in place.
-    ``B(u_n, u_n)`` is the reference step's own drift: ``b_n``, from the dense
-    record's ``drifts``, is the same kernel call on the same state, so the
-    step is the same bit for bit with it.  Without ``b_n`` the step forms it.
+    by the kernel in rotational form, ``P(q (-w_2, w_1))`` with ``q`` the curl
+    of ``(I + a^2 A) w`` (3 planes per field on the grid), smoothed in place.
+    ``B(u_n, u_n)``, by the kernel at every n, is the reference step's own
+    drift: ``b_n``, from the dense record's ``drifts``, is the same kernel
+    call on the same state, so the step is the same bit for bit with it.
+    Without ``b_n`` the step forms it.
 
     Batched: ``y`` may carry leading axes; ``u_n`` (the reference-system state
     at the left endpoint, required for delta=1) broadcasts against it.

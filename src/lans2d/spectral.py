@@ -53,44 +53,41 @@ On the two-thirds band that product is the exact Galerkin convolution
 (Orszag, J. Atmos. Sci. 28, 1971), so each quadratic form is a fixed bilinear
 map of the ``m`` real coordinates of its operands: the re/im parts of the
 stored entries but the ``k2 = 0`` column's ``k1 < 0`` rows and the mean's
-imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  A lattice whose
-tensors, ``m*m x 4(2K+1)(K+1)`` floats each, fit ``_TENSOR_BYTES`` builds a
-form's tensor on first use, by one batched kernel call on every pair of
-basis fields, and keeps the rows of the pairs that contribute (84 of 324 at
-n = 4 and 6 for ``B~``), dropping rows that hold only the transforms'
-rounding.  From then on it applies the form as the products of its operands'
-coordinate pairs times those rows, with no transform; ``linearized_b``
-contracts with one tensor of its two terms.  The LANS-alpha drift
-``J_a B~(u, (I + a^2 A) u)`` (``btilde_alpha``) is a quadratic form of ``u``
-alone, so it contracts with a tensor of its own per ``a``, kept with ``a``'s
-smoothing tables: ``B~``'s rows, each pair's second coordinate scaled by
-``1 + a^2 lambda`` and each output coordinate by ``1 / (1 + a^2 lambda)``,
-with the rows of ``(a, b)`` and ``(b, a)`` summed into one; one scratch
-serves every ``a``.  That leaves 60 unordered pairs where ``B~`` has 84
-ordered ones, both gathers read ``u``, and no smoothing pass is left:
-0.24 ms for 1 000 fields at n = 4 and 6, where ``B~`` with its two
-smoothing passes took 0.44-0.46 ms (2-vCPU Xeon VM, one BLAS thread, best
-of three runs).  The bound sits at the
-measured crossover (2-vCPU Xeon VM, one BLAS thread, a 1 000-field ``B~`` in
-rotational form): at n = 4 (62 KB per tensor) 0.32 ms against 1.33 ms by
-transforms, at n = 6 0.54 against 2.27 ms, at n = 8 (1.2 MB) 12.8 against
+imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  The four forms take
+the kernel at every n; one map is kept as a tensor.  The LANS-alpha drift
+``J_a B~(u, (I + a^2 A) u)`` (``btilde_alpha``), which every Monte Carlo
+step takes, is a quadratic form of ``u`` alone.  Where ``B~``'s dense
+tensor, ``m*m x 4(2K+1)(K+1)`` floats, fits ``_TENSOR_BYTES`` (n = 4 and 6),
+the lattice builds it on first use by one batched kernel call on every pair
+of basis fields and keeps the rows of the 84 of 324 pairs that contribute,
+dropping rows that hold only the transforms' rounding.  The drift contracts
+with a tensor of its own per ``a``, kept with ``a``'s smoothing tables:
+``B~``'s rows, each pair's second coordinate scaled by ``1 + a^2 lambda``
+and each output coordinate by ``1 / (1 + a^2 lambda)``, with the rows of
+``(a, b)`` and ``(b, a)`` summed into one; one scratch serves every ``a``.
+That leaves 60 unordered pairs, both gathers read ``u``, and neither a
+transform nor a smoothing pass: 0.24 ms for 1 000 fields at n = 4 and 6
+(2-vCPU Xeon VM, one BLAS thread, best of three runs).  The bound sits at
+the measured crossover (same machine, a 1 000-field ``B~`` in rotational
+form): at n = 4 (62 KB per tensor) 0.32 ms by its tensor against 1.33 ms by
+the kernel, at n = 6 0.54 against 2.27 ms, at n = 8 (1.2 MB) 12.8 against
 3.8 ms.  The contraction runs as GEMMs of a fixed ``_BLOCK`` rows, so a
 field's rounding depends neither on its batch nor on its place in it; at
 n = 4 and 6 it does not depend on the BLAS thread count either, which larger
-GEMMs' does.  The two routes agree to
-rounding (4e-16 relative).
+GEMMs' does.  The contraction and the kernel agree to rounding (4e-16
+relative).
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
 one per plane count (3 for ``B~``, 6 for ``B``, ``adjoint_b_first`` and
-``linearized_b``), and a contraction's coordinates and products in one per
-form; each is made for the first batch shape and replaced when the shape
-changes.  The kernel's scratch also holds every view a call goes through,
+``linearized_b``), and the drift contraction's coordinates and products in
+one of its own; each is made for the first batch shape and replaced when the
+shape changes.  The kernel's scratch also holds every view a call goes through,
 made with it: each term's planes of the stack and of the grid samples, the
 transposed ``k1 >= 0`` and ``k1 < 0`` halves of the stack and of the padded
 band copy, the band copy's padding, the half spectra and their float views,
 and the views that assemble the band coefficients from the forward
-transform.  So a call by transforms is a fixed, short run of numpy calls.
+transform.  So a kernel call is a fixed, short run of numpy calls.
 It hands the scratch to ``to_physical``, ``to_spectral`` and ``leray``,
 which allocate their arrays only for other callers, and it broadcasts its
 operands' shapes only when they differ.  numpy buffers a ufunc operand that
@@ -99,7 +96,7 @@ kernel multiplies by whole ``i k`` tables and forms the grid products plane
 by plane, and for a batch the scratch holds the Leray tables at the batch's
 shape, up to ``_LERAY_BLOCK`` fields.  A lattice is not to be
 shared between threads that use it at the same time; pickling it sends only
-``n``, neither the scratch nor the tensors.
+``n``, neither the scratch nor the drift's tensors.
 
 The reports at the end take the worst ratio of each check over random field
 triples ``u, v, w``, from one table per triple: each identity's residual and
@@ -120,9 +117,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Quadratic terms go through a form's Galerkin tensor when the dense tensor
-# has at most this many bytes (n = 4 and 6: 62 KB), and through the
-# transforms otherwise (n = 8: 1.2 MB); the module docstring has the crossover.
+# The drift btilde_alpha contracts with a Galerkin tensor when B~'s dense
+# tensor has at most this many bytes (n = 4 and 6: 62 KB), and goes through
+# the kernel otherwise (n = 8: 1.2 MB); the module docstring has the crossover.
 _TENSOR_BYTES = 1 << 18
 # Rows per GEMM of a tensor contraction.  BLAS picks its summation order by
 # the shape (and takes gemv for one row), so a fixed block keeps each row's
@@ -233,14 +230,14 @@ class TorusLattice:
         object.__setattr__(self, "_coords", coords)
         dft = self.n * self.n * 2 * (edge + 1) <= _DFT_WORK
         object.__setattr__(self, "_dft", _dft_tables(self.n, edge) if dft else None)
-        object.__setattr__(self, "_tensors", {} if small else None)  # pairings -> tensor
-        # plane count -> _KernelScratch, pairings or ("drift",) -> _ContractionScratch
+        object.__setattr__(self, "_galerkin", small)  # btilde_alpha contracts
+        # plane count -> _KernelScratch, ("drift",) -> _ContractionScratch
         object.__setattr__(self, "_scratch", {})
         # alpha -> [smoothing_tables(alpha), its drift tensor or None]
         object.__setattr__(self, "_smoothers", {})
 
     def __reduce__(self):
-        # rebuilt from n: neither the tables, the tensors nor the scratch are pickled
+        # rebuilt from n: neither the tables, the drift's tensors nor the scratch are pickled
         return (TorusLattice, (self.n,))
 
     # -- transforms ---------------------------------------------------------
@@ -407,34 +404,23 @@ class TorusLattice:
     # -- quadratic terms ------------------------------------------------------
 
     def _quadratic(self, terms):
-        """``P sum_t F_t`` over a short list of terms ``(x, pairing, f)``.
+        """``P sum_t F_t`` over a short list of terms ``(x, pairing, f)``, the
+        one kernel of every quadratic form at every n.
 
         Each term pairs one value field ``x`` with field ``f``.  For ``"d"``
         (advection, ``x . grad f``) and ``"grad"`` (the transpose,
         ``(grad f)^T x``) it is ``sum_j x_j g_j`` with the vector field ``g_j``
         ``d_j f`` or ``grad f_j``; for ``"curl"`` it is ``q (-x_2, x_1)``,
-        ``-x`` cross the curl ``q = d_1 f_2 - d_2 f_1`` of ``f``.  On a lattice
-        with Galerkin tensors, one term, or two whose second swaps the first's
-        operands, is one contraction with the form's tensor; otherwise the
-        terms go through the transforms.
+        ``-x`` cross the curl ``q = d_1 f_2 - d_2 f_1`` of ``f``.  Every term
+        writes the scalar planes it needs on the band into one stack: a
+        ``"curl"`` term 3 (``(-x_2, x_1)`` and ``q``), a ``"d"`` or ``"grad"``
+        term 6 (``x``, ``g_1`` and ``g_2``).  One inverse transform brings the
+        stack to the grid, where each term's products of scalars with vectors
+        are formed in place of the vectors and the products are summed; one
+        forward transform (which keeps only the band) brings the sum back, and
+        it is projected.  Everything but the projected result lives in the
+        lattice's scratch, written through views it made once.
         """
-        x, _, f = terms[0]
-        if (self._tensors is not None and len(terms) <= 2
-                and all(t[0] is f and t[2] is x for t in terms[1:])):
-            pairings = tuple(t[1] for t in terms)
-            return self._contract(x, f, self._tensor(pairings), pairings)
-        return self._transform_quadratic(terms)
-
-    def _transform_quadratic(self, terms):
-        """:meth:`_quadratic` by transforms.  Every term writes the scalar
-        planes it needs on the band into one stack: a ``"curl"`` term 3
-        (``(-x_2, x_1)`` and ``q``), a ``"d"`` or ``"grad"`` term 6 (``x``,
-        ``g_1`` and ``g_2``).  One inverse transform brings the stack to the
-        grid, where each term's products of scalars with vectors are formed in
-        place of the vectors and the products are summed; one forward
-        transform (which keeps only the band) brings the sum back, and it is
-        projected.  Everything but the projected result lives in the
-        lattice's scratch, written through views it made once."""
         shapes = [a.shape for x, _, f in terms for a in (x, f)]
         shape = shapes[0]
         if shapes.count(shape) < len(shapes):
@@ -468,43 +454,39 @@ class TorusLattice:
             np.add(w, vector, out=w)
         return self.leray(self.to_spectral(w, s), s)
 
-    def _tensor(self, pairings):
-        """A form's Galerkin tensor ``(x_at, f_at, rows)``.  Row ``p`` of ``rows``
-        is the form of basis fields ``e_a`` and ``e_b`` (``e_a`` the first
-        term's value) viewed as floats, for the pairs ``p = (a, b)`` whose row
-        holds more than rounding; ``x_at``, ``f_at`` index coordinates ``a``,
-        ``b`` in a field's float view.  Built on first use by one batched call of the transforms
-        on every basis pair."""
-        tensor = self._tensors.get(pairings)
-        if tensor is None:
-            m, K = len(self._coords), self._edge
-            e = np.zeros((m, 4 * math.prod(self.shape[1:])))
-            e[np.arange(m), self._coords] = 1.0
-            e = e.view(np.complex128).reshape((m,) + self.shape)
-            e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
-            x, f = e[:, None], e[None, :]
-            terms = [(x, pairings[0], f)] + [(f, p, x) for p in pairings[1:]]
-            # a fresh lattice, so that the basis pairs' scratch goes with it
-            dense = TorusLattice(self.n)._transform_quadratic(terms)
-            dense = dense.view(np.float64).reshape(m * m, -1)
-            # rows the exact product makes zero carry the transforms' rounding
-            size = np.abs(dense).max(axis=1)
-            live = np.flatnonzero(size > _ROUNDING * size.max())
-            a, b = np.divmod(live, m)
-            tensor = self._tensors[pairings] = (self._coords[a], self._coords[b], dense[live])
-        return tensor
+    @functools.cached_property
+    def _btilde_tensor(self):
+        """``B~``'s Galerkin tensor ``(x_at, f_at, rows)``, which only
+        :meth:`_drift_tensor` reads.  Row ``p`` of ``rows`` is ``B~(e_a, e_b)``
+        of basis fields ``e_a`` and ``e_b`` viewed as floats, for the pairs
+        ``p = (a, b)`` whose row holds more than rounding; ``x_at``, ``f_at``
+        index coordinates ``a``, ``b`` in a field's float view.  Built on first
+        use by one batched kernel call on every basis pair."""
+        m, K = len(self._coords), self._edge
+        e = np.zeros((m, 4 * math.prod(self.shape[1:])))
+        e[np.arange(m), self._coords] = 1.0
+        e = e.view(np.complex128).reshape((m,) + self.shape)
+        e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+        # a fresh lattice, so that the basis pairs' scratch goes with it
+        dense = TorusLattice(self.n)._quadratic([(e[:, None], "curl", e[None, :])])
+        dense = dense.view(np.float64).reshape(m * m, -1)
+        # rows the exact product makes zero carry the transforms' rounding
+        size = np.abs(dense).max(axis=1)
+        live = np.flatnonzero(size > _ROUNDING * size.max())
+        a, b = np.divmod(live, m)
+        return self._coords[a], self._coords[b], dense[live]
 
     def _drift_tensor(self, alpha):
         """The Galerkin tensor of the drift ``J_a B~(u, (I + a^2 A) u)``, a
         quadratic form of ``u`` alone, kept in ``alpha``'s smoothing entry.
-        From the ``("curl",)`` tensor: each pair's ``f`` coordinate scaled by
+        From ``B~``'s tensor: each pair's ``f`` coordinate scaled by
         ``1 + a^2 lambda`` and each output coordinate by ``1 / (1 + a^2 lambda)``
         (both from :meth:`smoothing_tables`), the rows of pairs ``(a, b)`` and
         ``(b, a)`` summed into one row of ``a <= b``, and rows that hold only
-        rounding dropped by the rule of :meth:`_tensor`."""
+        rounding dropped by the rule of :attr:`_btilde_tensor`."""
         entry = self._smoothing(alpha)
         if entry[1] is None:
-            x_at, f_at, rows = self._tensor(("curl",))
+            x_at, f_at, rows = self._btilde_tensor
             smooth, unsmooth = (np.broadcast_to(t.real[..., None], self.shape + (2,)).ravel()
                                 for t in entry[0])
             scaled = rows * unsmooth[f_at, None] * smooth
@@ -518,19 +500,18 @@ class TorusLattice:
             entry[1] = (low, high, fused[live])
         return entry[1]
 
-    def _contract(self, x, f, tensor, key):
-        """The form of ``x`` and ``f`` whose Galerkin tensor is ``tensor``
-        (``(x_at, f_at, rows)``, as :meth:`_tensor` makes it): the products of
-        their coordinate pairs times the tensor's rows, as GEMMs of ``_BLOCK``
-        rows each (the last one padded with zeros).  ``key`` names the
-        scratch in ``_scratch``."""
+    def _contract(self, u, tensor):
+        """The quadratic form of ``u`` whose Galerkin tensor is ``tensor``
+        (``(x_at, f_at, rows)``, as :meth:`_drift_tensor` makes it): the
+        products of its coordinate pairs times the tensor's rows, as GEMMs of
+        ``_BLOCK`` rows each (the last one padded with zeros)."""
         x_at, f_at, tensor = tensor
-        lead = np.broadcast_shapes(x.shape, f.shape)[:-3]
+        lead = u.shape[:-3]
         rows = math.prod(lead)
-        s = self._scratch.get(key)
+        s = self._scratch.get(("drift",))
         if s is None or s.rows != rows or s.x.shape[1] != len(x_at):
-            s = self._scratch[key] = _ContractionScratch(rows, len(x_at))
-        np.multiply(_gather(x, x_at, s.x), _gather(f, f_at, s.f),
+            s = self._scratch[("drift",)] = _ContractionScratch(rows, len(x_at))
+        np.multiply(_gather(u, x_at, s.x), _gather(u, f_at, s.f),
                     out=s.products[:rows].reshape(lead + (-1,)))
         out = np.matmul(s.products.reshape(-1, _BLOCK, len(x_at)), tensor)
         return out.reshape(-1, tensor.shape[1])[:rows].view(np.complex128).reshape(lead + self.shape)
@@ -547,13 +528,13 @@ class TorusLattice:
 
     def btilde_alpha(self, cu: np.ndarray, alpha: float, work=None) -> np.ndarray:
         """The LANS-alpha drift ``J_a Btilde(u, (I + a^2 A) u)`` of ``u``.  On a
-        lattice with Galerkin tensors it is one contraction with ``alpha``'s
-        drift tensor (:meth:`_drift_tensor`), whose two gathers read ``u``.
-        Otherwise ``(I + a^2 A) u`` is formed in ``work`` (``u``'s shape,
-        complex; allocated if not given), ``Btilde`` by the transforms and the
-        smoother in place on it."""
-        if self._tensors is not None:
-            return self._contract(cu, cu, self._drift_tensor(alpha), ("drift",))
+        lattice whose ``B~`` tensor fits ``_TENSOR_BYTES`` (n = 4 and 6) it is
+        one contraction with ``alpha``'s drift tensor (:meth:`_drift_tensor`),
+        whose two gathers read ``u``.  Otherwise ``(I + a^2 A) u`` is formed in
+        ``work`` (``u``'s shape, complex; allocated if not given), ``Btilde``
+        by the kernel and the smoother in place on it."""
+        if self._galerkin:
+            return self._contract(cu, self._drift_tensor(alpha))
         b = self.bilinear_btilde(cu, self.unsmooth(cu, alpha, out=work))
         return self.smooth(b, alpha, out=b)
 
@@ -800,7 +781,7 @@ def _gather(a, index, buf):
 
 
 class _ContractionScratch:
-    """Work arrays of ``_contract`` for one form and row count: the gathered
+    """Work arrays of ``_contract`` for one row count: the gathered
     coordinates of both operands and their products, padded with zero rows
     to whole GEMM blocks."""
 

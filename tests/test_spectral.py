@@ -335,14 +335,13 @@ class TestIdentityProperties:
         diag = lat.bilinear_btilde(u, u) - lat.bilinear_b(u, u)
         assert np.all(nh(diag) <= 1e-13 * nh(u) ** 2)
 
-    # n=4 takes the Galerkin tensors (a scratch per form), n=16 and 32 the
-    # transforms (a scratch per plane count).  A thousand fields give the
-    # transforms' real-axis GEMMs 48 000 rows at n=16; one GEMM over all of
-    # them would round some rows other than a field's own call does
-    @pytest.mark.parametrize("n, fields, scratch", [
-        (4, 100, [("curl",), ("curl", "curl"), ("d",), ("grad",)]), (16, 100, [3, 6]),
-        (16, 1000, [3, 6]), (32, 1000, [3, 6])], ids=["4", "16", "16-1000", "32-1000"])
-    def test_batch_splits_are_bit_identical(self, n, fields, scratch):
+    # every n takes the kernel, with a scratch per plane count.  A thousand
+    # fields give the transforms' real-axis GEMMs 48 000 rows at n=16; one
+    # GEMM over all of them would round some rows other than a field's own
+    # call does
+    @pytest.mark.parametrize("n, fields", [(4, 100), (16, 100), (16, 1000), (32, 1000)],
+                             ids=["4", "16", "16-1000", "32-1000"])
+    def test_batch_splits_are_bit_identical(self, n, fields):
         lat = make_lattice(n)
         rng = np.random.default_rng(7)
         u, v = _fields(lat, rng, fields), _fields(lat, rng, fields)
@@ -365,7 +364,7 @@ class TestIdentityProperties:
                 assert np.array_equal(got, getattr(make_lattice(n), name)(x, y)), name
                 returned.append((got, got.copy()))
         assert all(np.array_equal(got, kept) for got, kept in returned)
-        assert sorted(lat._scratch) == scratch  # at most one of each
+        assert sorted(lat._scratch) == [3, 6]  # at most one of each
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -496,11 +495,45 @@ def reflect_x1(lat, a):
     return out
 
 
+def _turn(lat, a, m):
+    """Fields ``a`` under the orthogonal map ``x -> m x`` of the torus,
+    ``m u(m^-1 x)``, whose coefficients are ``m u(m^-1 k)`` at ``k``: each
+    field's rows of ``band_rows`` moved to ``m k`` with values ``m u(k)``.
+    ``m``'s entries are 0 and +-1, so every value moves exactly."""
+    m = np.array(m)
+    fields = [lat.from_band_rows(k @ m.T, values @ m.T)
+              for k, values in map(lat.band_rows, a.reshape((-1,) + lat.shape))]
+    return np.stack(fields).reshape(a.shape)
+
+
+def reflect_x2(lat, a):
+    """``a`` reflected by ``x2 -> -x2``: ``(u_1, -u_2)(x1, -x2)``.  A ``k2 > 0``
+    mode goes to ``k2 < 0``, so the band half takes its mirror's conjugate."""
+    return _turn(lat, a, [[1, 0], [0, -1]])
+
+
+def rotate_quarter(lat, a):
+    """``a`` turned a quarter turn, ``x -> (-x2, x1)``: ``(-u_2, u_1)(x2, -x1)``.
+    It swaps ``k1`` and ``k2``, so half the band half comes from mirrors."""
+    return _turn(lat, a, [[0, -1], [1, 0]])
+
+
+def _symmetries(lat, shift):
+    """The grid's exact symmetries a test moves fields by."""
+    return {"shift": lambda a: shift_cells(lat, a, shift),
+            "x1 reflection": lambda a: reflect_x1(lat, a),
+            "x2 reflection": lambda a: reflect_x2(lat, a),
+            "quarter turn": lambda a: rotate_quarter(lat, a)}
+
+
 class TestSymmetries:
-    """The quadratic terms commute with whole-cell shifts and with the
-    reflection ``x1 -> -x1``, which act on the grid exactly; both kernel routes
-    (Galerkin tensors at n = 4, 6, transforms above), batched and unbatched.
-    Observed: at most 7e-17 of the operands' scale."""
+    """The quadratic terms and the drift commute with whole-cell shifts, the
+    reflections ``x1 -> -x1`` and ``x2 -> -x2`` and the quarter turn, which
+    act on the grid exactly; the drift on both of its routes (its tensor at
+    n = 4, 6, the kernel above), batched and unbatched.  Observed: at most
+    7.4e-17 of the operands' scale.  The quarter turn catches what the
+    others cannot, such as a real-axis transform that weights the ``k2 > 0``
+    columns wrongly."""
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
     @pytest.mark.parametrize("batch", [None, 3])
@@ -508,16 +541,17 @@ class TestSymmetries:
     @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([(1, 0), (3, 5), (1, 3)]))
     def test_quadratic_terms_commute(self, n, batch, seed, shift):
         lat = make_lattice(n)
-        assert (lat._tensors is not None) == (n <= 6)  # the kernel route
+        assert lat._galerkin == (n <= 6)  # the drift's route
         rng = np.random.default_rng(seed)
         u, v = _fields(lat, rng, batch), _fields(lat, rng, batch)
         nh, nv = lat.norm_h, lat.norm_v
         scale = nh(u) * nv(v) + nv(u) * nh(v)
-        for symmetry in (lambda a: shift_cells(lat, a, shift), lambda a: reflect_x1(lat, a)):
-            for name in ("bilinear_b", "bilinear_btilde", "adjoint_b_first", "linearized_b"):
-                form = getattr(lat, name)
-                moved = form(symmetry(u), symmetry(v)) - symmetry(form(u, v))
-                assert np.all(nh(moved) <= 1e-14 * scale), name
+        forms = {name: (getattr(lat, name), (u, v), scale) for name in FORMS}
+        forms["btilde_alpha"] = (lambda x: lat.btilde_alpha(x, 0.3), (u,), nh(u) * nv(u))
+        for symmetry_name, symmetry in _symmetries(lat, shift).items():
+            for name, (form, operands, size) in forms.items():
+                moved = form(*map(symmetry, operands)) - symmetry(form(*operands))
+                assert np.all(nh(moved) <= 1e-14 * size), (symmetry_name, name)
 
     # a single step of each stepper: (stepper, delta, batch of y, batch of h)
     STEPS = {
@@ -537,8 +571,9 @@ class TestSymmetries:
     @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([(1, 0), (3, 5), (1, 3)]))
     def test_steps_commute_with_shifts(self, n, variant, kind, seed, shift):
         # the state, the reference state and the noise's outputs and probes
-        # shifted alike; the increments and controls stay.  Relative to the
-        # states' scale |y|_H + |u_n|_H; observed: at most 2e-16
+        # moved alike by each symmetry; the increments and controls stay.
+        # Relative to the states' scale |y|_H + |u_n|_H; observed: at most
+        # 2.6e-16
         stepper, delta, batch, h_batch = self.STEPS[kind]
         lat = make_lattice(n)
         rng = np.random.default_rng(seed)
@@ -548,11 +583,6 @@ class TestSymmetries:
             noise = projection_multiplicative_noise(lat, [0.6, 0.4], [(1, 0), (1, 1)],
                                                     [(0, 1), (1, -1)], [0.5, -0.3])
 
-        def move(a):
-            return None if a is None else shift_cells(lat, a, shift)
-
-        moved_noise = NoiseOperator(lat, noise.variant, noise.sigma, move(noise.outputs),
-                                    move(noise.probes), noise.offsets)
         y, u = _fields(lat, rng, batch), _fields(lat, rng, None)
         if delta == (0, 1):  # mdp_rescale's reference rows
             u = np.stack([np.zeros_like(u), u])
@@ -563,15 +593,25 @@ class TestSymmetries:
         if stepper is UnifiedStepper:
             # one increment for both rows, as mdp_rescale takes it
             kwargs["dw"] = rng.standard_normal((batch,) * (delta != (0, 1)) + (noise.rank,))
-        taken = []
-        for g, state, ref in ((noise, y, u), (moved_noise, move(y), move(u))):
+
+        def step(g, state, ref):
             cfg = SolverConfig(lattice=lat, dt=1e-2, t_final=1e-2, alpha=0.1, noise=g)
-            taken.append(stepper(cfg, delta).step(state, u_n=ref, **kwargs))
+            return stepper(cfg, delta).step(state, u_n=ref, **kwargs)
+
+        taken = step(noise, y, u)
         scale = lat.norm_h(y) + (0.0 if u is None else lat.norm_h(u))
-        assert np.all(lat.norm_h(taken[1] - move(taken[0])) <= 1e-14 * scale)
+        for name, symmetry in _symmetries(lat, shift).items():
+            def move(a, symmetry=symmetry):
+                return None if a is None else symmetry(a)
+
+            moved_noise = NoiseOperator(lat, noise.variant, noise.sigma, move(noise.outputs),
+                                        move(noise.probes), noise.offsets)
+            moved = step(moved_noise, move(y), move(u))
+            assert np.all(lat.norm_h(moved - move(taken)) <= 1e-14 * scale), name
 
     def test_symmetries_are_exact_on_the_grid(self):
-        # a whole-cell shift rolls the samples, the reflection reverses x1
+        # a whole-cell shift rolls the samples, a reflection reverses its
+        # axis and the quarter turn transposes them and reverses x1
         lat = make_lattice(16)
         u = random_field(lat, np.random.default_rng(5)).coeffs
         samples = lat.to_physical(u)
@@ -580,25 +620,29 @@ class TestSymmetries:
         reflected = lat.to_physical(reflect_x1(lat, u))
         mirror = np.roll(samples[..., ::-1, :], 1, axis=-2) * np.array([-1.0, 1.0])[:, None, None]
         assert np.abs(reflected - mirror).max() <= 1e-14
+        reflected = lat.to_physical(reflect_x2(lat, u))
+        mirror = np.roll(samples[..., ::-1], 1, axis=-1) * np.array([1.0, -1.0])[:, None, None]
+        assert np.abs(reflected - mirror).max() <= 1e-14
+        # (-u_2, u_1) at (x2, -x1)
+        turned = np.roll(samples.swapaxes(-1, -2)[..., ::-1, :], 1, axis=-2)
+        turned = np.stack([-turned[1], turned[0]])
+        assert np.abs(lat.to_physical(rotate_quarter(lat, u)) - turned).max() <= 1e-14
 
 
-# prints a digest of the n=4 Btilde and drift of a 1 000-field batch (the
-# tensor route), and of every form and the drift, on a batch and on one field,
-# at n=16, 32 and 72 (the transforms, whose real axis runs as GEMMs; 72 is the
-# largest n whose tables take it) and at n=122, whose real axis runs through
-# pocketfft: its tables' GEMMs are large enough for OpenBLAS to split them
-# over two threads, and then round differently, so the digests differ if the
-# tables serve n=122
+# prints a digest of every form and the drift, on a batch and on one field,
+# at n=4 (the forms by the kernel, the drift by its tensor), at n=16, 32 and
+# 72 (both by the kernel, whose real axis runs as GEMMs; 72 is the largest n
+# whose tables take it) and at n=122, whose real axis runs through pocketfft:
+# its tables' GEMMs are large enough for OpenBLAS to split them over two
+# threads, and then round differently, so the digests differ if the tables
+# serve n=122
 BTILDE_DIGEST = """
 import hashlib
 import numpy as np
 from lans2d import make_lattice, random_field
-lat = make_lattice(4)
 rng = np.random.default_rng(11)
-u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(1000)]) for _ in range(2))
-digest = hashlib.sha256(lat.bilinear_btilde(u, v).tobytes())
-digest.update(lat.btilde_alpha(u, 0.1).tobytes())
-for n, fields in ((16, 200), (32, 200), (72, 8), (122, 2)):
+digest = hashlib.sha256()
+for n, fields in ((4, 1000), (16, 200), (32, 200), (72, 8), (122, 2)):
     lat = make_lattice(n)
     u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(fields)]) for _ in range(2))
     for x, y in ((u, v), (u[0], v[0])):
@@ -612,10 +656,11 @@ print(digest.hexdigest())
 class TestGalerkinTensors:
     @pytest.mark.parametrize("n, per_call", [(4, 0), (16, 1), (32, 1)])
     def test_small_bands_make_no_transform(self, n, per_call, monkeypatch):
+        # the drift contracts with its tensor at n = 4; the forms take the
+        # kernel at every n
         lat = make_lattice(n)
-        rng = np.random.default_rng(10)
-        u, v = _fields(lat, rng, 20), _fields(lat, rng, 20)
-        lat.bilinear_btilde(u, v)  # builds the tensors where the lattice has them
+        u = _fields(lat, np.random.default_rng(10), 20)
+        lat.btilde_alpha(u, 0.1)  # builds the tensor where the lattice has one
         calls = []
         to_physical = TorusLattice.to_physical
 
@@ -625,14 +670,13 @@ class TestGalerkinTensors:
 
         monkeypatch.setattr(TorusLattice, "to_physical", counting)
         for _ in range(3):
-            lat.bilinear_btilde(u, v)
+            lat.btilde_alpha(u, 0.1)
         assert calls == [n] * 3 * per_call
 
     def test_n6_keeps_the_rows_of_n4(self):
-        # the same band (K = 1): rows that hold only the transforms' rounding go
-        forms = (("d",), ("curl",), ("curl", "curl"), ("grad",))
-        rows = {n: [make_lattice(n)._tensor(p)[2].shape[0] for p in forms] for n in (4, 6)}
-        assert rows[6] == rows[4] == [84, 84, 88, 80]
+        # the same band (K = 1): B~'s rows that hold only the transforms'
+        # rounding go, and 84 of the 324 pairs are left
+        assert [make_lattice(n)._btilde_tensor[2].shape[0] for n in (4, 6)] == [84, 84]
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -641,15 +685,6 @@ class TestGalerkinTensors:
         x_at, f_at, rows = make_lattice(n)._drift_tensor(alpha)
         assert rows.shape[0] == len(x_at) == len(f_at) == 60
         assert np.all(x_at <= f_at) and np.unique(x_at * rows.size + f_at).size == 60
-
-    def test_rotational_btilde_tensor_is_the_advective_one(self):
-        # at n = 4 the rotational form's tensor is the two-term advective
-        # form's, built by the kernel on the same basis pairs, bit for bit
-        # (an exact zero may carry either sign, so zeros are taken as +0)
-        lat = make_lattice(4)
-        rotational, advective = lat._tensor(("curl",)), lat._tensor(("d", "grad"))
-        for got, want in zip(rotational, advective):
-            assert (got + 0).tobytes() == (want + 0).tobytes()
 
     def test_results_do_not_depend_on_the_blas_thread_count(self):
         src = os.path.dirname(os.path.dirname(lans2d.__file__))
@@ -665,8 +700,8 @@ class TestGalerkinTensors:
 
 
 class TestDriftTensor:
-    """``btilde_alpha`` on the lattices with Galerkin tensors: one contraction
-    with the drift tensor of ``alpha``, against the route by transforms."""
+    """``btilde_alpha`` on the lattices with a drift tensor: one contraction
+    with the drift tensor of ``alpha``, against the kernel."""
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -674,7 +709,7 @@ class TestDriftTensor:
     def test_drift_is_the_smoothed_btilde_by_transforms(self, n, alpha, batch):
         lat = make_lattice(n)
         u = _fields(lat, np.random.default_rng(ALPHAS.index(alpha) * 10 + n), batch)
-        btilde = lat._transform_quadratic([(u, "curl", lat.unsmooth(u, alpha))])
+        btilde = lat.bilinear_btilde(u, lat.unsmooth(u, alpha))
         want = lat.smooth(btilde, alpha)
         got = lat.btilde_alpha(u, alpha)
         assert got.shape == want.shape == u.shape
