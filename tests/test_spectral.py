@@ -686,6 +686,27 @@ class TestGalerkinTensors:
         assert rows.shape[0] == len(x_at) == len(f_at) == 60
         assert np.all(x_at <= f_at) and np.unique(x_at * rows.size + f_at).size == 60
 
+    def test_rotational_btilde_tensor_is_the_advective_one(self):
+        # at n = 4 B~'s tensor, built in rotational form, is the two-term
+        # advective form's, built here by the kernel on the same basis pairs
+        # and pruned by the same rule, bit for bit (an exact zero may carry
+        # either sign, so zeros are taken as +0)
+        lat = make_lattice(4)
+        m, K = len(lat._coords), lat._edge
+        e = np.zeros((m, 4 * math.prod(lat.shape[1:])))
+        e[np.arange(m), lat._coords] = 1.0
+        e = e.view(np.complex128).reshape((m,) + lat.shape)
+        e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+        x, f = e[:, None], e[None, :]
+        dense = make_lattice(4)._quadratic([(x, "d", f), (f, "grad", x)])
+        dense = dense.view(np.float64).reshape(m * m, -1)
+        size = np.abs(dense).max(axis=1)
+        live = np.flatnonzero(size > spectral._ROUNDING * size.max())
+        a, b = np.divmod(live, m)
+        advective = lat._coords[a], lat._coords[b], dense[live]
+        for got, want in zip(lat._btilde_tensor, advective):
+            assert (got + 0).tobytes() == (want + 0).tobytes()
+
     def test_results_do_not_depend_on_the_blas_thread_count(self):
         src = os.path.dirname(os.path.dirname(lans2d.__file__))
         digests = []
