@@ -13,7 +13,6 @@ from .deviations import (
     TerminalObservable,
     TerminalObservableEvent,
     convergence_study,
-    ldp_speed,
     mc_tail,
     mdp_rescale,
     rate_function,

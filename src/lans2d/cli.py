@@ -309,21 +309,19 @@ def _cmd_weak_probe(cfg: RunConfig, args, out: Path) -> int:
 def _cmd_mdp_check(cfg: RunConfig, args, out: Path) -> int:
     _, xi, scfg = _setup(cfg)
     wiener = _wiener_for(cfg, scfg)
-    scaling = ScalingLaw(cfg.kappa, 1)
     nse = dense_nse(xi, scfg)  # the limit flow: the same for every alpha
     rows = []
     for alpha in cfg.alphas:
         # the smoothed and the delta=1 run march together; only the norms
         # of the rescaled fluctuation and of its gap to the delta=1 state
         # are kept, step by step
-        norms, gaps = dev.mdp_rescale(xi, dataclasses.replace(scfg, alpha=alpha), wiener,
-                                      nse, scaling)
+        norms, gaps = dev.mdp_rescale(xi, dataclasses.replace(scfg, alpha=alpha), wiener, nse)
         gap = float(np.max(gaps))
         rows.append({
             "alpha": alpha,
             "max_gap": gap,
-            "speed_mdp": dev.ldp_speed(scaling, alpha),
-            "speed_ldp": dev.ldp_speed(ScalingLaw(cfg.kappa, 0), alpha),
+            "speed_mdp": ScalingLaw(cfg.kappa, 1).speed(alpha),
+            "speed_ldp": ScalingLaw(cfg.kappa, 0).speed(alpha),
             "sup_norm_rescaled": float(np.max(norms)),
         })
         print(f"alpha={alpha:g}: max |rescaled - unified| = {gap:.3e}")

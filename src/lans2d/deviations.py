@@ -12,11 +12,12 @@ system to a target.  Here this is solved on the discrete grid:
   only the reported residual takes a march of its own.
 * delta=0 targets use a quadratic-penalty formulation with an increasing
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
-  gradient; results are upper bounds (the problem is nonconvex).  An
-  evaluation sweeps the unscaled terminal seed, so one memo of the last two
-  controls and the last one L-BFGS accepted serves every weight: each
-  weight's start and residual reuse the march and sweep of the control the
-  last weight ended at.
+  gradient; the reported cost is extrapolated in the weight, and is no
+  bound: it can lie below the energy of every feasible control found.  An
+  evaluation sweeps the unscaled terminal seed, so one memo of the three
+  most recent controls and the last one L-BFGS accepted serves every
+  weight: each weight's start and residual reuse the march and sweep of the
+  control the last weight ended at.
 
 Monte Carlo tail estimation runs independent trajectories of the stochastic
 system (vectorized in batches, reproducible per-trajectory streams) and
@@ -46,7 +47,6 @@ from .dynamics import (
     indexed_step,
     initial_state,
     march,
-    solve_skeleton,
 )
 from .noise import Control, WienerPath, _SeedWords, _stream_seeds, sine_control, zero_control
 from .spectral import SpectralField
@@ -138,7 +138,7 @@ def _skeleton_forward(delta, hv, cfg, xi, u_fields):
     return states
 
 
-def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
+def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal):
     """Backward pass: returns d<terminal functional>/dh as a (steps, J) array.
 
     ``p_terminal`` is the H-gradient of the terminal functional at y(T); the
@@ -146,6 +146,7 @@ def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal, noise):
     in ``p_terminal``.
     """
     lat = cfg.lattice
+    noise = cfg.noise
     S = cfg.implicit_multiplier()
     dt = cfg.dt
     grad = np.zeros((cfg.steps, noise.rank))
@@ -215,7 +216,7 @@ def skeleton_gradient(
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
-    u_fields = _dense_fields(nse, cfg, "skeleton_gradient") if delta == 1 else None
+    u_fields = _dense_fields(nse, cfg, "skeleton_gradient", xi) if delta == 1 else None
     hv = h.values
     key = hv.tobytes()
     if memo is not None and key in memo:
@@ -224,7 +225,7 @@ def skeleton_gradient(
         states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
         rho, seed = _terminal_pieces(target, cfg.lattice, states[-1])
         cost = 0.5 * cfg.dt * float(np.sum(hv**2))
-        a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed, cfg.noise)
+        a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed)
         if memo is not None:
             recent = [k for k in memo if k != getattr(memo, "pinned", None)]
             if len(recent) >= _MEMO_ENTRIES:
@@ -234,17 +235,12 @@ def skeleton_gradient(
     return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
 
 
-def _response_functional(cfg, g_coeffs, u_fields, noise):
-    """One adjoint sweep with terminal vector g: the linear map h -> <y(T), g>."""
-    hv = np.zeros((cfg.steps, noise.rank))
-    return _adjoint_sweep(1, hv, cfg, None, u_fields, g_coeffs, noise)
-
-
 def _exact_lq_observable(problem, cfg, xi, nse):
     lat = cfg.lattice
     noise = cfg.noise
     target = problem.target
-    L = _response_functional(cfg, target.g.coeffs, nse.fields, noise)
+    # one adjoint sweep of the terminal vector g: the linear map h -> <y(T), g>
+    L = _adjoint_sweep(1, None, cfg, None, nse.fields, target.g.coeffs)
     gram = float(np.sum(L**2)) / cfg.dt
     if gram <= 0.0:
         return RateResult(
@@ -255,9 +251,9 @@ def _exact_lq_observable(problem, cfg, xi, nse):
     mu = target.level / gram
     hv = mu * L / cfg.dt
     h_star = Control(cfg.dt, hv)
-    # independent feasibility check: run the actual controlled system
-    y = solve_skeleton(1, xi, replace(cfg, record_stride=cfg.steps, store_fields=True), h_star, nse=nse)
-    reached = float(lat.inner_h(y.fields[-1], target.g.coeffs))
+    # independent feasibility check: march the controlled system
+    y_final = _skeleton_march(1, hv, cfg, xi, nse.fields, None)
+    reached = float(lat.inner_h(y_final, target.g.coeffs))
     residual = abs(reached - target.level)
     stationarity = float(np.max(np.abs(cfg.dt * hv - mu * L))) if hv.size else 0.0
     kkt = stationarity + residual
@@ -287,7 +283,7 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     u_fields = nse.fields
 
     def apply_gram(mu):
-        hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu, noise) / cfg.dt
+        hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu) / cfg.dt
         return _skeleton_march(1, hv, cfg, xi, u_fields, None), hv
 
     hv = np.zeros((cfg.steps, noise.rank))
@@ -392,7 +388,7 @@ def _penalized_descent(problem, cfg, xi):
         converged,
         None,
         {"schedule": history, "extrapolated_cost": cost_inf,
-         "final_cost": history[-1]["cost"], "bound": "upper"},
+         "final_cost": history[-1]["cost"], "bound": "extrapolated"},
     )
 
 
@@ -419,7 +415,7 @@ def rate_function(
     if problem.delta == 1:
         if nse is None:
             nse = dense_nse(xi, cfg)
-        _dense_fields(nse, cfg, "rate_function")
+        _dense_fields(nse, cfg, "rate_function", xi)
         if isinstance(problem.target, TerminalObservable):
             return _exact_lq_observable(problem, cfg, xi, nse)
         return _gramian_cg_field(problem, cfg, xi, nse)
@@ -575,7 +571,7 @@ def mc_tail(
     if delta == 1:
         if nse is None:
             nse = dense_nse(xi, run_cfg)
-        u_fields = _dense_fields(nse, run_cfg, "mc_tail")
+        u_fields = _dense_fields(nse, run_cfg, "mc_tail", xi)
     shared = (delta, run_cfg, xi.coeffs, u_fields, event, master_seed)
     starts = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
     bounds = list(zip(starts[:-1], starts[1:]))
@@ -677,7 +673,7 @@ def weak_continuity_probe(
     if delta == 1:
         if nse is None:
             nse = dense_nse(xi, cfg)
-        u_fields = _dense_fields(nse, cfg, "weak_continuity_probe")
+        u_fields = _dense_fields(nse, cfg, "weak_continuity_probe", xi)
     zero = zero_control(J, cfg.dt, steps)
     base_states = _skeleton_forward(delta, zero.values, cfg, xi, u_fields)
     lat = cfg.lattice
@@ -709,25 +705,26 @@ def mdp_rescale(
     cfg: SolverConfig,
     wiener: Optional[WienerPath],
     nse: TrajectoryRecord,
-    scaling: ScalingLaw,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rescaled fluctuation ``(u_a - u) / (sqrt(a) lambda(a))`` at
     ``a = cfg.alpha`` against the delta=1 unified run ``y``, step by step.
 
-    The smoothed run (``solve_lans``) and ``solve_unified(1, ...)`` march as
-    the two rows of one state through one ``UnifiedStepper``, driven by the
-    same ``wiener`` path, with ``u`` and ``B(u, u)`` taken from the dense
-    ``nse`` record.  Returns the H-norm of the rescaled fluctuation and the
-    gap ``|rescaled - y|_H`` at every step from ``t = 0``, each equal bit for
-    bit to the norm of the difference of the two separate runs' states; no
-    state but the current one is kept.
+    ``lambda(a) = a**-cfg.kappa``: the factor is the reciprocal of the
+    ``lam_delta`` that the delta=1 row divides by.  The smoothed run
+    (``solve_lans``) and ``solve_unified(1, ...)`` march as the two rows of
+    one state through one ``UnifiedStepper``, driven by the same ``wiener``
+    path, with ``u`` and ``B(u, u)`` taken from the dense ``nse`` record,
+    which must start from ``xi``.  Returns the H-norm of the rescaled
+    fluctuation and the gap ``|rescaled - y|_H`` at every step from
+    ``t = 0``, each equal bit for bit to the norm of the difference of the
+    two separate runs' states; no state but the current one is kept.
     """
     _check_wiener(cfg, wiener)
-    u_fields = _dense_fields(nse, cfg, "mdp_rescale")
+    u_fields = _dense_fields(nse, cfg, "mdp_rescale", xi)
     if nse.drifts is None:
         raise ValueError("mdp_rescale needs the limit flow's drifts (run dense_nse)")
     lat = cfg.lattice
-    fac = 1.0 / (math.sqrt(cfg.alpha) * scaling.lam(cfg.alpha))
+    fac = 1.0 / ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
     inc = None if (wiener is None or cfg.noise is None) else wiener.increments
     stepper = UnifiedStepper(cfg, (0, 1))
     # the reference rows: zero for the delta=0 row, u_m and B(u_m, u_m) for
@@ -750,10 +747,3 @@ def mdp_rescale(
 
     march(step, np.stack([xi.coeffs, initial_state(1, xi.coeffs)]), cfg.steps, observe, lat)
     return norms[:, 0], norms[:, 1]
-
-
-def ldp_speed(scaling: ScalingLaw, alpha: float) -> float:
-    """Deviation speed: ``1/alpha`` for delta=0, ``lambda(alpha)^2`` for delta=1."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    return scaling.speed(alpha)

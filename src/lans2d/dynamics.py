@@ -437,13 +437,18 @@ class UnifiedStepper(_Stepper):
         return np.multiply(self.S, rhs, out=rhs)
 
 
-def _dense_fields(nse: Optional[TrajectoryRecord], cfg: SolverConfig, what: str):
+def _dense_fields(nse: Optional[TrajectoryRecord], cfg: SolverConfig, what: str,
+                  xi: Optional[SpectralField]):
+    """The reference states of ``nse``, checked against the run's grid and,
+    unless ``xi`` is None, its initial field."""
     if nse is None:
         raise ValueError(f"delta=1 {what} needs the dense reference record (run dense_nse first)")
     if nse.fields is None or len(nse) != cfg.steps + 1:
         raise ValueError("reference record must hold snapshots at every step of the same grid")
     if abs(nse.dt - cfg.dt) > 1e-15:
         raise ValueError("reference record dt does not match the config")
+    if xi is not None and nse.fields[0].tobytes() != xi.coeffs.tobytes():
+        raise ValueError("reference record starts from another initial field")
     return nse.fields
 
 
@@ -467,7 +472,7 @@ def solve_unified(
             raise ValueError("control grid does not match the config")
         _require_noise(cfg)
     stepper = UnifiedStepper(cfg, delta)
-    u_fields = _dense_fields(nse, cfg, "solve_unified") if delta == 1 else None
+    u_fields = _dense_fields(nse, cfg, "solve_unified", xi) if delta == 1 else None
     b_fields = nse.drifts if delta == 1 else None
     inc = None if (wiener is None or cfg.noise is None) else wiener.increments
     step = indexed_step(stepper.step, u_n=u_fields, b_n=b_fields, dw=inc,
@@ -541,7 +546,7 @@ def solve_skeleton(
         raise ValueError("control grid does not match the config")
     if cfg.noise is None:
         raise ValueError("solve_skeleton needs the noise operator that shapes the control")
-    u_fields = _dense_fields(nse, cfg, "solve_skeleton") if delta == 1 else None
+    u_fields = _dense_fields(nse, cfg, "solve_skeleton", xi) if delta == 1 else None
     step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=h.values)
     y0 = initial_state(delta, xi.coeffs, h.values.shape[1:-1])
     return _drive(cfg, y0, step, alpha_for_norms=0.0)
@@ -588,7 +593,7 @@ def energy_report(
         phi += np.sqrt(np.sum(h.values[:steps] ** 2, axis=1))
     if u_ref is not None:
         lat = cfg.lattice
-        fields = _dense_fields(u_ref, cfg, "energy_report")
+        fields = _dense_fields(u_ref, cfg, "energy_report", None)
         for m in range(steps):
             u = fields[m]
             au2 = float(lat.norm_a(u)) ** 2

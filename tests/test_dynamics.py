@@ -71,6 +71,11 @@ class TestScalingLaw:
         assert ScalingLaw(0.25, 0).speed(0.1) == pytest.approx(10.0)
         assert ScalingLaw(0.25, 1).speed(1e-4) == pytest.approx(100.0)
 
+    def test_mdp_slower_than_ldp(self):
+        s1 = ScalingLaw(0.2, 1)
+        ratios = [s1.speed(a) * a for a in (0.1, 0.01, 0.001)]
+        assert all(x > y for x, y in zip(ratios, ratios[1:]))  # alpha * lam^2 -> 0
+
     def test_kappa_validation(self):
         with pytest.raises(ValueError):
             ScalingLaw(0.5, 0)
@@ -204,9 +209,8 @@ class TestNse:
         w = sample_wiener(1, 1e-3, 50, 3)
         lans = solve_lans(xi, cfg, w)
         nse = dense_nse(xi, cfg)
-        scaling = ScalingLaw(cfg.kappa, 1)
-        norms, _ = mdp_rescale(xi, cfg, w, nse, scaling)
-        fac = 1.0 / (math.sqrt(0.3) * scaling.lam(0.3))
+        norms, _ = mdp_rescale(xi, cfg, w, nse)
+        fac = 1.0 / (math.sqrt(0.3) * ScalingLaw(cfg.kappa, 1).lam(0.3))
         each = np.array([float(lat.norm_h(fac * (a - u))) for a, u in zip(lans.fields, nse.fields)])
         assert norms.tobytes() == each.tobytes()
 
