@@ -154,6 +154,13 @@ class RunConfig:
             raise ConfigError("model.alpha must lie in [0, 1]")
         if not 0.0 < self.kappa < 0.5:
             raise ConfigError("model.kappa must lie in (0, 1/2)")
+        if not all(0.0 < a <= 1.0 for a in self.alphas):
+            raise ConfigError("every experiment.alphas entry must lie in (0, 1]")
+        # the initial field and the observable each take one wavevector
+        for key, modes in (("initial.mode", self.initial_mode),
+                           ("experiment.observable_mode", self.observable_mode)):
+            if modes is not None and len(modes) != 1:
+                raise ConfigError(f"{key} takes one wavevector, got {len(modes)}")
         return self
 
     # -- materialization ---------------------------------------------------

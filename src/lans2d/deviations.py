@@ -48,7 +48,8 @@ from .dynamics import (
     initial_state,
     march,
 )
-from .noise import Control, WienerPath, _SeedWords, _stream_seeds, sine_control, zero_control
+from .noise import (Control, WienerPath, _SeedWords, _stream_seeds, control_cost, sine_control,
+                    weak_distance, zero_control)
 from .spectral import SpectralField
 
 # ---------------------------------------------------------------------------
@@ -131,13 +132,6 @@ def _skeleton_march(delta, hv, cfg, xi, u_fields, observe):
     return march(step, y0, cfg.steps, observe, cfg.lattice)
 
 
-def _skeleton_forward(delta, hv, cfg, xi, u_fields):
-    """March the controlled system, returning all states (steps+1 arrays)."""
-    states = []
-    _skeleton_march(delta, hv, cfg, xi, u_fields, lambda m, y: states.append(y))
-    return states
-
-
 def _adjoint_sweep(delta, hv, cfg, states, u_fields, p_terminal):
     """Backward pass: returns d<terminal functional>/dh as a (steps, J) array.
 
@@ -205,7 +199,9 @@ def skeleton_gradient(
     It takes one forward march and one adjoint sweep of the unscaled terminal
     seed, ``a = d<y(T), g>/dh`` or ``d(|y(T) - x|^2 / 2)/dh``; the sweep is
     linear in its seed, so the penalty's gradient is ``beta rho a`` or
-    ``beta a``.
+    ``beta a``.  Only a delta=0 march keeps its states, which the sweep
+    linearizes around (delta=1: around ``nse``).  ``h`` must lie on the
+    config's grid.
 
     ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the
     ``_MEMO_ENTRIES`` controls evaluated most recently (a hit counts as an
@@ -216,15 +212,19 @@ def skeleton_gradient(
     """
     if cfg.noise is None:
         raise ValueError("rate machinery needs the noise operator in the config")
+    if h.steps != cfg.steps or abs(h.dt - cfg.dt) > 1e-15:
+        raise ValueError("control grid does not match the config")
     u_fields = _dense_fields(nse, cfg, "skeleton_gradient", xi) if delta == 1 else None
     hv = h.values
     key = hv.tobytes()
     if memo is not None and key in memo:
         cost, rho, a = memo[key] = memo.pop(key)  # now the most recent entry
     else:
-        states = _skeleton_forward(delta, hv, cfg, xi, u_fields)
-        rho, seed = _terminal_pieces(target, cfg.lattice, states[-1])
-        cost = 0.5 * cfg.dt * float(np.sum(hv**2))
+        states = [] if delta == 0 else None
+        y_final = _skeleton_march(delta, hv, cfg, xi, u_fields,
+                                  None if states is None else lambda m, y: states.append(y))
+        rho, seed = _terminal_pieces(target, cfg.lattice, y_final)
+        cost = control_cost(h)
         a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed)
         if memo is not None:
             recent = [k for k in memo if k != getattr(memo, "pinned", None)]
@@ -315,10 +315,11 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     y_final = _skeleton_march(1, hv, cfg, xi, u_fields, None)
     residual = float(lat.norm_h(y_final - x))
     converged = residual <= tol * x_norm
-    cost = 0.5 * cfg.dt * float(np.sum(hv**2))
+    h = Control(cfg.dt, hv)
+    cost = control_cost(h)
     result_cost = cost if converged else math.inf
     return RateResult(
-        result_cost, Control(cfg.dt, hv), residual, converged, math.sqrt(rr),
+        result_cost, h, residual, converged, math.sqrt(rr),
         {"iterations": iterations, "feasible_cost": cost, "bound": "exact" if converged else "infeasible"},
     )
 
@@ -369,7 +370,7 @@ def _penalized_descent(problem, cfg, xi):
         else:
             y_final = _skeleton_march(0, hv, cfg, xi, None, None)
             rho, _ = _terminal_pieces(problem.target, cfg.lattice, y_final)
-        cost = 0.5 * cfg.dt * float(np.sum(hv**2))
+        cost = control_cost(Control(cfg.dt, hv))
         history.append({"beta": beta, "cost": cost, "residual": abs(rho)})
     # extrapolate cost(beta) = cost_inf - a / beta using the last two weights
     if len(history) >= 2:
@@ -662,42 +663,37 @@ def weak_continuity_probe(
     For each oscillation index, reports
     ``e(n) = sup_t |y_hn - y_0|_H + (int ||y_hn - y_0||_V^2 dt)^(1/2)`` and the
     weak distance ``d1(h_n, 0)``; both decrease as the control oscillates away.
+    Row 0 (the zero control) and every ``h_n`` march as one batch, and only
+    each row's running sup and dissipation are kept, the floats of a march of
+    its own (one ``stacked_norms`` reduction, the square a float's ``pow``).
     """
     if cfg.noise is None:
         raise ValueError("weak_continuity_probe needs a noise operator")
-    from .noise import weak_distance
-
     J = cfg.noise.rank
-    steps = cfg.steps
     u_fields = None
     if delta == 1:
         if nse is None:
             nse = dense_nse(xi, cfg)
         u_fields = _dense_fields(nse, cfg, "weak_continuity_probe", xi)
-    zero = zero_control(J, cfg.dt, steps)
-    base_states = _skeleton_forward(delta, zero.values, cfg, xi, u_fields)
+    zero = zero_control(J, cfg.dt, cfg.steps)
+    controls = [sine_control(J, cfg.dt, cfg.steps, osc, direction=direction, amplitude=amplitude)
+                for osc in n_list]
+    hv = np.stack([zero.values] + [h.values for h in controls], axis=1)
     lat = cfg.lattice
-    rows = []
-    for osc in n_list:
-        h_n = sine_control(J, cfg.dt, steps, osc, direction=direction, amplitude=amplitude)
-        sup = diss = 0.0
+    table = lat.norm_table(0.0)[:2]  # the H and V weights
+    sup, diss = [0.0] * len(controls), [0.0] * len(controls)
 
-        def observe(m, y):
-            nonlocal sup, diss
-            diff = y - base_states[m]
-            sup = max(sup, float(lat.norm_h(diff)))
-            diss += cfg.dt * float(lat.norm_v(diff)) ** 2
+    def observe(m, y):
+        nh, nv = lat.stacked_norms(y[1:] - y[0], table).tolist()
+        for i, (h_i, v_i) in enumerate(zip(nh, nv)):
+            sup[i] = max(sup[i], h_i)
+            diss[i] += cfg.dt * v_i**2
 
-        _skeleton_march(delta, h_n.values, cfg, xi, u_fields, observe)
-        rows.append(
-            {
-                "oscillation": int(osc),
-                "e": sup + math.sqrt(diss),
-                "d1": weak_distance(h_n, zero, basis_count=basis_count),
-                "control_cost": 0.5 * cfg.dt * float(np.sum(h_n.values**2)),
-            }
-        )
-    return rows
+    _skeleton_march(delta, hv, cfg, xi, u_fields, observe)
+    return [{"oscillation": int(osc), "e": s + math.sqrt(d),
+             "d1": weak_distance(h_n, zero, basis_count=basis_count),
+             "control_cost": control_cost(h_n)}
+            for osc, h_n, s, d in zip(n_list, controls, sup, diss)]
 
 
 def mdp_rescale(
@@ -724,9 +720,9 @@ def mdp_rescale(
     if nse.drifts is None:
         raise ValueError("mdp_rescale needs the limit flow's drifts (run dense_nse)")
     lat = cfg.lattice
+    stepper = UnifiedStepper(cfg, (0, 1))  # refuses an alpha outside (0, 1]
     fac = 1.0 / ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
     inc = None if (wiener is None or cfg.noise is None) else wiener.increments
-    stepper = UnifiedStepper(cfg, (0, 1))
     # the reference rows: zero for the delta=0 row, u_m and B(u_m, u_m) for
     # the delta=1 row, written at each step
     u_n = np.zeros((2,) + lat.shape, np.complex128)

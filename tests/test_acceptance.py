@@ -297,6 +297,9 @@ def test_criterion_10_determinism(tmp_path):
          "--set", "experiment.samples=500", "--seed", "11"],
         ["weak-probe", "--preset", "unified-default", "--n", "8",
          "--dt", "0.005", "--t-final", "0.2", "--indices", "2,8", "--seed", "5"],
+        ["weak-probe", "--preset", "unified-default", "--n", "8",
+         "--dt", "0.005", "--t-final", "0.2", "--indices", "2,8", "--seed", "5",
+         "--delta", "1", "--set", "noise.variant=projection-multiplicative"],
     ]
     checked = 0
     for i, args in enumerate(argsets):

@@ -489,6 +489,22 @@ class TestSettings:
         assert "config error: lans2d" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("command", ["mc-tails", "converge", "mdp-check"])
+    @pytest.mark.parametrize("alphas", ["0", "1.5", "0.1,0"])
+    def test_alphas_outside_the_unit_interval_exit_1(self, tmp_path, capsys, command, alphas):
+        code, out = run_cli([command, "--preset", "unified-default", "--alphas", alphas,
+                             "--n", "8", "--t-final", "0.01"], tmp_path, "alphas")
+        assert code == 1 and not out.exists()
+        assert "config error: every experiment.alphas entry must lie in (0, 1]" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["initial.mode", "experiment.observable_mode"])
+    def test_a_mode_key_takes_one_wavevector(self, tmp_path, capsys, key):
+        code, out = run_cli(["rate", "--preset", "ou-toy", "--delta", "1",
+                             "--set", f"{key}=1 0, 0 1"], tmp_path, "modes")
+        assert code == 1 and not out.exists()
+        assert f"config error: {key} takes one wavevector, got 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", ["time.dt=none", "initial.mode=none", "lattice.n="])
     def test_set_none_on_a_required_key_exits_1(self, tmp_path, override):
         code, out = run_cli(["simulate-nse", "--preset", "ou-toy", "--set", override],

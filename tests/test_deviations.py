@@ -157,7 +157,8 @@ class TestSkeletonGradient:
         cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.0, noise=noise)
         hv = rng.standard_normal((cfg.steps, noise.rank))
         u_fields = dense_nse(xi, cfg).fields if delta == 1 else None
-        states = deviations._skeleton_forward(delta, hv, cfg, xi, u_fields)
+        states = []
+        deviations._skeleton_march(delta, hv, cfg, xi, u_fields, lambda m, y: states.append(y))
         seed = random_field(lat, rng).coeffs
 
         def sweep(p):
@@ -167,6 +168,63 @@ class TestSkeletonGradient:
         assert np.abs(unit).max() > 0
         for c in (-3.7, 1e-4, 250.0):
             assert np.abs(sweep(c * seed) - c * unit).max() <= 1e-13 * np.abs(c * unit).max()
+
+    @pytest.mark.parametrize("dt, steps", [(2e-2, 50), (5e-3, 51), (5e-3, 49)],
+                             ids=["coarser-dt", "longer", "shorter"])
+    def test_refuses_a_control_off_the_config_grid(self, small, dt, steps):
+        lat, rng, xi, noise, cfg, g = small
+        h = Control(dt, rng.standard_normal((steps, noise.rank)))
+        for delta, nse in ((0, None), (1, dense_nse(xi, cfg))):
+            with pytest.raises(ValueError, match="control grid does not match the config"):
+                skeleton_gradient(delta, h, TerminalObservable(g, 0.3), cfg, xi, 10.0, nse=nse)
+
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    @pytest.mark.parametrize("field_target", [False, True])
+    def test_delta1_marches_without_keeping_states(self, monkeypatch, kind, field_target):
+        # the delta=1 sweep linearizes around the reference flow, so its
+        # march passes no observer; the result is that of the route that
+        # keeps every state, rebuilt here
+        from lans2d import projection_multiplicative_noise
+
+        lat = make_lattice(8)
+        rng = np.random.default_rng(27)
+        xi = random_field(lat, rng, norm=0.5)
+        if kind == "additive":
+            noise = additive_noise(lat, [0.8, 0.5], [(1, 0), (0, 1)])
+        else:
+            noise = projection_multiplicative_noise(lat, [0.7], [(1, 0)], [(0, 1)], [0.5])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.0, noise=noise)
+        nse = dense_nse(xi, cfg)
+        h = Control(cfg.dt, rng.standard_normal((cfg.steps, noise.rank)))
+        if field_target:
+            target = TerminalField(random_field(lat, rng, norm=0.1))
+        else:
+            target = TerminalObservable(eigenmode_field(lat, (1, 0)), 0.3)
+        beta = 40.0
+
+        states = []
+        deviations._skeleton_march(1, h.values, cfg, xi, nse.fields,
+                                   lambda m, y: states.append(y))
+        rho, seed = deviations._terminal_pieces(target, lat, states[-1])
+        a = deviations._adjoint_sweep(1, h.values, cfg, states, nse.fields, seed)
+        scale = beta if field_target else beta * rho
+        want_val = 0.5 * cfg.dt * float(np.sum(h.values**2)) + 0.5 * beta * rho**2
+        want_grad = cfg.dt * h.values + scale * a
+
+        march = deviations._skeleton_march
+        observers = []
+
+        def recorded(delta, hv, cfg, xi, u_fields, observe):
+            observers.append(observe)
+            return march(delta, hv, cfg, xi, u_fields, observe)
+
+        monkeypatch.setattr(deviations, "_skeleton_march", recorded)
+        val, grad = skeleton_gradient(1, h, target, cfg, xi, beta, nse=nse)
+        assert observers == [None]
+        assert val == want_val
+        assert grad.tobytes() == want_grad.tobytes()
+        skeleton_gradient(0, h, target, cfg, xi, beta)
+        assert observers[-1] is not None  # delta=0 linearizes around its own states
 
 
 class TestRateFunction:
@@ -784,6 +842,102 @@ class TestWeakProbe:
         assert all(a > b for a, b in zip(ds, ds[1:]))
         assert es[-1] <= es[0] / 4
 
+    @staticmethod
+    def per_index_probe(delta, n_list, cfg, xi, direction=None, amplitude=1.0,
+                        basis_count=128):
+        """The reference: the zero control's states kept, then each
+        oscillation index marched on its own against them."""
+        from lans2d import sine_control, weak_distance
+
+        J = cfg.noise.rank
+        u_fields = dense_nse(xi, cfg).fields if delta == 1 else None
+        zero = zero_control(J, cfg.dt, cfg.steps)
+        base = []
+        deviations._skeleton_march(delta, zero.values, cfg, xi, u_fields,
+                                   lambda m, y: base.append(y))
+        lat = cfg.lattice
+        rows = []
+        for osc in n_list:
+            h_n = sine_control(J, cfg.dt, cfg.steps, osc, direction=direction,
+                               amplitude=amplitude)
+            sup = diss = 0.0
+
+            def observe(m, y):
+                nonlocal sup, diss
+                diff = y - base[m]
+                sup = max(sup, float(lat.norm_h(diff)))
+                diss += cfg.dt * float(lat.norm_v(diff)) ** 2
+
+            deviations._skeleton_march(delta, h_n.values, cfg, xi, u_fields, observe)
+            rows.append({
+                "oscillation": int(osc),
+                "e": sup + math.sqrt(diss),
+                "d1": weak_distance(h_n, zero, basis_count=basis_count),
+                "control_cost": 0.5 * cfg.dt * float(np.sum(h_n.values**2)),
+            })
+        return rows
+
+    @pytest.mark.parametrize("n, variant, delta, direction", [
+        *((n, variant, delta, None) for n in (8, 16)
+          for variant in ("additive", "projection-multiplicative") for delta in (0, 1)),
+        *((8, "additive", delta, (0.6, -0.8)) for delta in (0, 1)),
+    ])
+    def test_batch_rows_are_the_per_index_rows(self, n, variant, delta, direction):
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(n + 40), norm=0.8)
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.0,
+                           noise=_bridge_noise(lat, variant))
+        n_list = (2, 3, 8)
+        got = weak_continuity_probe(delta, n_list, cfg, xi, direction=direction, basis_count=32)
+        want = self.per_index_probe(delta, n_list, cfg, xi, direction=direction, basis_count=32)
+        assert [r.keys() for r in got] == [r.keys() for r in want]
+        for a, b in zip(got, want):
+            assert a["oscillation"] == b["oscillation"]
+            floats = [k for k in a if k != "oscillation"]
+            assert np.array([a[k] for k in floats]).tobytes() == \
+                np.array([b[k] for k in floats]).tobytes()
+        assert min(r["e"] for r in got) > 0.0
+
+    @pytest.mark.parametrize("n_list", [(), (4,), (2, 4, 8, 16, 32)])
+    def test_one_march_per_probe(self, monkeypatch, n_list):
+        cfg, xi = self.probe_cfg()
+        cfg = replace(cfg, t_final=0.02)
+        march = deviations._skeleton_march
+        batches = []
+
+        def counted(delta, hv, *args):
+            batches.append(hv.shape)
+            return march(delta, hv, *args)
+
+        monkeypatch.setattr(deviations, "_skeleton_march", counted)
+        rows = weak_continuity_probe(0, n_list, cfg, xi)
+        assert len(rows) == len(n_list)
+        assert batches == [(cfg.steps, 1 + len(n_list), cfg.noise.rank)]
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_memory_does_not_grow_with_the_step_count(self, delta):
+        # four times the steps add only the controls (about 48 B a step at
+        # two indices and one direction: 14 KB over 300 steps at n = 32),
+        # where a kept trajectory adds a state a step (2.3 MB); the reference
+        # record of delta=1 is made before tracing
+        import tracemalloc
+
+        lat = make_lattice(32)
+        xi = random_field(lat, np.random.default_rng(909), norm=0.8)
+        noise = additive_noise(lat, [0.8], [(1, 0)])
+        peaks = []
+        for t_final in (0.1, 0.4):
+            cfg = SolverConfig(lattice=lat, dt=1e-3, t_final=t_final, alpha=0.0, noise=noise)
+            nse = dense_nse(xi, cfg) if delta == 1 else None
+            weak_continuity_probe(delta, (2, 8), cfg, xi, nse=nse)  # the kernel's scratch
+            tracemalloc.start()
+            try:
+                weak_continuity_probe(delta, (2, 8), cfg, xi, nse=nse)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 3 * xi.coeffs.nbytes, peaks
+
 
 def _bridge_noise(lat, variant):
     from lans2d import projection_multiplicative_noise
@@ -859,6 +1013,15 @@ class TestMdpBridge:
         for kappa in (cfg.kappa, 0.3):
             _, gaps = mdp_rescale(xi, replace(cfg, kappa=kappa), w, nse)
             assert gaps.max() <= 1e-8, kappa
+
+    def test_refuses_alpha_zero(self):
+        # the stepper refuses it before the factor 1 / (sqrt(a) lambda(a))
+        lat = make_lattice(8)
+        xi = random_field(lat, np.random.default_rng(38))
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.0,
+                           noise=_bridge_noise(lat, "additive"))
+        with pytest.raises(ValueError, match=r"alpha in \(0, 1\]"):
+            mdp_rescale(xi, cfg, None, dense_nse(xi, cfg))
 
     def test_needs_the_dense_reference(self):
         lat = make_lattice(8)
