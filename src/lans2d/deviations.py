@@ -7,9 +7,10 @@ system to a target.  Here this is solved on the discrete grid:
 * delta=1 targets are linear-quadratic.  Scalar terminal observables are
   solved exactly through the discrete controllability Gramian assembled by one
   adjoint sweep; terminal-field targets by conjugate gradients on the Gramian
-  operator (forward + adjoint applications only), with the residuals kept
-  orthogonal.  CG sums its control from the ones its applications made, so
-  only the reported residual takes a march of its own.
+  ``R R*``, with the residuals kept orthogonal.  The response matrix ``R``
+  holds y(T) of every unit control, marched once in batches, so an iteration
+  is two contractions with it.  CG sums its control from the ones its
+  applications made, so only the reported residual takes a march of its own.
 * delta=0 targets use a quadratic-penalty formulation with an increasing
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
   gradient; the reported cost is extrapolated in the weight, and is no
@@ -91,6 +92,8 @@ class RateProblem:
             raise ValueError("beta schedule must be strictly increasing")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         object.__setattr__(self, "beta_schedule", betas)
 
 
@@ -264,6 +267,30 @@ def _exact_lq_observable(problem, cfg, xi, nse):
     )
 
 
+def _response_matrix(cfg, xi, u_fields):
+    """The delta=1 response map ``R``: row ``m * J + j`` is y(T) of the unit
+    control ``e_(m,j)``, so y(T) of control values ``hv`` is
+    ``np.tensordot(hv.ravel(), R, axes=1)``.  The unit controls march in
+    batches of ``_batch_size(cfg)`` rows, each batch's controls made for it
+    alone; a field's bytes do not depend on its batch, so neither does ``R``."""
+    steps, J = cfg.steps, cfg.noise.rank
+    R = np.empty((steps * J,) + cfg.lattice.shape, np.complex128)
+    block = _batch_size(cfg)
+    for start in range(0, len(R), block):
+        cols = np.arange(start, min(start + block, len(R)))
+        hv = np.zeros((steps, len(cols), J))
+        hv[cols // J, cols - start, cols % J] = 1.0
+        R[cols] = _skeleton_march(1, hv, cfg, xi, u_fields, None)
+    return R
+
+
+def _apply_gram(R, mu, cfg):
+    """``(R R* mu, R* mu)``: the control ``R* mu = (d<y(T), mu>/dh) / dt``,
+    as (steps, J) values, and the y(T) it steers to."""
+    hv = cfg.lattice.inner_h(R, mu).reshape(cfg.steps, cfg.noise.rank) / cfg.dt
+    return np.tensordot(hv.ravel(), R, axes=1), hv
+
+
 def _gramian_cg_field(problem, cfg, xi, nse):
     """Minimum-energy control onto a terminal field by CG on the Gramian operator.
 
@@ -272,19 +299,17 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     the rounding.  So each new residual is orthogonalized (twice) against
     the earlier ones, which CG keeps orthogonal in exact arithmetic.
 
-    The control ``G* mu`` of the multiplier ``mu = sum a_k d_k`` is summed
-    from the controls each Gramian application already made, ``sum a_k G*
-    d_k``, so an iteration is one adjoint sweep and one forward march, and
-    the reported residual comes from one more march of that control.
+    The Gramian is applied through the response matrix ``R``, marched once
+    in batches of unit controls, so a CG iteration marches and sweeps
+    nothing.  The control ``R* mu`` of the multiplier ``mu = sum a_k d_k``
+    is summed from the controls each application made, ``sum a_k R* d_k``,
+    and the reported residual comes from one more march of that control.
     """
     lat = cfg.lattice
     noise = cfg.noise
     x = problem.target.x.coeffs
     u_fields = nse.fields
-
-    def apply_gram(mu):
-        hv = _adjoint_sweep(1, None, cfg, None, u_fields, mu) / cfg.dt
-        return _skeleton_march(1, hv, cfg, xi, u_fields, None), hv
+    R = _response_matrix(cfg, xi, u_fields)
 
     hv = np.zeros((cfg.steps, noise.rank))
     r = x.copy()
@@ -295,7 +320,7 @@ def _gramian_cg_field(problem, cfg, xi, nse):
     residuals = []  # the earlier residuals, normalized
     iterations = 0
     for iterations in range(1, problem.max_iterations + 1):
-        q, hv_d = apply_gram(d)
+        q, hv_d = _apply_gram(R, d, cfg)
         dq = float(lat.inner_h(d, q))
         if dq <= 0:
             break
@@ -617,6 +642,8 @@ def convergence_study(
     Samples are marched in batches of about ``_BATCH_BYTES``, so memory stays
     bounded; sums are kept per sample, so the rows do not depend on batching.
     """
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
     lat = cfg.lattice
     u_path = dense_nse(xi, cfg).fields
     chunk = _batch_size(cfg)

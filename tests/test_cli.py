@@ -498,6 +498,21 @@ class TestSettings:
         assert "config error: every experiment.alphas entry must lie in (0, 1]" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mc-tails", "converge"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_exits_1(self, tmp_path, capsys, command, samples):
+        code, _ = run_cli([command, "--preset", "ou-toy",
+                           "--set", f"experiment.samples={samples}"], tmp_path, "samples")
+        assert code == 1
+        assert "config error: n_samples must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_no_iterations_exits_1(self, tmp_path, capsys, iterations):
+        code, out = run_cli(["rate", "--preset", "ou-toy",
+                             "--set", f"experiment.max_iterations={iterations}"], tmp_path, "it")
+        assert code == 1 and not (out / "optimal_control.csv").exists()
+        assert "config error: max_iterations must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["initial.mode", "experiment.observable_mode"])
     def test_a_mode_key_takes_one_wavevector(self, tmp_path, capsys, key):
         code, out = run_cli(["rate", "--preset", "ou-toy", "--delta", "1",

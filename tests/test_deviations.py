@@ -24,6 +24,7 @@ from lans2d import (
     mc_tail,
     mdp_rescale,
     preset,
+    projection_multiplicative_noise,
     random_field,
     rate_function,
     sample_wiener,
@@ -237,6 +238,10 @@ class TestRateFunction:
             RateProblem(1, TerminalObservable(g, 0.1), tolerance=0.0)
         with pytest.raises(ValueError, match="delta"):
             RateProblem(2, TerminalObservable(g, 0.1))
+        for delta in (0, 1):
+            for target in (TerminalObservable(g, 0.1), TerminalField(g)):
+                with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+                    RateProblem(delta, target, max_iterations=0)
 
     def test_lq_toy_matches_discrete_gramian(self):
         lam, sigma, dt, T, b = 2.0, 1.3, 1e-3, 0.8, 0.4
@@ -530,23 +535,81 @@ class TestEvaluationReuse:
         assert any(h in evaluated[:max(i - 2, 0)] for i, h in enumerate(evaluated))
         assert counted["march"] == len(set(evaluated))
 
+    @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])
-    def test_cg_sweeps_once_per_iteration(self, counted, tolerance, max_iterations):
+    def test_cg_marches_once_per_block(self, counted, monkeypatch, tolerance, max_iterations,
+                                       block):
+        # the Gramian is applied through R: one march per block of unit
+        # controls and one of the summed control, and no adjoint sweep,
+        # whatever the iteration count
         lat, rng, xi, cfg = self.setup(29)
+        columns = cfg.steps * cfg.noise.rank
+        if block is not None:
+            # a unit control counts as a trajectory: its state and values
+            monkeypatch.setattr(deviations, "_BATCH_BYTES", block * TestMcTail.sample_bytes(cfg))
+        blocks = -(-columns // deviations._batch_size(cfg))
+        assert blocks == (1 if block is None else 6)
         nse = dense_nse(xi, cfg)
         h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
         terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
         x = solve_skeleton(1, xi, terminal, h0, nse=nse).field_at(-1, lat)
         problem = RateProblem(1, TerminalField(x), tolerance=tolerance,
                               max_iterations=max_iterations)
+        counted["march"] = 0
         res = rate_function(problem, cfg, xi, nse=nse)
         iterations = res.details["iterations"]
         assert res.converged == (max_iterations == 100)
         assert iterations >= 3
-        assert counted == {"march": iterations + 1, "sweep": iterations}
+        assert counted == {"march": blocks + 1, "sweep": 0}
         # the reported residual is the summed control's, marched
         y = solve_skeleton(1, xi, terminal, res.control, nse=nse).fields[-1]
         assert float(lat.norm_h(y - x.coeffs)) == pytest.approx(res.residual, rel=1e-9, abs=1e-15)
+
+
+class TestResponseMatrix:
+    """The delta=1 response map R that the field-target CG applies."""
+
+    @staticmethod
+    def setup(n, variant, steps=10):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(41)
+        if variant == "additive":
+            noise = additive_noise(lat, [0.6, 0.4, 0.3], [(1, 0), (0, 1), (1, 1)])
+        else:
+            noise = projection_multiplicative_noise(
+                lat, [0.4, 0.3, 0.5], [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 0), (1, 1)],
+                [0.5, -0.2, 0.1])
+        xi = random_field(lat, rng)
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=steps * 5e-3, alpha=0.1, noise=noise)
+        return lat, rng, xi, cfg, dense_nse(xi, cfg)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_gram_apply_matches_sweep_and_march(self, n, variant):
+        # the matrix-free route it replaced: R* mu by an adjoint sweep, R R* mu
+        # by a march of that control (measured: at most 7.3e-16 relative)
+        lat, rng, xi, cfg, nse = self.setup(n, variant)
+        R = deviations._response_matrix(cfg, xi, nse.fields)
+        assert R.shape == (cfg.steps * cfg.noise.rank,) + lat.shape
+        for _ in range(3):
+            mu = random_field(lat, rng).coeffs
+            q, hv = deviations._apply_gram(R, mu, cfg)
+            hv_ref = deviations._adjoint_sweep(1, None, cfg, None, nse.fields, mu) / cfg.dt
+            q_ref = deviations._skeleton_march(1, hv_ref, cfg, xi, nse.fields, None)
+            assert np.max(np.abs(hv - hv_ref)) <= 1e-14 * np.max(np.abs(hv_ref))
+            assert float(lat.norm_h(q - q_ref)) <= 1e-14 * float(lat.norm_h(q_ref))
+
+    @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
+    def test_blocks_do_not_change_the_bytes(self, monkeypatch, variant):
+        # blocks of 1 and 4 columns (J = 3: edges inside a step's columns)
+        # against one block of all 30
+        lat, rng, xi, cfg, nse = self.setup(8, variant)
+        built = []
+        for block in (30, 4, 1):
+            monkeypatch.setattr(deviations, "_BATCH_BYTES", block * TestMcTail.sample_bytes(cfg))
+            assert deviations._batch_size(cfg) == block
+            built.append(deviations._response_matrix(cfg, xi, nse.fields).tobytes())
+        assert built[1] == built[0] and built[2] == built[0]
 
 
 class TestMcTail:
