@@ -6,17 +6,19 @@ Each setting is declared once, as a ``RunConfig`` field that names its
 section and its parser; its key is the field name without the ``section_``
 prefix (``noise_sigma`` is ``[noise] sigma``).  Every setting, whether from a
 document line, a ``--set`` override or a command-line shortcut flag, goes
-through ``RunConfig.set``: unknown keys and bad values are refused with where
-the text came from (``file:line``, the ``--set`` pair or the flag).  An empty
-or ``none`` value unsets the optional keys (default ``None``, echoed empty;
-``noise.variant = none`` means no noise) and is refused for every other key,
-and so is a value that no echo could give back: one holding a ``#`` at its
-start or after whitespace.  Every run directory receives the fully resolved
-document back, so a run is reproducible from its own output.
+through ``RunConfig.set``: unknown keys and bad values, a float that is nan
+or infinite among them, are refused with where the text came from
+(``file:line``, the ``--set`` pair or the flag).  An empty or ``none`` value
+unsets the optional keys (default ``None``, echoed empty; ``noise.variant =
+none`` means no noise) and is refused for every other key, and so is a value
+that no echo could give back: one holding a ``#`` at its start or after
+whitespace.  Every run directory receives the fully resolved document back,
+so a run is reproducible from its own output.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields as dc_fields
 from itertools import groupby
@@ -53,8 +55,16 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s):
+    """A finite float: no setting holds nan or an infinity."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _parse_floats(s):
-    return tuple(float(tok) for tok in s.split(","))
+    return tuple(_parse_float(tok) for tok in s.split(","))
 
 
 def _parse_ints(s):
@@ -87,14 +97,14 @@ class RunConfig:
     """Fully typed run document with defaults at the desk scale."""
 
     n: int = _setting("lattice", int, 32)
-    dt: float = _setting("time", float, 1e-3)
-    t_final: float = _setting("time", float, 1.0)
+    dt: float = _setting("time", _parse_float, 1e-3)
+    t_final: float = _setting("time", _parse_float, 1.0)
     record_stride: int = _setting("time", int, 1)
     store_fields: bool = _setting("time", _parse_bool, False)
-    alpha: float = _setting("model", float, 0.1)
+    alpha: float = _setting("model", _parse_float, 0.1)
     delta: int = _setting("model", int, 0)
-    kappa: float = _setting("model", float, 0.25)
-    viscosity: float = _setting("model", float, 1.0)
+    kappa: float = _setting("model", _parse_float, 0.25)
+    viscosity: float = _setting("model", _parse_float, 1.0)
     noise_variant: str | None = _setting("noise", str, "additive")
     noise_sigma: tuple = _setting("noise", _parse_floats, (0.25, 0.25, 0.2, 0.2))
     noise_modes: tuple = _setting("noise", _parse_modes, ((1, 0), (0, 1), (1, 1), (2, -1)))
@@ -102,22 +112,22 @@ class RunConfig:
     noise_probe_modes: tuple | None = _setting("noise", _parse_modes, None)
     noise_offsets: tuple | None = _setting("noise", _parse_floats, None)
     initial_preset: str = _setting("initial", str, "random")
-    initial_amplitude: float = _setting("initial", float, 1.0)
+    initial_amplitude: float = _setting("initial", _parse_float, 1.0)
     initial_mode: tuple = _setting("initial", _parse_modes, ((0, 1),))
-    initial_decay: float = _setting("initial", float, 2.0)
+    initial_decay: float = _setting("initial", _parse_float, 2.0)
     control_path: str | None = _setting("control", str, None)
     control_constant: tuple | None = _setting("control", _parse_floats, None)
-    threshold: float | None = _setting("experiment", float, None)
-    level: float | None = _setting("experiment", float, None)
+    threshold: float | None = _setting("experiment", _parse_float, None)
+    level: float | None = _setting("experiment", _parse_float, None)
     observable_mode: tuple | None = _setting("experiment", _parse_modes, None)
     samples: int = _setting("experiment", int, 1000)
     alphas: tuple = _setting("experiment", _parse_floats, (0.4, 0.2, 0.1, 0.05))
     indices: tuple = _setting("experiment", _parse_ints, (2, 4, 8, 16, 32))
     basis_count: int = _setting("experiment", int, 128)
     beta_schedule: tuple = _setting("experiment", _parse_floats, (1e1, 1e2, 1e3, 1e4))
-    tolerance: float = _setting("experiment", float, 1e-3)
+    tolerance: float = _setting("experiment", _parse_float, 1e-3)
     max_iterations: int = _setting("experiment", int, 500)
-    amplitude: float = _setting("experiment", float, 1.0)
+    amplitude: float = _setting("experiment", _parse_float, 1.0)
     trials: int = _setting("experiment", int, 100)
     seed: int = _setting("run", int, 12345)
 

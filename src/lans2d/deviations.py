@@ -15,10 +15,9 @@ system to a target.  Here this is solved on the discrete grid:
   weight schedule and L-BFGS descent driven by the exact discrete adjoint
   gradient; the reported cost is extrapolated in the weight, and is no
   bound: it can lie below the energy of every feasible control found.  An
-  evaluation sweeps the unscaled terminal seed, so one memo of the three
-  most recent controls and the last one L-BFGS accepted serves every
-  weight: each weight's start and residual reuse the march and sweep of the
-  control the last weight ended at.
+  evaluation sweeps the unscaled terminal seed, so a memo of the last
+  control evaluated serves every weight: a weight that ends at that control
+  reads its residual, and the next weight's start, from the memo.
 
 Monte Carlo tail estimation runs independent trajectories of the stochastic
 system (vectorized in batches, reproducible per-trajectory streams) and
@@ -88,10 +87,12 @@ class RateProblem:
         if self.delta not in (0, 1):
             raise ValueError("delta must be 0 or 1")
         betas = tuple(float(b) for b in self.beta_schedule)
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise ValueError("beta schedule must be strictly increasing")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not betas or not all(0.0 < b < math.inf for b in betas):
+            raise ValueError(f"beta_schedule must hold positive finite weights, got {betas}")
+        if not all(b2 > b1 for b1, b2 in zip(betas, betas[1:])):
+            raise ValueError("beta_schedule must be strictly increasing")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         object.__setattr__(self, "beta_schedule", betas)
@@ -172,18 +173,6 @@ def _terminal_pieces(target, lat, y_terminal):
     return float(lat.norm_h(diff)), diff
 
 
-# the controls a memo of ``skeleton_gradient`` keeps, those evaluated most
-# recently: L-BFGS-B's line search can step back to a control 2 or 3
-# evaluations before the last one, and return to one again and again
-_MEMO_ENTRIES = 3
-
-
-class _Memo(dict):
-    """A ``skeleton_gradient`` memo that also keeps the ``pinned`` control."""
-
-    pinned = None
-
-
 def skeleton_gradient(
     delta: int,
     h: Control,
@@ -206,11 +195,9 @@ def skeleton_gradient(
     linearizes around (delta=1: around ``nse``).  ``h`` must lie on the
     config's grid.
 
-    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the
-    ``_MEMO_ENTRIES`` controls evaluated most recently (a hit counts as an
-    evaluation), keyed by their bytes, and a ``_Memo`` also keeps its
-    ``pinned`` control's: a call at one of them, at any ``beta``, returns
-    what a fresh call returns and marches nothing.  A memo serves one
+    ``memo``, a dict, keeps the cost, ``rho`` and ``a`` of the last control
+    evaluated, keyed by its bytes: a call at that control, at any ``beta``,
+    returns what a fresh call returns and marches nothing.  A memo serves one
     problem only (one delta, target, config, ``xi`` and ``nse``).
     """
     if cfg.noise is None:
@@ -221,7 +208,7 @@ def skeleton_gradient(
     hv = h.values
     key = hv.tobytes()
     if memo is not None and key in memo:
-        cost, rho, a = memo[key] = memo.pop(key)  # now the most recent entry
+        cost, rho, a = memo[key]
     else:
         states = [] if delta == 0 else None
         y_final = _skeleton_march(delta, hv, cfg, xi, u_fields,
@@ -230,9 +217,7 @@ def skeleton_gradient(
         cost = control_cost(h)
         a = _adjoint_sweep(delta, hv, cfg, states, u_fields, seed)
         if memo is not None:
-            recent = [k for k in memo if k != getattr(memo, "pinned", None)]
-            if len(recent) >= _MEMO_ENTRIES:
-                del memo[recent[0]]  # the least recent entry but the pinned one
+            memo.clear()
             memo[key] = cost, rho, a
     scale = beta * rho if isinstance(target, TerminalObservable) else beta
     return cost + 0.5 * beta * rho**2, cfg.dt * hv + scale * a
@@ -358,11 +343,11 @@ def _target_scale(target):
 def _penalized_descent(problem, cfg, xi):
     """The delta=0 rate: L-BFGS on the penalized objective over ``beta_schedule``.
 
-    One memo serves the whole schedule, and it pins each weight's start and
-    then each control L-BFGS accepts (its ``callback`` reports them).  L-BFGS
-    ends a weight at the last control it accepted, also where a line search
-    fails after many evaluations, so that weight's residual and the next
-    weight's first evaluation march nothing.
+    One memo of the last control evaluated serves the whole schedule.  Where
+    L-BFGS ends a weight at that control, as in the benchmark's capped rate
+    problems, the weight's residual and the next weight's first evaluation
+    march nothing; where it returns an earlier control, after a line search
+    that stepped past it, each of them marches that control again.
     """
     from scipy.optimize import minimize
 
@@ -372,7 +357,7 @@ def _penalized_descent(problem, cfg, xi):
     hv = np.zeros(shape)
     scale = _target_scale(problem.target)
     history = []
-    memo = _Memo()
+    memo = {}
     for beta in problem.beta_schedule:
         def fun(flat):
             val, grad = skeleton_gradient(
@@ -380,12 +365,8 @@ def _penalized_descent(problem, cfg, xi):
             )
             return val, grad.ravel()
 
-        def pin(accepted):
-            memo.pinned = accepted.tobytes()
-
-        memo.pinned = hv.tobytes()
         res = minimize(
-            fun, hv.ravel(), jac=True, method="L-BFGS-B", callback=pin,
+            fun, hv.ravel(), jac=True, method="L-BFGS-B",
             options={"maxiter": problem.max_iterations, "ftol": 1e-14, "gtol": 1e-12},
         )
         hv = res.x.reshape(shape)
@@ -696,6 +677,10 @@ def weak_continuity_probe(
     """
     if cfg.noise is None:
         raise ValueError("weak_continuity_probe needs a noise operator")
+    if any(osc < 1 for osc in n_list):
+        raise ValueError(f"oscillation indices must be at least 1, got {tuple(n_list)}")
+    if basis_count < 1:
+        raise ValueError(f"basis_count must be at least 1, got {basis_count}")
     J = cfg.noise.rank
     u_fields = None
     if delta == 1:

@@ -212,7 +212,7 @@ def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
 @pytest.mark.parametrize("workload, keys", [
     ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
     ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]),
-    ("rate-n16", ["cg_iterations", "controls", "costs", "residuals"])])
+    ("rate-n16", ["cg_iterations", "controls", "costs", "residuals", "schedule"])])
 def test_run_outputs_reads_what_op_0_computed(workload, keys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     got = bench_record.run_outputs(root, workload, 1)
@@ -222,3 +222,8 @@ def test_run_outputs_reads_what_op_0_computed(workload, keys):
         assert all(isinstance(i, int) and i > 0 for i in got["cg_iterations"])
         assert np.shape(got["controls"]) == (6, 2)
         assert all(len(digest) == 64 for pair in got["controls"] for digest in pair)
+        # each penalty solve's weights, with the cost and residual it reached at each
+        schedule = np.asarray(got["schedule"])
+        assert schedule.shape == (6, 5, 3)
+        assert schedule[:, :, 0].tolist() == [[1e1, 1e2, 1e3, 1e4, 1e5]] * 6
+        assert np.all(schedule[:, -1, 2] == np.asarray(got["residuals"])[:, 0])

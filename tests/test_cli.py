@@ -441,6 +441,10 @@ FLAG_VALUES = {"--seed": "77", "--n": "8", "--alpha": "0.3", "--delta": "1", "--
                "--indices": "2,4", "--level": "0.4", "--control": "h.csv"}
 
 
+# five steps at n = 8, so a run that is not refused stays cheap
+TINY_RUN = ["--n", "8", "--t-final", "0.05", "--set", "time.dt=0.01"]
+
+
 def echo_body(out):
     """``resolved_config.txt`` without its timestamp line."""
     text = (out / "resolved_config.txt").read_text()
@@ -512,6 +516,44 @@ class TestSettings:
                              "--set", f"experiment.max_iterations={iterations}"], tmp_path, "it")
         assert code == 1 and not (out / "optimal_control.csv").exists()
         assert "config error: max_iterations must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, key", [
+        (["mc-tails", "--preset", "ou-toy", "--set", "experiment.level=nan"], "experiment.level"),
+        (["mc-tails", "--preset", "ou-toy", "--set", "experiment.threshold=nan"],
+         "experiment.threshold"),
+        (["rate", "--preset", "ou-toy", "--delta", "0", "--set", "experiment.tolerance=nan"],
+         "experiment.tolerance"),
+        (["rate", "--delta", "1", "--set", "experiment.level=inf"], "experiment.level"),
+        (["mc-tails", "--preset", "ou-toy", "--set", "noise.sigma=inf"], "noise.sigma"),
+        (["mc-tails", "--set", "noise.sigma=0.25, -inf, 0.2, 0.2"], "noise.sigma"),
+        (["simulate-nse", "--set", "initial.amplitude=nan"], "initial.amplitude"),
+        (["simulate-nse", "--set", "model.viscosity=nan"], "model.viscosity"),
+        (["simulate-nse", "--dt", "nan"], "time.dt"),
+        (["converge", "--alphas", "0.1,1e999"], "experiment.alphas"),
+    ])
+    def test_a_float_that_is_not_finite_exits_1_naming_its_key(self, tmp_path, capsys, args,
+                                                              key):
+        code, out = run_cli(args[:1] + TINY_RUN + args[1:], tmp_path, "nonfinite")
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert f"bad value for {key!r}: not a finite number" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["rate", "--preset", "ou-toy", "--delta", "0", "--set", "experiment.beta_schedule=-1"],
+         "beta_schedule must hold positive finite weights"),
+        (["rate", "--preset", "ou-toy", "--delta", "0", "--set", "experiment.beta_schedule=0, 10"],
+         "beta_schedule must hold positive finite weights"),
+        (["weak-probe", "--indices", "0"], "oscillation indices must be at least 1"),
+        (["weak-probe", "--indices", "2,-3"], "oscillation indices must be at least 1"),
+        (["weak-probe", "--set", "experiment.basis_count=0"], "basis_count must be at least 1"),
+    ])
+    def test_a_setting_the_solver_refuses_exits_1(self, tmp_path, capsys, args, message):
+        code, out = run_cli(args[:1] + TINY_RUN + args[1:], tmp_path, "refused")
+        err = capsys.readouterr().err
+        assert code == 1 and list(out.iterdir()) == [out / "resolved_config.txt"]
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert f"config error: {message}" in err
 
     @pytest.mark.parametrize("key", ["initial.mode", "experiment.observable_mode"])
     def test_a_mode_key_takes_one_wavevector(self, tmp_path, capsys, key):

@@ -234,8 +234,12 @@ class TestRateFunction:
         g = eigenmode_field(lat, (1, 0))
         with pytest.raises(ValueError, match="increasing"):
             RateProblem(1, TerminalObservable(g, 0.1), beta_schedule=(10.0, 10.0))
-        with pytest.raises(ValueError, match="tolerance"):
-            RateProblem(1, TerminalObservable(g, 0.1), tolerance=0.0)
+        for betas in ((), (-1.0,), (0.0, 10.0), (10.0, math.inf), (math.nan,)):
+            with pytest.raises(ValueError, match="positive finite weights"):
+                RateProblem(0, TerminalObservable(g, 0.1), beta_schedule=betas)
+        for tolerance in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                RateProblem(1, TerminalObservable(g, 0.1), tolerance=tolerance)
         with pytest.raises(ValueError, match="delta"):
             RateProblem(2, TerminalObservable(g, 0.1))
         for delta in (0, 1):
@@ -377,7 +381,8 @@ class TestRateFunction:
 
 
 class TestEvaluationReuse:
-    """Each control is marched and swept once per rate solve."""
+    """A rate solve marches and sweeps a control again only where it is not
+    the last one evaluated, and the reuse changes no result."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -426,114 +431,95 @@ class TestEvaluationReuse:
             assert counted["march"] == marches
             assert hit[0] == fresh[0]
             assert hit[1].tobytes() == fresh[1].tobytes()
-        # the memo keeps the last three controls
-        assert deviations._MEMO_ENTRIES == 3
-        for i, scale in enumerate((2.0, 3.0, 4.0)):
+        # the memo keeps only the last control evaluated
+        for scale in (2.0, 1.0):
             skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
                               nse=nse, memo=memo)
-            assert len(memo) == min(i + 2, 3) and (h.values.tobytes() in memo) == (scale < 4.0)
-        # and a pinned control beside them
-        memo = deviations._Memo()
-        memo.pinned = h.values.tobytes()
-        for scale in (1.0, 2.0, 3.0, 4.0, 5.0):
-            skeleton_gradient(delta, Control(cfg.dt, scale * h.values), target, cfg, xi, 7.0,
-                              nse=nse, memo=memo)
-        assert len(memo) == 4 and memo.pinned in memo
+            assert list(memo) == [(scale * h.values).tobytes()]
+        assert counted == {"march": 5, "sweep": 5}
 
-    @pytest.mark.parametrize("max_iterations", [2, 500])
-    @pytest.mark.parametrize("field", [False, True])
-    def test_delta0_solve_marches_once_per_new_control(self, counted, monkeypatch, field,
-                                                       max_iterations):
-        # reachable targets, as in the benchmark's rate problems; every
-        # weight's L-BFGS ends here at the last control it evaluated (one whose
-        # line search fails returns an earlier one)
-        lat, rng, xi, cfg = self.setup()
+    @staticmethod
+    def observable_above_free(cfg, xi, g):
+        """The target 0.1 above where the uncontrolled flow ends, as in the
+        benchmark's rate problems."""
         terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
-        if field:
-            h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
-            target = TerminalField(solve_skeleton(0, xi, terminal, h0).field_at(-1, lat))
-        else:
-            g = eigenmode_field(lat, (1, 0))
-            free = solve_skeleton(0, xi, terminal, zero_control(2, cfg.dt, cfg.steps))
-            target = TerminalObservable(g, float(lat.inner_h(free.fields[-1], g.coeffs)) + 0.1)
-        events = []  # ("eval", control) and ("accept", control), in order
-        gradient = deviations.skeleton_gradient
-        minimize = scipy.optimize.minimize
+        free = solve_skeleton(0, xi, terminal, zero_control(cfg.noise.rank, cfg.dt, cfg.steps))
+        return TerminalObservable(g, float(cfg.lattice.inner_h(free.fields[-1], g.coeffs)) + 0.1)
 
-        def recorded(delta, h, *args, **kwargs):
-            events.append(("eval", h.values.tobytes()))
-            return gradient(delta, h, *args, **kwargs)
-
-        def recorded_minimize(fun, x0, callback, **kwargs):
-            events.append(("accept", x0.tobytes()))
-
-            def accept(xk):
-                events.append(("accept", xk.tobytes()))
-                callback(xk)
-
-            res = minimize(fun, x0, callback=accept, **kwargs)
-            assert ("accept", res.x.tobytes()) in events
-            return res
-
-        monkeypatch.setattr(deviations, "skeleton_gradient", recorded)
-        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
-        counted["march"] = counted["sweep"] = 0
-        betas = (1e1, 1e2, 1e3, 1e4)
-        res = rate_function(RateProblem(0, target, beta_schedule=betas,
-                                        max_iterations=max_iterations), cfg, xi)
-        assert res.converged
-        # each weight after the first starts where the last one ended, and
-        # neither that start nor any weight's residual marches again; the
-        # memo holds the last three controls and the last one accepted (or
-        # the weight's start), so only a line search that comes back further
-        # to a control L-BFGS did not accept marches again
-        evaluated = [h for kind, h in events if kind == "eval"]
-        changed = [i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated)]
-        assert len(evaluated) - sum(changed) == len(betas) - 1
-        kept, accepted, misses = [], None, 0  # the memo's controls, least recent first
-        for kind, h in events:
-            if kind == "accept":
-                accepted = h
-            elif h in kept:
-                kept.append(kept.pop(kept.index(h)))
-            else:
-                misses += 1
-                recent = [k for k in kept if k != accepted]
-                if len(recent) == deviations._MEMO_ENTRIES:
-                    kept.remove(recent[0])
-                kept.append(h)
-        assert counted["march"] == counted["sweep"] == misses
-
-    @pytest.mark.parametrize("field_seed", [3196802727, 1204021905])
-    def test_uncapped_solve_marches_each_control_once(self, counted, monkeypatch, field_seed):
-        # two of the benchmark's n = 16 observable problems (seeds 8302 and
-        # 8304 of its rate workload), uncapped: L-BFGS-B's line search comes
-        # back to controls it did not accept, 2 and 3 evaluations later, and
-        # to one control again and again.  A memo of the two controls
-        # evaluated last marched 1 and 2 controls again.
+    @staticmethod
+    def rate_n16_problem(field_seed):
+        """One of the benchmark's n = 16 observable problems."""
         run = preset("unified-default")
         run.n, run.dt, run.t_final, run.seed = 16, 5e-3, 0.025, field_seed
         run.validate()
         lat = run.build_lattice()
-        cfg, xi, g = run.build_solver_config(lat), run.build_initial(lat), run.observable_field(lat)
-        terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
-        free = solve_skeleton(0, xi, terminal, zero_control(cfg.noise.rank, cfg.dt, cfg.steps))
-        target = TerminalObservable(g, float(lat.inner_h(free.fields[-1], g.coeffs)) + 0.1)
-        evaluated = []
+        cfg, xi = run.build_solver_config(lat), run.build_initial(lat)
+        return cfg, xi, TestEvaluationReuse.observable_above_free(cfg, xi, run.observable_field(lat))
+
+    @pytest.mark.parametrize("kind, max_iterations", [
+        ("observable", 2), ("observable", 500), ("field", 2), ("field", 500),
+        ("rate-n16", 500)])
+    def test_delta0_solve_marches_once_per_new_control(self, counted, monkeypatch, kind,
+                                                       max_iterations):
+        # an evaluation marches and sweeps unless its control is the one
+        # evaluated just before it; a weight's residual marches unless L-BFGS
+        # returns that control
+        lat, rng, xi, cfg = self.setup()
+        if kind == "field":
+            terminal = replace(cfg, store_fields=True, record_stride=cfg.steps)
+            h0 = Control(cfg.dt, rng.standard_normal((cfg.steps, cfg.noise.rank)))
+            target = TerminalField(solve_skeleton(0, xi, terminal, h0).field_at(-1, lat))
+        elif kind == "observable":
+            target = self.observable_above_free(cfg, xi, eigenmode_field(lat, (1, 0)))
+        else:  # one whose L-BFGS twice returns a control before the last one
+            cfg, xi, target = self.rate_n16_problem(932022950)
+        evaluated, residual_marches = [], 0
         gradient = deviations.skeleton_gradient
+        minimize = scipy.optimize.minimize
 
         def recorded(delta, h, *args, **kwargs):
             evaluated.append(h.values.tobytes())
             return gradient(delta, h, *args, **kwargs)
 
+        def recorded_minimize(*args, **kwargs):
+            nonlocal residual_marches
+            res = minimize(*args, **kwargs)
+            residual_marches += res.x.tobytes() != evaluated[-1]
+            return res
+
         monkeypatch.setattr(deviations, "skeleton_gradient", recorded)
-        counted["march"] = 0
-        res = rate_function(RateProblem(0, target, beta_schedule=(1e1, 1e2, 1e3, 1e4, 1e5),
-                                        max_iterations=500), cfg, xi)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded_minimize)
+        counted["march"] = counted["sweep"] = 0
+        betas = (1e1, 1e2, 1e3, 1e4, 1e5)
+        res = rate_function(RateProblem(0, target, beta_schedule=betas,
+                                        max_iterations=max_iterations), cfg, xi)
         assert res.converged
-        # some control comes back after two others
-        assert any(h in evaluated[:max(i - 2, 0)] for i, h in enumerate(evaluated))
-        assert counted["march"] == len(set(evaluated))
+        new = sum(i == 0 or h != evaluated[i - 1] for i, h in enumerate(evaluated))
+        assert new < len(evaluated)  # some weight starts where the last one ended
+        assert counted["sweep"] == new
+        assert counted["march"] == new + residual_marches
+        assert residual_marches == (2 if kind == "rate-n16" else 0)
+
+    @pytest.mark.parametrize("field_seed, max_iterations", [
+        (3196802727, 2), (3196802727, 500), (1204021905, 500), (932022950, 500)])
+    def test_memo_changes_no_result(self, monkeypatch, field_seed, max_iterations):
+        # three of the benchmark's n = 16 observable problems (seeds 8302 and
+        # 8304 of its rate workload), capped as it caps them and uncapped:
+        # the memo'd solve is the solve that evaluates every control afresh.
+        # Uncapped, the last one's L-BFGS twice returns a control before the
+        # last one evaluated, so two weights march their residual
+        cfg, xi, target = self.rate_n16_problem(field_seed)
+        problem = RateProblem(0, target, beta_schedule=(1e1, 1e2, 1e3, 1e4, 1e5),
+                              max_iterations=max_iterations)
+        memoized = rate_function(problem, cfg, xi)
+        gradient = deviations.skeleton_gradient
+        monkeypatch.setattr(deviations, "skeleton_gradient",
+                            lambda *args, memo=None, **kwargs: gradient(*args, **kwargs))
+        fresh = rate_function(problem, cfg, xi)
+        assert memoized.converged
+        assert memoized.cost == fresh.cost and memoized.residual == fresh.residual
+        assert memoized.control.values.tobytes() == fresh.control.values.tobytes()
+        assert memoized.details["schedule"] == fresh.details["schedule"]
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("tolerance, max_iterations", [(1e-6, 100), (1e-12, 3)])
@@ -895,6 +881,17 @@ class TestWeakProbe:
         cfg, xi = self.probe_cfg()
         rows = weak_continuity_probe(0, (4,), cfg, xi, amplitude=0.0)
         assert rows[0]["e"] == 0.0
+
+    @pytest.mark.parametrize("n_list, basis_count, message", [
+        ((0,), 128, "oscillation indices must be at least 1"),
+        ((2, -3), 128, "oscillation indices must be at least 1"),
+        ((2, 4), 0, "basis_count must be at least 1"),
+    ])
+    def test_refuses_what_is_no_oscillation(self, monkeypatch, n_list, basis_count, message):
+        cfg, xi = self.probe_cfg()
+        monkeypatch.setattr(deviations, "march", None)  # refused before any march
+        with pytest.raises(ValueError, match=message):
+            weak_continuity_probe(0, n_list, cfg, xi, basis_count=basis_count)
 
     def test_oscillation_decreases_response_and_metric(self):
         cfg, xi = self.probe_cfg()
