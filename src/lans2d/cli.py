@@ -113,10 +113,12 @@ def _resolve_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args):
+    """The run's output directory, made if missing, and whether this run made it."""
     base = Path(args.out_dir) if args.out_dir else Path("runs") / args.command
+    made = not base.exists()
     base.mkdir(parents=True, exist_ok=True)
-    return base
+    return base, made
 
 
 def _echo_config(cfg: RunConfig, out: Path):
@@ -353,7 +355,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = _out_dir(args)
+    out, made = _out_dir(args)
     _echo_config(cfg, out)
     try:
         return _DRIVERS[args.command](cfg, args, out)
@@ -363,7 +365,11 @@ def main(argv=None) -> int:
             save_trajectory(exc.record, out / "last_good.csv")
         return 2
     except ValueError as exc:
+        # a refused setting leaves no run behind, as a parser refusal does
         print(f"config error: {exc}", file=sys.stderr)
+        (out / "resolved_config.txt").unlink()
+        if made and not any(out.iterdir()):
+            out.rmdir()
         return 1
 
 

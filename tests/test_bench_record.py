@@ -212,7 +212,7 @@ def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
 @pytest.mark.parametrize("workload, keys", [
     ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
     ("mdp-n32", ["mdp_check.csv", "mdp_check.ndjson"]),
-    ("rate-n16", ["cg_iterations", "controls", "costs", "residuals", "schedule"])])
+    ("rate-n16", ["cg_iterations", "controls", "costs", "rank", "residuals", "schedule"])])
 def test_run_outputs_reads_what_op_0_computed(workload, keys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     got = bench_record.run_outputs(root, workload, 1)
@@ -220,6 +220,10 @@ def test_run_outputs_reads_what_op_0_computed(workload, keys):
     if workload == "rate-n16":
         assert np.shape(got["costs"]) == np.shape(got["residuals"]) == (6, 2)
         assert all(isinstance(i, int) and i > 0 for i in got["cg_iterations"])
+        # each field solve's response matrix: 5 steps of 4 noise directions,
+        # full column rank, and the solve keeps no more directions than that
+        assert got["rank"] == [20] * 6
+        assert all(i <= r for i, r in zip(got["cg_iterations"], got["rank"]))
         assert np.shape(got["controls"]) == (6, 2)
         assert all(len(digest) == 64 for pair in got["controls"] for digest in pair)
         # each penalty solve's weights, with the cost and residual it reached at each

@@ -551,9 +551,15 @@ class TestSettings:
     def test_a_setting_the_solver_refuses_exits_1(self, tmp_path, capsys, args, message):
         code, out = run_cli(args[:1] + TINY_RUN + args[1:], tmp_path, "refused")
         err = capsys.readouterr().err
-        assert code == 1 and list(out.iterdir()) == [out / "resolved_config.txt"]
+        assert code == 1 and not out.exists()
         assert err.count("config error:") == 1 and "Traceback" not in err
         assert f"config error: {message}" in err
+
+    def test_a_refusal_keeps_a_directory_it_did_not_make(self, tmp_path):
+        out = tmp_path / "kept"
+        out.mkdir()
+        code, _ = run_cli(["weak-probe"] + TINY_RUN + ["--indices", "0"], tmp_path, "kept")
+        assert code == 1 and out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize("key", ["initial.mode", "experiment.observable_mode"])
     def test_a_mode_key_takes_one_wavevector(self, tmp_path, capsys, key):

@@ -28,11 +28,14 @@ OpenBLAS configuration), whose kernels set the rounding of the transforms.
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
 the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
-and rate-n16's costs, residuals, each field solve's CG iterations, each
-penalty solve's ``[beta, cost, residual]`` at every weight of its schedule
-and the sha256 of each solve's control values.  It prints one line per
-workload, then each differing value (numbers by their largest relative
-difference), and exits 1 if any of them differs between the sides.
+and rate-n16's costs, residuals, each field solve's directions kept (its
+``details["iterations"]``, under the benchmark's older name
+``cg_iterations``) and the rank of its response matrix (None on a tree
+that does not report it), each penalty solve's ``[beta, cost, residual]``
+at every weight of its schedule and the sha256 of each solve's control
+values.  It prints one line per workload, then each differing value
+(numbers by their largest relative difference), and exits 1 if any of them
+differs between the sides.
 """
 
 import argparse
@@ -73,6 +76,7 @@ with tempfile.TemporaryDirectory() as work:
         got = {"costs": [[r.cost for r in pair] for pair in result],
                "residuals": [[r.residual for r in pair] for pair in result],
                "cg_iterations": [pair[1].details["iterations"] for pair in result],
+               "rank": [pair[1].details.get("rank") for pair in result],
                "schedule": [[[w["beta"], w["cost"], w["residual"]]
                              for w in pair[0].details["schedule"]] for pair in result],
                "controls": [[hashlib.sha256(np.ascontiguousarray(r.control.values).tobytes())
