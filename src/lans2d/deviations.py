@@ -311,11 +311,11 @@ def _svd_field(problem, cfg, xi, nse):
     h = Control(cfg.dt, hv)
     cost = control_cost(h)
     condition = float(s[0] / s[rank - 1]) if rank else math.inf
-    return RateResult(
-        cost if converged else math.inf, h, residual, converged, None,
-        {"iterations": k, "rank": rank, "condition": condition, "feasible_cost": cost,
-         "bound": "exact" if converged else "infeasible"},
-    )
+    details = {"iterations": k, "rank": rank, "condition": condition,
+               "bound": "exact" if converged else "infeasible"}
+    if converged:  # an infeasible control's energy means nothing (up to 1e24 near the rank)
+        details["feasible_cost"] = cost
+    return RateResult(cost if converged else math.inf, h, residual, converged, None, details)
 
 
 def _target_scale(target):
@@ -405,7 +405,8 @@ def rate_function(
     s_(rank-1)``, and ``kkt_residual`` is None.
 
     Infeasible targets carry ``cost = inf`` (the empty infimum) with
-    ``converged = False`` and the residual the solve could reach reported.
+    ``converged = False`` and the residual the solve could reach reported;
+    only a feasible one's ``details`` hold its control's ``"feasible_cost"``.
     """
     if cfg.noise is None:
         raise ValueError("rate_function needs the noise operator in the config")

@@ -35,19 +35,29 @@ Physica D 152, 2001): ``B~(u, v) = P(q (-u_2, u_1))`` with
 field and the two gradients it is contracted with.  All operations accept
 leading batch axes, i.e. shape ``(..., 2, 2K+1, K+1)``, and broadcast them.
 
-The transforms go one axis at a time.  pocketfft (``numpy.fft``) takes the
-complex axis ``k1 <-> x1``, on a band copy padded to ``n`` rows.  The real
-axis ``k2 <-> x2`` carries only the band's ``K + 1`` columns of the
-``n // 2 + 1`` that ``irfft`` and ``rfft`` transform, so where its GEMM is
-small (``_DFT_WORK``: n <= 72) it runs as one GEMM per plane against two
-DFT tables made with the lattice (``_dft_tables``).  A plane's GEMM has the
-same shape whatever the batch, and OpenBLAS runs a GEMM that small on one
-thread, so a field's rounding depends neither on its batch, its place in it
-nor the thread count; from n = 116 on, two threads split the GEMM and round
-it otherwise.  Against a direct DFT in long double the tables err by at most
-5.3e-16 of the largest value, as pocketfft does.  On one BLAS thread they
-took the real axis of 64 fields in 45 us where ``irfft`` took 290 at n = 16,
-and 1 670 against 2 373 us at n = 64; at n = 128 they were slower.
+The transforms go one axis at a time, each as GEMMs against DFT tables of
+the band made with the lattice (``_dft_tables``) where the lattice is small
+(``_DFT_WORK``: n <= 72), and through pocketfft (``numpy.fft``) otherwise.
+The complex axis ``k1 <-> x1`` is a band-pruned DFT (Markel, IEEE Trans.
+Audio Electroacoust. 19, 1971): one GEMM takes every ``(plane, k2)`` row of
+a call between the band's ``2K + 1`` wavenumbers and the ``n`` points, with
+no zero padding; pocketfft transforms a band copy padded to ``n`` rows.  The
+real axis ``k2 <-> x2`` carries only the band's ``K + 1`` columns of the
+``n // 2 + 1`` that ``irfft`` and ``rfft`` transform, one GEMM per plane.
+A plane's GEMM has the same shape whatever the batch, and OpenBLAS runs a
+GEMM that small on one thread; the complex axis's GEMM grows with the
+batch, and OpenBLAS splits a large one between threads, but it sums each
+entry over the same short axis in the same order whatever the rows (the
+tests check 1-1 000 fields at n = 8-72, on one and two threads).  So a
+field's rounding depends neither on its batch, its place in it nor the
+thread count; from n = 116 on, two threads split the real axis's GEMM and
+round it otherwise.  Against a direct DFT in long double the tables err by
+at most 8.3e-16 of the largest value, pocketfft by 5.7e-16.  Through a
+kernel's scratch on one BLAS thread, 3 planes to the grid and 2 back took
+6.9 and 10.2 us by the tables where pocketfft's complex axis took 9.5 and
+11.0 at n = 16, and 110 and 127 against 141 and 134 us for 64 fields.  From
+n = 40-56 on the complex axis's GEMM is the slower (at n = 64, 49 and 41
+against 40 and 33 us), but no workload runs there.
 
 On the two-thirds band that product is the exact Galerkin convolution
 (Orszag, J. Atmos. Sci. 28, 1971), so each quadratic form is a fixed bilinear
@@ -84,10 +94,10 @@ one per plane count (3 for ``B~``, 6 for ``B``, ``adjoint_b_first`` and
 one of its own; each is made for the first batch shape and replaced when the
 shape changes.  The kernel's scratch also holds every view a call goes through,
 made with it: each term's planes of the stack and of the grid samples, the
-transposed ``k1 >= 0`` and ``k1 < 0`` halves of the stack and of the padded
-band copy, the band copy's padding, the half spectra and their float views,
-and the views that assemble the band coefficients from the forward
-transform.  So a kernel call is a fixed, short run of numpy calls.
+stack transposed, the 2D views of the complex axis's GEMMs, the half spectra
+and their float views, and the views that assemble the band coefficients
+from the forward transform (and pocketfft's padded band copies).  So a
+kernel call is a fixed, short run of numpy calls.
 It hands the scratch to ``to_physical``, ``to_spectral`` and ``leray``,
 which allocate their arrays only for other callers, and it broadcasts its
 operands' shapes only when they differ.  numpy buffers a ufunc operand that
@@ -133,12 +143,12 @@ _PLANES = {"curl": 3, "d": 6, "grad": 6}
 # Smoothing scales whose tables and drift tensors a lattice keeps; a sweep
 # past them starts over.
 _SMOOTHERS = 8
-# The real axis of the transforms runs as one GEMM per plane against DFT
-# tables of the band's K + 1 frequencies where that GEMM has at most this many
-# multiply-adds (n * n * 2(K + 1); n <= 72), and through pocketfft's real
-# transforms otherwise.  OpenBLAS gives a GEMM this small one thread, so its
-# rounding does not depend on the thread count; the module docstring has the
-# crossover.
+# Both axes of the transforms run as GEMMs against DFT tables of the band
+# where the real axis's GEMM, one per plane, has at most this many
+# multiply-adds (n * n * 2(K + 1); n <= 72), and through pocketfft otherwise.
+# OpenBLAS gives a GEMM this small one thread, so its rounding does not depend
+# on the thread count; the module docstring has the crossover, which for the
+# complex axis lies lower (n = 40-56), where no workload runs.
 _DFT_WORK = 1 << 18
 # Fields per block of a batched kernel call's Leray projection: a kernel
 # scratch holds the projector's tables for one block, not for its batch.
@@ -255,15 +265,19 @@ class TorusLattice:
             s = scratch.inverse
             if coeffs is not s.coeffs:
                 raise ValueError("a kernel scratch transforms only its own stack")
-        # numpy transforms short strided rows slowly: transform k1 (padded to
-        # n rows) along a contiguous last axis, then k2 -> x2 transposed back
-        np.copyto(s.band_low, s.rows_low)
-        s.band_padding.fill(0)
-        np.copyto(s.band_high, s.rows_high)
-        np.fft.ifft(s.band, axis=-1, norm="forward", out=s.band)
-        np.copyto(s.half, s.band_columns)
-        if self._dft is None:  # irfft pads the K + 1 columns to n // 2 + 1 itself
+        # numpy transforms short strided rows slowly: transform k1 along a
+        # contiguous last axis, then k2 -> x2 transposed back
+        if self._dft is None:  # pocketfft, on a band copy padded to n rows
+            np.copyto(s.band_low, s.rows_low)
+            s.band_padding.fill(0)
+            np.copyto(s.band_high, s.rows_high)
+            np.fft.ifft(s.band, axis=-1, norm="forward", out=s.band)
+            np.copyto(s.half, s.band_columns)
+            # irfft pads the K + 1 columns to n // 2 + 1 itself
             return np.fft.irfft(s.half, n=self.n, axis=-1, norm="forward", out=s.phys)
+        np.copyto(s.rows, s.coeffs_rows)
+        np.matmul(s.rows_flat, self._dft[2], out=s.band_flat)  # one GEMM over every row
+        np.copyto(s.half, s.band_columns)
         return np.matmul(s.half_floats, self._dft[0], out=s.phys)  # one GEMM per plane
 
     def to_spectral(self, phys: np.ndarray, scratch=None) -> np.ndarray:
@@ -282,10 +296,12 @@ class TorusLattice:
             s = scratch.forward
         if self._dft is None:
             np.fft.rfft(phys, axis=-1, norm="forward", out=s.half)
+            np.copyto(s.band, s.half_columns)
+            np.fft.fft(s.band, axis=-1, norm="forward", out=s.band)
         else:
             np.matmul(phys, self._dft[1], out=s.half_floats)  # one GEMM per plane
-        np.copyto(s.band, s.half_columns)
-        np.fft.fft(s.band, axis=-1, norm="forward", out=s.band)
+            np.copyto(s.band, s.half_columns)
+            np.matmul(s.band_flat, self._dft[3], out=s.rows_flat)  # one GEMM over every row
         np.copyto(s.out_low, s.rows_low)
         np.copyto(s.out_high, s.rows_high)
         np.conjugate(s.mirrored, out=s.out_mirrors)  # u(-k) = conj u(k)
@@ -587,25 +603,40 @@ class TorusLattice:
 
 
 def _dft_tables(n, K):
-    """The real axis of the transforms as read-only GEMM operands, one plane's
-    rows at a time.  The ``(2(K + 1), n)`` table takes the float view of a
-    half spectrum whose ``K + 1`` columns run from ``k2 = K`` down to 0 to
-    the samples (``irfft``: a ``k2 > 0`` column counts twice, for its mirror,
-    and the mean column's imaginary part not at all); a field's spectrum
-    falls off with ``|k|``, and BLAS sums in the table's row order, so the
-    small terms come first.  The ``(n, 2(K + 1))`` table takes samples to the
-    band's columns ``k2 = 0..K`` (``rfft``, divided by ``n``).  Each twiddle
-    is the cosine or sine of ``2 pi ((k2 x2) mod n) / n``, rounded once from
-    long double, and exactly 0 or +-1 at the quarter turns."""
-    turns = np.arange(K + 1)[:, None] * np.arange(n) % n
-    angle = turns.astype(np.longdouble) * (2 * np.pi / np.longdouble(n))
-    cos, sin = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
-    quarter = 4 * turns % n == 0
-    cos[quarter], sin[quarter] = (np.array(v)[4 * turns[quarter] // n]
-                                  for v in ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)))
+    """The transforms' DFT tables as read-only GEMM operands: the real axis,
+    one plane's rows at a time, then the complex axis, every row of a call at
+    once.  The ``(2(K + 1), n)`` table takes the float view of a half
+    spectrum whose ``K + 1`` columns run from ``k2 = K`` down to 0 to the
+    samples (``irfft``: a ``k2 > 0`` column counts twice, for its mirror, and
+    the mean column's imaginary part not at all); a field's spectrum falls
+    off with ``|k|``, and BLAS sums in the table's row order, so the small
+    terms come first.  The ``(n, 2(K + 1))`` table takes samples to the
+    band's columns ``k2 = 0..K`` (``rfft``, divided by ``n``).  The complex
+    ``(2K + 1, n)`` table takes rows of the band's ``k1`` in storage order to
+    ``x1`` (``ifft`` of the band, unpadded), and the ``(n, 2K + 1)`` table
+    takes ``x1`` back to them (``fft`` kept to the band, divided by ``n``).
+    Each twiddle is the cosine or sine of ``2 pi ((k x) mod n) / n``, rounded
+    once from long double, and exactly 0 or +-1 at the quarter turns."""
+    def twiddles(k):
+        turns = k[:, None] * np.arange(n) % n
+        angle = turns.astype(np.longdouble) * (2 * np.pi / np.longdouble(n))
+        cos, sin = np.cos(angle).astype(np.float64), np.sin(angle).astype(np.float64)
+        quarter = 4 * turns % n == 0
+        cos[quarter], sin[quarter] = (np.array(v)[4 * turns[quarter] // n]
+                                      for v in ((1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 0.0, -1.0)))
+        return cos, sin
+
+    cos, sin = twiddles(np.arange(K + 1))
     inverse = np.stack([cos, -sin], axis=1) * np.where(np.arange(K + 1) > 0, 2.0, 1.0)[:, None, None]
     forward = np.stack([cos, -sin], axis=1).transpose(2, 0, 1) / n
-    tables = inverse[::-1].reshape(2 * (K + 1), n), forward.reshape(n, 2 * (K + 1)).copy()
+    cos, sin = twiddles(np.r_[0 : K + 1, -K:0])
+    # 1j * sin has the real part +-0, so the sum is exact; the forward table's
+    # parts are divided by n as floats (numpy's complex division by n
+    # multiplies by 1 / n, rounding twice)
+    k1_inverse, k1_forward = cos + 1j * sin, np.empty((n, 2 * K + 1), np.complex128)
+    k1_forward.real, k1_forward.imag = cos.T / n, -sin.T / n
+    tables = (inverse[::-1].reshape(2 * (K + 1), n), forward.reshape(n, 2 * (K + 1)).copy(),
+              k1_inverse, k1_forward)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -622,48 +653,63 @@ def _project(coeffs, work, p_diag, p_cross, out=None):
 
 class _Inverse:
     """The arrays :meth:`TorusLattice.to_physical` writes for planes
-    ``coeffs`` (``(..., 2K + 1, K + 1)``) and the views it copies through:
-    the ``k1 >= 0`` and ``k1 < 0`` rows of ``coeffs``, transposed (``k2``
-    from ``K`` down to 0 for the DFT tables, ``reverse``), and where they go
-    in the band copy ``band`` (``(..., K + 1, n)``), whose other rows are its
-    padding; the band transposed, which is the half spectrum ``half``
+    ``coeffs`` (``(..., 2K + 1, K + 1)``) and the views it copies through.
+    By the DFT tables: ``coeffs`` transposed, ``k2`` from ``K`` down to 0,
+    and its copy ``rows`` (``(..., K + 1, 2K + 1)``), whose rows go to the
+    band ``band`` (``(..., K + 1, n)``) by one GEMM, through both as 2D
+    arrays.  By pocketfft: the ``k1 >= 0`` and ``k1 < 0`` rows of ``coeffs``,
+    transposed, and where they go in ``band``, whose other rows are its
+    padding.  Then the band transposed, which is the half spectrum ``half``
     (``(..., n, K + 1)``, the band's columns only) and its float view; and
     the samples ``phys``."""
 
-    def __init__(self, n, K, coeffs, band, half, phys, reverse):
-        rows = coeffs.swapaxes(-1, -2)[..., :: -1 if reverse else 1, :]
-        self.coeffs, self.band, self.half, self.phys = coeffs, band, half, phys
-        self.rows_low, self.rows_high = rows[..., : K + 1], rows[..., K + 1 :]
-        self.band_low, self.band_high = band[..., : K + 1], band[..., n - K :]
-        self.band_padding = band[..., K + 1 : n - K]
+    def __init__(self, n, K, coeffs, rows, band, half, phys, dft):
+        transposed = coeffs.swapaxes(-1, -2)
+        self.coeffs, self.rows, self.band, self.half, self.phys = coeffs, rows, band, half, phys
+        if dft:
+            self.coeffs_rows = transposed[..., ::-1, :]
+            self.rows_flat, self.band_flat = rows.reshape(-1, 2 * K + 1), band.reshape(-1, n)
+        else:
+            self.rows_low, self.rows_high = transposed[..., : K + 1], transposed[..., K + 1 :]
+            self.band_low, self.band_high = band[..., : K + 1], band[..., n - K :]
+            self.band_padding = band[..., K + 1 : n - K]
         self.band_columns = band.swapaxes(-1, -2)
         self.half_floats = half.view(np.float64)
 
     @classmethod
-    def allocate(cls, n, K, coeffs, reverse):
+    def allocate(cls, n, K, coeffs, dft):
         lead, c16 = coeffs.shape[:-2], np.complex128
-        return cls(n, K, coeffs, np.empty(lead + (K + 1, n), c16),
-                   np.empty(lead + (n, K + 1), c16), np.empty(lead + (n, n)), reverse)
+        half = np.empty(lead + (n, K + 1), c16)
+        # the rows are read before the half spectrum is written
+        rows = _within(half, lead + (K + 1, 2 * K + 1)) if dft else None
+        return cls(n, K, coeffs, rows, np.empty(lead + (K + 1, n), c16), half,
+                   np.empty(lead + (n, n)), dft)
 
 
 class _Forward:
     """The arrays :meth:`TorusLattice.to_spectral` writes, the half spectrum
     ``half`` of the samples (``(..., n, K + 1)`` by the DFT tables,
     ``(..., n, n // 2 + 1)`` by ``rfft``) with its float view, its low columns
-    ``band`` (``(..., K + 1, n)``) and the coefficients ``out``
-    (``(..., 2K + 1, K + 1)``), and the views it copies through: the low
-    columns of ``half``, transposed, and the band's ``k1 >= 0`` rows, its
-    ``k1 < 0`` rows but the ``k2 = 0`` column's, and that column's ``k1 > 0``
-    entries mirrored, each with where it goes in ``out``."""
+    ``band`` (``(..., K + 1, n)``), the band's rows ``rows``
+    (``(..., K + 1, 2K + 1)``, which the DFT tables' GEMM writes from
+    ``band``, both as 2D arrays; pocketfft transforms ``band`` in place) and
+    the coefficients ``out`` (``(..., 2K + 1, K + 1)``), and the views it
+    copies through: the low columns of ``half``, transposed, and the
+    transform's ``k1 >= 0`` rows, its ``k1 < 0`` rows but the ``k2 = 0``
+    column's, and that column's ``k1 > 0`` entries mirrored, each with where
+    it goes in ``out``."""
 
-    def __init__(self, n, K, half, band, out):
-        rows = band.swapaxes(-1, -2)  # rows k1 in FFT order for n, columns k2 = 0..K
+    def __init__(self, n, K, half, band, rows, out, dft):
         self.half, self.band, self.out = half, band, out
         self.half_floats = half.view(np.float64)
         self.half_columns = half[..., : K + 1].swapaxes(-1, -2)
-        self.rows_low, self.out_low = rows[..., : K + 1, :], out[..., : K + 1, :]
-        self.rows_high, self.out_high = rows[..., n - K :, 1:], out[..., K + 1 :, 1:]
-        self.mirrored, self.out_mirrors = rows[..., K:0:-1, 0], out[..., K + 1 :, 0]
+        if dft:
+            self.band_flat, self.rows_flat = band.reshape(-1, n), rows.reshape(-1, 2 * K + 1)
+        # rows k1 (in storage order, or in FFT order for n), columns k2 = 0..K
+        k1_rows = (rows if dft else band).swapaxes(-1, -2)
+        self.rows_low, self.out_low = k1_rows[..., : K + 1, :], out[..., : K + 1, :]
+        self.rows_high, self.out_high = k1_rows[..., -K:, 1:], out[..., K + 1 :, 1:]
+        self.mirrored, self.out_mirrors = k1_rows[..., K:0:-1, 0], out[..., K + 1 :, 0]
 
     @staticmethod
     def columns(n, K, dft):
@@ -673,8 +719,16 @@ class _Forward:
     @classmethod
     def allocate(cls, n, K, phys, dft):
         lead, c16 = phys.shape[:-2], np.complex128
-        return cls(n, K, np.empty(lead + (n, cls.columns(n, K, dft)), c16),
-                   np.empty(lead + (K + 1, n), c16), np.empty(lead + (2 * K + 1, K + 1), c16))
+        half = np.empty(lead + (n, cls.columns(n, K, dft)), c16)
+        # the rows are written after the half spectrum is read
+        rows = _within(half, lead + (K + 1, 2 * K + 1)) if dft else None
+        return cls(n, K, half, np.empty(lead + (K + 1, n), c16), rows,
+                   np.empty(lead + (2 * K + 1, K + 1), c16), dft)
+
+
+def _within(a, shape):
+    """An array of ``shape`` at the start of the contiguous array ``a``'s memory."""
+    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 class _KernelScratch:
@@ -686,18 +740,20 @@ class _KernelScratch:
     arena are alive one after another and all start at its beginning.  Arena
     one holds the stack (``planes * prod(batch)`` planes ``(2K + 1, K + 1)``:
     each vector or scalar a term writes is one block of whole fields) and the
-    inverse transform's band copy, then the grid samples, then the band copy
-    of the product's forward transform.  Arena two holds the half spectrum of
-    the inverse transform, then the product's half spectrum and its band
-    coefficients, then the Leray product.  The half spectra have the band's
-    ``K + 1`` columns (``n // 2 + 1`` for the product's where ``rfft`` makes
-    it), and every entry a call reads it wrote first: only the padding of
-    the inverse transform's band copy is zeroed, through its view, by each
-    call.  ``inverse`` and ``forward`` hold the two transforms' arrays and
-    views, ``layout`` the terms' views.  For a batch, ``p_diag`` and
-    ``p_cross`` are the Leray tables at the product's shape, or at
-    ``_LERAY_BLOCK`` fields for a larger batch, outside the arenas, so that
-    ``leray`` broadcasts no operand; for one field they are the lattice's own.
+    inverse transform's band, then the grid samples, then the band of the
+    product's forward transform, then the Leray product.  Arena two holds the
+    inverse transform's rows along ``k1`` (the stack transposed, which the
+    DFT tables read), then its half spectrum, then the product's half
+    spectrum, then the product's rows along ``k1`` and its band coefficients.
+    The half spectra have the band's ``K + 1`` columns (``n // 2 + 1`` for
+    the product's where ``rfft`` makes it), and every entry a call reads it
+    wrote first: only the padding of pocketfft's band copy is zeroed, through
+    its view, by each call.  ``inverse`` and ``forward`` hold the two
+    transforms' arrays and views, ``layout`` the terms' views.  For a batch,
+    ``p_diag`` and ``p_cross`` are the Leray tables at the product's shape,
+    or at ``_LERAY_BLOCK`` fields for a larger batch, outside the arenas, so
+    that ``leray`` broadcasts no operand; for one field they are the
+    lattice's own.
     """
 
     def __init__(self, lattice, batch, planes):
@@ -709,11 +765,13 @@ class _KernelScratch:
         for runs in (
             [[("stack", lead + (rows, K + 1), c16), ("band", lead + (K + 1, n), c16)],
              [("phys", lead + (n, n), np.float64)],
-             [("product_band", prod + (K + 1, n), c16)]],
-            [[("half", lead + (n, K + 1), c16)],
-             [("product_half", prod + (n, columns), c16),
-              ("spectrum", prod + (rows, K + 1), c16)],
+             [("product_band", prod + (K + 1, n), c16)],
              [("work", prod + (rows, K + 1), c16)]],
+            [[("rows", lead + (K + 1, rows), c16)],
+             [("half", lead + (n, K + 1), c16)],
+             [("product_half", prod + (n, columns), c16)],
+             [("product_rows", prod + (K + 1, rows), c16),
+              ("spectrum", prod + (rows, K + 1), c16)]],
         ):
             sizes = [[math.prod(shape) * np.dtype(dtype).itemsize for _, shape, dtype in run]
                      for run in runs]
@@ -724,9 +782,10 @@ class _KernelScratch:
                     arrays[name] = arena[start : start + size].view(dtype).reshape(shape)
                     start += size
         self.stack, self.phys, self.work = arrays["stack"], arrays["phys"], arrays["work"]
-        self.inverse = _Inverse(n, K, self.stack, arrays["band"], arrays["half"], self.phys, dft)
+        self.inverse = _Inverse(n, K, self.stack, arrays["rows"], arrays["band"], arrays["half"],
+                                self.phys, dft)
         self.forward = _Forward(n, K, arrays["product_half"], arrays["product_band"],
-                                arrays["spectrum"])
+                                arrays["product_rows"], arrays["spectrum"], dft)
         tables = batch if math.prod(batch) <= _LERAY_BLOCK else (_LERAY_BLOCK,)
         self.p_diag, self.p_cross = (np.broadcast_to(table, tables + table.shape).copy()
                                      if batch else table

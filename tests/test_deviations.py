@@ -401,6 +401,7 @@ class TestRateFunction:
         assert math.isinf(res.cost) and not res.converged
         assert res.residual == pytest.approx(0.7645, abs=1e-4)
         assert res.details["rank"] == 12 and res.details["bound"] == "infeasible"
+        assert "feasible_cost" not in res.details  # its energy read 6.7e24 here
         assert res.kkt_residual is None
 
     @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])

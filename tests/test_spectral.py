@@ -366,6 +366,24 @@ class TestIdentityProperties:
         assert all(np.array_equal(got, kept) for got, kept in returned)
         assert sorted(lat._scratch) == [3, 6]  # at most one of each
 
+    # the complex axis's GEMM runs over every row of a call, so its shape
+    # grows with the batch; a field's bytes must not.  At n = 72 the batch
+    # stops at 64 fields, whose GEMMs OpenBLAS already splits over two
+    # threads: 1 000 fields there would take a 0.7 GB scratch
+    @pytest.mark.parametrize("n, batches", [
+        (8, (2, 3, 7, 64, 1000)), (16, (2, 3, 7, 64, 1000)), (32, (2, 3, 7, 64, 1000)),
+        (72, (2, 3, 7, 64))])
+    def test_a_field_alone_is_its_row_of_every_batch(self, n, batches):
+        lat = make_lattice(n)
+        rng = np.random.default_rng(n + 1)
+        u, v = _fields(lat, rng, max(batches)), _fields(lat, rng, max(batches))
+        for name in FORMS:
+            form = getattr(lat, name)
+            alone = np.stack([form(u[i], v[i]) for i in range(max(batches))])
+            for batch in batches:
+                assert form(u[:batch], v[:batch]).tobytes() == alone[:batch].tobytes(), (
+                    name, batch)
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         n=st.integers(2, 32).map(lambda h: 2 * h),
@@ -433,11 +451,11 @@ def _twiddles(k, x, n, sign):
 
 class TestTransformOracle:
     """The transforms against a direct DFT in long double, on both sides of
-    ``_DFT_WORK``: up to n = 72 the real axis runs as GEMMs against DFT
-    tables, from n = 74 on through pocketfft.  Relative to the largest exact
-    value, the worst errors over these draws were 2.2e-16-3.8e-16
-    (``to_physical``) and 2.8e-16-5.3e-16 (``to_spectral``) by the tables,
-    and at most 5.7e-16 and 4.6e-16 by pocketfft."""
+    ``_DFT_WORK``: up to n = 72 both axes run as GEMMs against DFT tables,
+    from n = 74 on through pocketfft.  Relative to the largest exact value,
+    the worst errors over these draws were 2.2e-16-6.2e-16 (``to_physical``)
+    and 2.0e-16-8.3e-16 (``to_spectral``, the largest at n = 64) by the
+    tables, and at most 5.7e-16 and 4.6e-16 by pocketfft."""
 
     BOUND = 1e-15
 
@@ -467,7 +485,7 @@ class TestTransformOracle:
         # +-1, not cos(pi / 2) = 6e-17; the inverse table's rows run k2 = K..0,
         # cosine then minus sine, a k2 > 0 pair twice, and the forward table
         # holds the same twiddles divided by n
-        inverse, forward = make_lattice(n)._dft
+        inverse, forward = make_lattice(n)._dft[:2]
         K = (n - 1) // 3
         turns = np.arange(K + 1)[:, None] * np.arange(n) % n
         quarter = 4 * turns % n == 0
@@ -478,6 +496,24 @@ class TestTransformOracle:
         assert np.array_equal(minus_sin[quarter], np.array([0.0, -1.0, 0.0, 1.0])[quadrant])
         assert np.array_equal(forward[:, 0::2].T, cos / n)
         assert np.array_equal(forward[:, 1::2].T, minus_sin / n)
+        assert not inverse.flags.writeable and not forward.flags.writeable
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32])
+    def test_k1_tables_are_exact_at_the_quarter_turns(self, n):
+        # the complex axis's tables run over the band's k1 in storage order:
+        # where (k1 x1) mod n is a multiple of n / 4 the inverse twiddle is 1,
+        # i, -1 or -i exactly, and the forward table holds the conjugate
+        # twiddles divided by n.  At n = 4 every turn is a quarter turn
+        lat = make_lattice(n)
+        inverse, forward = lat._dft[2:]
+        turns = np.multiply.outer(lat.k1[:, 0], np.arange(n)) % n
+        quarter = 4 * turns % n == 0
+        assert quarter.all() == (n == 4)
+        assert np.array_equal(inverse[quarter], np.array([1, 1j, -1, -1j])[4 * turns[quarter] // n])
+        assert np.array_equal(forward.T.real, inverse.real / n)
+        assert np.array_equal(forward.T.imag, -inverse.imag / n)
+        if n == 4:
+            assert set(inverse.view(np.float64).ravel()) == {-1.0, 0.0, 1.0}
         assert not inverse.flags.writeable and not forward.flags.writeable
 
 
@@ -672,6 +708,25 @@ class TestGalerkinTensors:
         for _ in range(3):
             lat.btilde_alpha(u, 0.1)
         assert calls == [n] * 3 * per_call
+
+    @pytest.mark.parametrize("n, per_call", [(16, 0), (72, 0), (74, 4)])
+    def test_kernel_calls_make_no_fft_up_to_n72(self, n, per_call, monkeypatch):
+        # up to n = 72 both axes of both transforms are GEMMs against the
+        # lattice's DFT tables; from n = 74 on pocketfft takes each axis
+        lat = make_lattice(n)
+        rng = np.random.default_rng(13)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def counting(*args, transform=getattr(np.fft, name), name=name, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        for batch in (None, 3):
+            u, v = _fields(lat, rng, batch), _fields(lat, rng, batch)
+            for name in FORMS:
+                getattr(lat, name)(u, v)
+        assert len(calls) == 2 * len(FORMS) * per_call
 
     def test_n6_keeps_the_rows_of_n4(self):
         # the same band (K = 1): B~'s rows that hold only the transforms'

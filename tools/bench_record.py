@@ -28,14 +28,16 @@ OpenBLAS configuration), whose kernels set the rounding of the transforms.
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
 the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
-and rate-n16's costs, residuals, each field solve's directions kept (its
-``details["iterations"]``, under the benchmark's older name
-``cg_iterations``) and the rank of its response matrix (None on a tree
-that does not report it), each penalty solve's ``[beta, cost, residual]``
-at every weight of its schedule and the sha256 of each solve's control
-values.  It prints one line per workload, then each differing value
-(numbers by their largest relative difference), and exits 1 if any of them
-differs between the sides.
+and the numbers in its ``mdp_check.csv`` (so that differing files come with
+how far their numbers moved), and rate-n16's costs, residuals, each field
+solve's directions kept (its ``details["iterations"]``, under the
+benchmark's older name ``cg_iterations``) and the rank of its response
+matrix (None on a tree that does not report it), each penalty solve's
+``[beta, cost, residual]`` at every weight of its schedule and the sha256 of
+each solve's control values.  It prints one line per workload, then each
+differing value (numbers by their largest relative difference, a value
+holding a None by both values), and exits 1 if any of them differs between
+the sides.
 """
 
 import argparse
@@ -61,6 +63,7 @@ import hashlib, json, os, sys, tempfile
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
 import worker
 import numpy as np
+from lans2d.runio import read_csv
 from workloads import WORKLOADS
 name, seed = sys.argv[1], int(sys.argv[2])
 with tempfile.TemporaryDirectory() as work:
@@ -72,6 +75,8 @@ with tempfile.TemporaryDirectory() as work:
         for file in wl.data_files:
             with open(os.path.join(args[0], file), "rb") as fh:
                 got[file] = hashlib.sha256(fh.read()).hexdigest()
+        got["mdp_check.csv numbers"] = [v for row in read_csv(os.path.join(args[0], "mdp_check.csv"))
+                                        for v in row.values() if isinstance(v, float)]
     elif name == "rate-n16":
         got = {"costs": [[r.cost for r in pair] for pair in result],
                "residuals": [[r.residual for r in pair] for pair in result],
@@ -123,14 +128,20 @@ def run_outputs(tree, workload, seed):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def holds_none(value):
+    """Whether ``value`` is None or a list or tuple holding a None at any depth."""
+    return value is None or isinstance(value, (list, tuple)) and any(map(holds_none, value))
+
+
 def difference(parent, change):
     """How two unequal values differ: the largest relative difference of two
-    numbers or equally shaped arrays of numbers, else both values."""
+    numbers or equally shaped arrays of numbers, else both values (also where
+    either holds a None, which numpy would read as NaN)."""
     try:
         a, b = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
     except (TypeError, ValueError):
         a = b = None
-    if a is None or None in (parent, change) or a.shape != b.shape:
+    if a is None or holds_none(parent) or holds_none(change) or a.shape != b.shape:
         return f"{parent} != {change}"
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(a == b, 0.0, np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
