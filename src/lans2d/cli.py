@@ -26,6 +26,7 @@ from .config import ConfigError, RunConfig, load_config, preset
 from .dynamics import (
     BlowupError,
     ScalingLaw,
+    _require_noise,
     dense_nse,
     energy_report,
     solve_lans,
@@ -127,10 +128,10 @@ def _echo_config(cfg: RunConfig, out: Path):
     (out / "resolved_config.txt").write_text(text)
 
 
-def _emit_results(rows, out: Path, name: str, columns=None):
+def _emit_results(rows, out: Path, name: str):
     """Deviation results: NDJSON records plus a flat CSV summary."""
     write_ndjson(out / f"{name}.ndjson", rows)
-    write_csv(out / f"{name}.csv", rows, columns=columns or list(rows[0].keys()))
+    write_csv(out / f"{name}.csv", rows)
 
 
 def _setup(cfg: RunConfig):
@@ -222,6 +223,7 @@ def _cmd_simulate_unified(cfg: RunConfig, args, out: Path) -> int:
 
 def _cmd_skeleton(cfg: RunConfig, args, out: Path) -> int:
     _, xi, scfg = _setup(cfg)
+    _require_noise(scfg)  # the zero control takes the noise's rank
     h = _control_from_config(cfg, scfg)
     if h is None:
         h = zero_control(scfg.noise.rank, cfg.dt, scfg.steps)

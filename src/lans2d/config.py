@@ -189,8 +189,7 @@ class RunConfig:
             lattice, self.noise_sigma, self.noise_modes, probes, offsets
         )
 
-    def build_solver_config(self, lattice=None) -> SolverConfig:
-        lattice = self.build_lattice() if lattice is None else lattice
+    def build_solver_config(self, lattice: TorusLattice) -> SolverConfig:
         return SolverConfig(
             lattice=lattice,
             dt=self.dt,

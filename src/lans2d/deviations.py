@@ -95,6 +95,9 @@ class RateProblem:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        level = getattr(self.target, "level", 0.0)
+        if not abs(level) <= math.sqrt(np.finfo(float).max):  # the costs square it
+            raise ValueError(f"level must have a finite square, got {level}")
         object.__setattr__(self, "beta_schedule", betas)
 
 
@@ -556,7 +559,7 @@ def mc_tail(
     independent of worker count and batching; batches are merged by summing
     hit counts.  ``workers`` processes share the batches; None means the CPUs
     this process may run on.  Either way there are no more workers than
-    batches.
+    batches.  delta=1 needs the dense reference ``nse`` of ``xi``.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -565,11 +568,7 @@ def mc_tail(
     elif workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     run_cfg = replace(cfg, alpha=float(alpha))
-    u_fields = None
-    if delta == 1:
-        if nse is None:
-            nse = dense_nse(xi, run_cfg)
-        u_fields = _dense_fields(nse, run_cfg, "mc_tail", xi)
+    u_fields = _dense_fields(nse, run_cfg, "mc_tail", xi) if delta == 1 else None
     shared = (delta, run_cfg, xi.coeffs, u_fields, event, master_seed)
     starts = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
     bounds = list(zip(starts[:-1], starts[1:]))

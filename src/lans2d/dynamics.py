@@ -117,6 +117,8 @@ class SolverConfig:
             raise ValueError("viscosity must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final / dt = {self.t_final / self.dt} is not a finite step count")
         steps = round(self.t_final / self.dt)
         if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError("t_final must be an integer multiple of dt")
@@ -225,52 +227,33 @@ class _Recorder:
     """Observer that builds a ``TrajectoryRecord`` every ``record_stride`` steps.
 
     It takes each state's H, V, A and alpha norms from one ``stacked_norms``
-    reduction over the four ``norm_table`` rows.  A batch of states records
-    each norm and the dissipation per trajectory, each the float a run of its
-    own records: the square in the dissipation is a float's (``pow``), which
-    numpy's square of an array is not to the last bit.
+    reduction over the four ``norm_table`` rows, as floats; the square in the
+    dissipation is a float's (``pow``).  It records one trajectory, one row
+    per recorded state: a batch of states (``_skeleton_march``'s) goes to an
+    observer of its own.
     """
 
     def __init__(self, cfg: SolverConfig, alpha: float):
         self.cfg = cfg
         self.alpha = alpha
         self._table = cfg.lattice.norm_table(alpha)
-        self.times, self.nh, self.nv, self.na, self.nal, self.diss = [], [], [], [], [], []
+        self.rows = []  # (time, H, V, A and alpha norms, dissipation)
         self.fields = [] if cfg.store_fields else None
         self._dissipation = 0.0
 
     def __call__(self, m, y):
         cfg = self.cfg
-        # floats for one state, a list of them for a batch
         nh, nv, na, nal = cfg.lattice.stacked_norms(y, self._table).tolist()
-        if y.ndim > 3:
-            terms = [cfg.dt * v**2 if m else 0.0 for v in nv]
-            self._dissipation = np.add(self._dissipation, terms)
-        elif m:
+        if m:
             self._dissipation += cfg.dt * nv**2
         if m % cfg.record_stride and m != cfg.steps:
             return
-        self.times.append(m * cfg.dt)
-        self.nh.append(nh)
-        self.nv.append(nv)
-        self.na.append(na)
-        self.nal.append(nal)
-        self.diss.append(self._dissipation)
+        self.rows.append((m * cfg.dt, nh, nv, na, nal, self._dissipation))
         if self.fields is not None:
             self.fields.append(y.copy())
 
     def build(self) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            np.asarray(self.times),
-            np.asarray(self.nh),
-            np.asarray(self.nv),
-            np.asarray(self.na),
-            np.asarray(self.nal),
-            np.asarray(self.diss),
-            self.alpha,
-            self.cfg.dt,
-            self.fields,
-        )
+        return TrajectoryRecord(*np.array(self.rows).T, self.alpha, self.cfg.dt, self.fields)
 
 
 def _drive(cfg: SolverConfig, y0: np.ndarray, step_fn, alpha_for_norms: float) -> TrajectoryRecord:
@@ -536,9 +519,8 @@ def solve_skeleton(
 ) -> TrajectoryRecord:
     """Deterministic controlled system: the rate-function solution map.
 
-    ``h.values`` may also be ``(steps, B, J)``, a batch of ``B`` controls: the
-    run then marches ``B`` states from ``(1 - delta) xi``, and the record holds
-    each norm and the dissipation per control, shape ``(times, B)``.
+    ``h`` is one control, ``(steps, J)`` values; a batch of controls marches
+    through ``deviations._skeleton_march``, which records nothing.
     """
     if h is None:
         raise ValueError("solve_skeleton needs a control (possibly zero)")
@@ -546,10 +528,11 @@ def solve_skeleton(
         raise ValueError("control grid does not match the config")
     if cfg.noise is None:
         raise ValueError("solve_skeleton needs the noise operator that shapes the control")
+    if h.values.ndim != 2:
+        raise ValueError(f"solve_skeleton takes one (steps, J) control, got {h.values.shape}")
     u_fields = _dense_fields(nse, cfg, "solve_skeleton", xi) if delta == 1 else None
     step = indexed_step(SkeletonStepper(cfg, delta).step, u_n=u_fields, h_n=h.values)
-    y0 = initial_state(delta, xi.coeffs, h.values.shape[1:-1])
-    return _drive(cfg, y0, step, alpha_for_norms=0.0)
+    return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +554,15 @@ def energy_report(
     traj: TrajectoryRecord,
     cfg: SolverConfig,
     u_ref: Optional[TrajectoryRecord] = None,
-    h: Optional[Control] = None,
     delta: int = 0,
-    warn_factor: float = 1.0,
 ) -> EnergyReport:
     """Moment functionals of a trajectory plus the Gronwall-style growth flag.
 
-    ``Phi_delta = 1 + ||h||_K + delta^2 (|A u|^2 + |u|^2) + |B(u,u)|^2
+    ``Phi_delta = 1 + delta^2 (|A u|^2 + |u|^2) + |B(u,u)|^2
     + |A u|^2 ||u||_V^2`` integrated along the reference record (u = 0 when no
     reference is given).  The flag compares ``sup_t ||y||_a^2`` against
-    ``warn_factor * (1 + ||y(0)||_a^2) * exp(int Phi)``; constants in the
-    underlying estimate are unknown, so this is a trend check only.
+    ``(1 + ||y(0)||_a^2) * exp(int Phi)``; constants in the underlying
+    estimate are unknown, so this is a trend check only.
     """
     sup2 = float(np.max(traj.norm_alpha**2))
     sup4 = float(np.max(traj.norm_alpha**4))
@@ -589,8 +570,6 @@ def energy_report(
 
     steps = cfg.steps
     phi = np.ones(steps)
-    if h is not None:
-        phi += np.sqrt(np.sum(h.values[:steps] ** 2, axis=1))
     if u_ref is not None:
         lat = cfg.lattice
         fields = _dense_fields(u_ref, cfg, "energy_report", None)
@@ -604,6 +583,6 @@ def energy_report(
     phi_int = float(np.sum(phi) * cfg.dt)
 
     with np.errstate(over="ignore"):
-        bound = warn_factor * (1.0 + float(traj.norm_alpha[0]) ** 2) * math.exp(min(phi_int, 700.0))
+        bound = (1.0 + float(traj.norm_alpha[0]) ** 2) * math.exp(min(phi_int, 700.0))
     flagged = sup2 > bound
     return EnergyReport(sup2, sup4, diss, phi_int, bound, flagged)

@@ -346,7 +346,7 @@ class Control:
     """Piecewise-constant deterministic control on the solver time grid."""
 
     dt: float
-    values: np.ndarray  # (steps, J), or (steps, B, J) for a batch of B controls
+    values: np.ndarray  # (steps, J)
 
     @property
     def steps(self) -> int:
@@ -374,20 +374,15 @@ def zero_control(J: int, dt: float, steps: int) -> Control:
     return Control(dt, np.zeros((steps, J)))
 
 
-def control_cost(h: Control):
-    """Energy ``0.5 * integral ||h||_K^2 dt`` of a piecewise-constant control,
-    a float; for a batch (``(steps, B, J)`` values) one energy per control,
-    shape ``(B,)``, each the float of that control alone."""
-    if h.values.ndim == 2:
-        return 0.5 * h.dt * float(np.sum(h.values**2))
-    per_control = np.moveaxis(h.values, 1, 0).reshape(h.values.shape[1], -1)
-    return 0.5 * h.dt * np.sum(per_control**2, axis=1)
+def control_cost(h: Control) -> float:
+    """Energy ``0.5 * integral ||h||_K^2 dt`` of a piecewise-constant control."""
+    return 0.5 * h.dt * float(np.sum(h.values**2))
 
 
 def sine_control(J: int, dt: float, steps: int, oscillation: int, direction=None,
-                 amplitude: float = 1.0, t_final: float | None = None) -> Control:
-    """``h(t) = amplitude * sin(2 pi q t / T) * direction`` sampled on the grid."""
-    T = dt * steps if t_final is None else t_final
+                 amplitude: float = 1.0) -> Control:
+    """``h(t) = amplitude * sin(2 pi q t / T) * direction`` on the grid of ``T = steps * dt``."""
+    T = dt * steps
     direction = np.eye(J)[0] if direction is None else np.asarray(direction, float)
     t = np.arange(steps) * dt
     vals = amplitude * np.sin(2.0 * np.pi * oscillation * t / T)[:, None] * direction[None, :]

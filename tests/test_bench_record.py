@@ -214,16 +214,18 @@ def test_outputs_passes_when_every_value_is_equal(monkeypatch, capsys):
 
 @pytest.mark.parametrize("workload, keys", [
     ("mc-ou", ["hits"]), ("mc-fluct", ["hits"]),
-    ("mdp-n32", ["mdp_check.csv", "mdp_check.csv numbers", "mdp_check.ndjson"]),
+    ("mdp-n32", ["mdp_check.csv", *(f"mdp_check.csv {column}" for column in sorted(
+        ("alpha", "max_gap", "speed_mdp", "speed_ldp", "sup_norm_rescaled", "master_seed"))),
+        "mdp_check.ndjson"]),
     ("rate-n16", ["cg_iterations", "controls", "costs", "rank", "residuals", "schedule"])])
 def test_run_outputs_reads_what_op_0_computed(workload, keys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     got = bench_record.run_outputs(root, workload, 1)
     assert sorted(got) == keys
     if workload == "mdp-n32":
-        # alpha, max_gap, ... : every number of the one row, max_gap within 1e-8
-        numbers = got["mdp_check.csv numbers"]
-        assert numbers[0] == 0.1 and 0 <= numbers[1] <= 1e-8
+        # each column of the one row under its own key, max_gap within 1e-8
+        assert got["mdp_check.csv alpha"] == [0.1]
+        assert 0 <= got["mdp_check.csv max_gap"][0] <= 1e-8
     if workload == "rate-n16":
         assert np.shape(got["costs"]) == np.shape(got["residuals"]) == (6, 2)
         assert all(isinstance(i, int) and i > 0 for i in got["cg_iterations"])

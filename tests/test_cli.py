@@ -1,16 +1,20 @@
 """Config validation, writers, the CLI subcommands and their exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lans2d
 from lans2d import (
@@ -24,7 +28,7 @@ from lans2d import (
 )
 from lans2d import cli
 from lans2d.cli import FLAGS, SUBCOMMANDS, main
-from lans2d.config import ConfigError, RunConfig, parse_config_text, preset
+from lans2d.config import _KEYS, ConfigError, RunConfig, parse_config_text, preset
 from lans2d.runio import (
     load_control,
     load_field,
@@ -629,6 +633,25 @@ class TestSettings:
                  for flag, key, commands in rows]
         assert table == list(FLAGS.items())
 
+    @pytest.mark.parametrize("args", [
+        ["--preset", "taylor-green", "--n", "8", "--t-final", "0.01", "--dt", "0.005"],
+        ["--preset", "unified-default", "--set", "noise.variant=none", *TINY_RUN],
+    ])
+    def test_skeleton_without_noise_exits_1(self, tmp_path, capsys, args):
+        code, out = run_cli(["skeleton", *args], tmp_path, "no-noise")
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert "config error: this run needs a noise operator" in err
+
+    @pytest.mark.parametrize("args", [["--t-final", "1e308"], ["--dt", "5e-324"]])
+    def test_an_overflowing_step_count_exits_1(self, tmp_path, capsys, args):
+        code, out = run_cli(["simulate-nse", "--preset", "ou-toy", *args], tmp_path, "overflow")
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert "is not a finite step count" in err
+
     @pytest.mark.parametrize("args", [["mc-tails", "--n", "foo"], ["mc-tails", "--bogus"]])
     def test_console_script_exits_1_without_a_traceback(self, tmp_path, args):
         src = os.path.dirname(os.path.dirname(lans2d.__file__))
@@ -637,6 +660,69 @@ class TestSettings:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         assert "config error:" in done.stderr and "Traceback" not in done.stderr
+
+
+# a five-step run at n = 8 with at most 10 samples or trials, set by --set so
+# that the drawn --set after it overrides any of its keys
+EDGE_BASE = ["--preset", "unified-default", "--set", "lattice.n=8", "--set", "time.dt=0.01",
+             "--set", "time.t_final=0.05", "--set", "experiment.samples=10",
+             "--set", "experiment.trials=5"]
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "", "none")
+# one past each declared range, where 0 or -1 is not already past it
+PAST_RANGE = {
+    "lattice.n": "2", "model.alpha": "1.5", "model.delta": "2", "model.kappa": "0.5",
+    "experiment.alphas": "1.5", "noise.offsets": "1.5", "noise.modes": "99 0",
+    "noise.probe_modes": "99 0", "initial.mode": "99 0", "experiment.observable_mode": "99 0",
+    "experiment.beta_schedule": "10, 1",
+}
+
+
+def run_edge_setting(command, delta, key, value):
+    """Run ``command`` in process with one drawn setting on top of the tiny
+    run; returns the exit code, stderr and the echoed document (or None)."""
+    args = [command, *EDGE_BASE, "--set", f"model.delta={delta}", "--set", f"{key}={value}"]
+    if command == "mc-tails":
+        args += ["--workers", "1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(args + ["--out-dir", str(out)])
+        echo = out / "resolved_config.txt"
+        return code, err.getvalue(), echo.read_text() if echo.exists() else None
+
+
+def edge_values(key):
+    return EDGE_VALUES + ((PAST_RANGE[key],) if key in PAST_RANGE else ())
+
+
+EDGE_SETTINGS = st.sampled_from(sorted(_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(edge_values(key))))
+
+
+class TestEdgeSettings:
+    """No setting, however far out of range, ends a run in a traceback: in
+    process, an exception out of ``cli.main`` is what a console run prints."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(SUBCOMMANDS), delta=st.sampled_from((0, 1)),
+           setting=EDGE_SETTINGS)
+    @example(command="skeleton", delta=0, setting=("noise.variant", "none"))
+    @example(command="simulate-nse", delta=0, setting=("time.t_final", "1e308"))
+    @example(command="rate", delta=1, setting=("experiment.level", "1e308"))
+    def test_every_exit_is_documented(self, command, delta, setting):
+        code, err, echo = run_edge_setting(command, delta, *setting)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        if code == 1:
+            assert sum(line.startswith("config error:") for line in lines) == 1, err
+            assert echo is None
+        elif code == 2:
+            assert sum(line.startswith("numeric abort:") for line in lines) == 1, err
+        else:
+            assert code == 0, err
+            body = echo.split("\n", 1)[1]
+            assert parse_config_text(body).to_document() == body
 
 
 SCIPY_GUARD = """

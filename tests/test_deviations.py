@@ -43,7 +43,7 @@ from lans2d import (
 )
 from lans2d import deviations
 from lans2d.noise import NoiseOperator
-from test_spectral import shift_cells
+from test_spectral import reflect_x1, reflect_x2, rotate_quarter, shift_cells
 
 
 def implicit_decay(lam, dt, viscosity=1.0):
@@ -249,6 +249,15 @@ class TestRateFunction:
             for target in (TerminalObservable(g, 0.1), TerminalField(g)):
                 with pytest.raises(ValueError, match="max_iterations must be at least 1"):
                     RateProblem(delta, target, max_iterations=0)
+
+    def test_a_level_with_no_finite_square_is_refused(self):
+        # the costs square the level: 1e308 ended in an OverflowError traceback
+        g = eigenmode_field(make_lattice(8), (1, 0))
+        for delta in (0, 1):
+            for level in (1e308, -1.4e154, math.inf, math.nan):
+                with pytest.raises(ValueError, match="level must have a finite square"):
+                    RateProblem(delta, TerminalObservable(g, level))
+            RateProblem(delta, TerminalObservable(g, -1.3e154))
 
     def test_lq_toy_matches_discrete_gramian(self):
         lam, sigma, dt, T, b = 2.0, 1.3, 1e-3, 0.8, 0.4
@@ -1192,18 +1201,28 @@ class TestMdpBridge:
 
 
 class TestWholeRunShifts:
-    """Whole runs commute with whole-cell shifts: ``xi``, the observable and
-    the noise's outputs and probes moved alike leave the delta=1 rate and
-    mdp-check's per-step norms unchanged to rounding.  Observed over seeds
-    0-7 and the three shifts: at most 1.9e-14 relative for the rate and
-    4.2e-14 of the largest norm for the norms."""
+    """Whole runs commute with whole-cell shifts, both reflections and the
+    quarter turn: ``xi``, the observable and the noise's outputs and probes
+    moved alike leave the delta=1 rate and mdp-check's per-step norms
+    unchanged to rounding.  Observed over seeds 0-7, n = 8 and 16 and both
+    noise variants: at most 2.1e-14 relative for the rate and 5.1e-14 of the
+    largest norm for the norms under the three shifts, and 3.1e-16 and
+    5.2e-16 under the reflections and the quarter turn, which move every
+    value exactly."""
 
-    @staticmethod
-    def moved(lat, cfg, shift):
+    TURNS = {"x1 reflection": reflect_x1, "x2 reflection": reflect_x2,
+             "quarter turn": rotate_quarter}
+
+    @classmethod
+    def moved(cls, lat, cfg, shift):
+        """``shift``: whole cells, or the name of one of ``TURNS``."""
         noise = cfg.noise
+        turn = cls.TURNS.get(shift)
 
         def move(a):
-            return None if a is None else shift_cells(lat, a, shift)
+            if a is None:
+                return None
+            return shift_cells(lat, a, shift) if turn is None else turn(lat, a)
 
         moved_noise = NoiseOperator(lat, noise.variant, noise.sigma, move(noise.outputs),
                                     move(noise.probes), noise.offsets)
@@ -1211,7 +1230,9 @@ class TestWholeRunShifts:
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
-    @pytest.mark.parametrize("seed, shift", [(0, (1, 0)), (1, (3, 5)), (2, (1, 3))])
+    @pytest.mark.parametrize("seed, shift", [(0, (1, 0)), (1, (3, 5)), (2, (1, 3)),
+                                             (3, "x1 reflection"), (4, "x2 reflection"),
+                                             (5, "quarter turn")])
     def test_rate_and_rescaled_norms(self, n, variant, seed, shift):
         lat = make_lattice(n)
         rng = np.random.default_rng(seed)

@@ -664,22 +664,21 @@ class TestSkeleton:
     @pytest.mark.parametrize("delta", [0, 1])
     @pytest.mark.parametrize("variant", ["additive", "projection-multiplicative"])
     def test_batch_of_controls_starts_from_one_field(self, delta, variant):
-        # solve_skeleton and the rate solves' march take (steps, B, J)
-        # controls and start each of the B states from (1 - delta) xi
+        # the rate solves' march takes (steps, B, J) controls and starts each
+        # of the B states from (1 - delta) xi, as solve_skeleton's one control
         lat, rng, cfg, xi = self.batch_setup(variant)
         nse = dense_nse(xi, cfg) if delta == 1 else None
         u = nse.fields if delta == 1 else None
         h = rng.standard_normal((cfg.steps, 3, 2))
-        assert Control(cfg.dt, h).rank == 2
-        batch = solve_skeleton(delta, xi, cfg, Control(cfg.dt, h), nse=nse)
-        final = deviations._skeleton_march(delta, h, cfg, xi, u, None)
+        states = []
+        final = deviations._skeleton_march(delta, h, cfg, xi, u, lambda m, y: states.append(y))
         assert final.shape == (3,) + lat.shape
         for i in range(3):
             single = solve_skeleton(delta, xi, cfg, Control(cfg.dt, h[:, i]), nse=nse)
-            assert [f[i].tobytes() for f in batch.fields] == [f.tobytes() for f in single.fields]
-            for name in ("norm_h", "norm_v", "norm_a", "norm_alpha", "dissipation"):
-                assert getattr(batch, name)[:, i].tobytes() == getattr(single, name).tobytes()
+            assert [y[i].tobytes() for y in states] == [f.tobytes() for f in single.fields]
             assert final[i].tobytes() == single.fields[-1].tobytes()
+        with pytest.raises(ValueError, match=r"one \(steps, J\) control, got \(10, 3, 2\)"):
+            solve_skeleton(delta, xi, cfg, Control(cfg.dt, h), nse=nse)
 
     def test_delta1_linearity(self, setup):
         lat, rng, xi, noise = setup

@@ -28,11 +28,12 @@ OpenBLAS configuration), whose kernels set the rounding of the transforms.
 ``outputs`` runs op 0 of every workload once per seed on each side, each in
 a fresh process with its own ``perfbench/workloads.py``, and compares what
 the ops computed: the Monte Carlo hits, the sha256 of mdp-n32's data files
-and the numbers in its ``mdp_check.csv`` (so that differing files come with
-how far their numbers moved), and rate-n16's costs, residuals, each field
-solve's directions kept (its ``details["iterations"]``, under the
-benchmark's older name ``cg_iterations``) and the rank of its response
-matrix (None on a tree that does not report it), each penalty solve's
+and each numeric column of its ``mdp_check.csv`` under its own key, such as
+``mdp_check.csv max_gap`` (so that differing files come with how far each
+column's numbers moved, against that column alone), and rate-n16's costs,
+residuals, each field solve's directions kept (its ``details["iterations"]``,
+under the benchmark's older name ``cg_iterations``) and the rank of its
+response matrix (None on a tree that does not report it), each penalty solve's
 ``[beta, cost, residual]`` at every weight of its schedule and the sha256 of
 each solve's control values.  It prints one line per workload, then each
 differing value (numbers by their largest relative difference, a value
@@ -75,8 +76,10 @@ with tempfile.TemporaryDirectory() as work:
         for file in wl.data_files:
             with open(os.path.join(args[0], file), "rb") as fh:
                 got[file] = hashlib.sha256(fh.read()).hexdigest()
-        got["mdp_check.csv numbers"] = [v for row in read_csv(os.path.join(args[0], "mdp_check.csv"))
-                                        for v in row.values() if isinstance(v, float)]
+        rows = read_csv(os.path.join(args[0], "mdp_check.csv"))
+        for column in rows[0]:
+            if all(isinstance(row[column], float) for row in rows):
+                got["mdp_check.csv " + column] = [row[column] for row in rows]
     elif name == "rate-n16":
         got = {"costs": [[r.cost for r in pair] for pair in result],
                "residuals": [[r.residual for r in pair] for pair in result],
