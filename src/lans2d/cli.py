@@ -26,7 +26,6 @@ from .config import ConfigError, RunConfig, load_config, preset
 from .dynamics import (
     BlowupError,
     ScalingLaw,
-    _require_noise,
     dense_nse,
     energy_report,
     solve_lans,
@@ -55,7 +54,7 @@ FLAGS = {
     "--dt": ("time.dt", None),
     "--t-final": ("time.t_final", None),
     "--trials": ("experiment.trials", ("verify-identities",)),
-    "--samples": ("experiment.samples", ("mc-tails", "converge", "mdp-check")),
+    "--samples": ("experiment.samples", ("mc-tails", "converge")),
     "--alphas": ("experiment.alphas", ("mc-tails", "converge", "mdp-check")),
     "--indices": ("experiment.indices", ("weak-probe",)),
     "--level": ("experiment.level", ("rate",)),
@@ -223,10 +222,10 @@ def _cmd_simulate_unified(cfg: RunConfig, args, out: Path) -> int:
 
 def _cmd_skeleton(cfg: RunConfig, args, out: Path) -> int:
     _, xi, scfg = _setup(cfg)
-    _require_noise(scfg)  # the zero control takes the noise's rank
+    rank = scfg.require_noise().rank  # the zero control takes the noise's rank
     h = _control_from_config(cfg, scfg)
     if h is None:
-        h = zero_control(scfg.noise.rank, cfg.dt, scfg.steps)
+        h = zero_control(rank, cfg.dt, scfg.steps)
     nse = dense_nse(xi, scfg) if cfg.delta == 1 else None
     traj = solve_skeleton(cfg.delta, xi, scfg, h, nse=nse)
     save_trajectory(traj, out / f"trajectory.{args.format}", args.format)
@@ -251,7 +250,7 @@ def _cmd_rate(cfg: RunConfig, args, out: Path) -> int:
     row = {
         "delta": cfg.delta, "level": level, "cost": result.cost,
         "residual": result.residual, "converged": result.converged,
-        "kkt_residual": result.kkt_residual if result.kkt_residual is not None else "nan",
+        "kkt_residual": result.kkt_residual,
         "bound": result.details.get("bound", ""),
     }
     row["master_seed"] = cfg.seed
@@ -277,12 +276,9 @@ def _cmd_mc_tails(cfg: RunConfig, args, out: Path) -> int:
             cfg.delta, alpha, event, cfg.samples, scfg, xi,
             master_seed=cfg.seed, workers=args.workers, nse=nse,
         )
-        row = dataclasses.asdict(est)
-        if row["rate_estimate"] is None:
-            row["rate_estimate"] = "nan"
-        rows.append(row)
-        print(f"alpha={alpha:g}: p_hat={est.p_hat:.3e} "
-              f"rate={float(row['rate_estimate']):.6g}")
+        rows.append(dataclasses.asdict(est))
+        rate = math.nan if est.rate_estimate is None else est.rate_estimate
+        print(f"alpha={alpha:g}: p_hat={est.p_hat:.3e} rate={rate:.6g}")
     _emit_results(rows, out, "tails")
     return 0
 

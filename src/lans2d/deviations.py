@@ -203,10 +203,8 @@ def skeleton_gradient(
     returns what a fresh call returns and marches nothing.  A memo serves one
     problem only (one delta, target, config, ``xi`` and ``nse``).
     """
-    if cfg.noise is None:
-        raise ValueError("rate machinery needs the noise operator in the config")
-    if h.steps != cfg.steps or abs(h.dt - cfg.dt) > 1e-15:
-        raise ValueError("control grid does not match the config")
+    cfg.require_noise()
+    cfg.check_grid("control", h.dt, h.steps, exact=True)  # the gradient has the run's shape
     u_fields = _dense_fields(nse, cfg, "skeleton_gradient", xi) if delta == 1 else None
     hv = h.values
     key = hv.tobytes()
@@ -248,9 +246,8 @@ def _exact_lq_observable(problem, cfg, xi, nse):
     residual = abs(reached - target.level)
     stationarity = float(np.max(np.abs(cfg.dt * hv - mu * L))) if hv.size else 0.0
     kkt = stationarity + residual
-    scale = max(1.0, abs(target.level))
     return RateResult(
-        cost, h_star, residual, residual <= problem.tolerance * scale, kkt,
+        cost, h_star, residual, residual <= problem.tolerance * _target_scale(target), kkt,
         {"gramian": gram, "multiplier": mu, "bound": "exact"},
     )
 
@@ -322,6 +319,7 @@ def _svd_field(problem, cfg, xi, nse):
 
 
 def _target_scale(target):
+    """What a target's tolerance is relative to: ``max(1, |level|)`` or ``max(1, |x|_H)``."""
     if isinstance(target, TerminalObservable):
         return max(1.0, abs(target.level))
     return max(1.0, float(target.x.lattice.norm_h(target.x.coeffs)))
@@ -411,8 +409,7 @@ def rate_function(
     ``converged = False`` and the residual the solve could reach reported;
     only a feasible one's ``details`` hold its control's ``"feasible_cost"``.
     """
-    if cfg.noise is None:
-        raise ValueError("rate_function needs the noise operator in the config")
+    cfg.require_noise()
     if problem.delta == 1:
         if nse is None:
             nse = dense_nse(xi, cfg)
@@ -665,13 +662,11 @@ def weak_continuity_probe(
     each row's running sup and dissipation are kept, the floats of a march of
     its own (one ``stacked_norms`` reduction, the square a float's ``pow``).
     """
-    if cfg.noise is None:
-        raise ValueError("weak_continuity_probe needs a noise operator")
+    J = cfg.require_noise().rank
     if any(osc < 1 for osc in n_list):
         raise ValueError(f"oscillation indices must be at least 1, got {tuple(n_list)}")
     if basis_count < 1:
         raise ValueError(f"basis_count must be at least 1, got {basis_count}")
-    J = cfg.noise.rank
     u_fields = None
     if delta == 1:
         if nse is None:

@@ -94,7 +94,8 @@ class ScalingLaw:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver settings; ``steps * dt`` must reproduce ``t_final``."""
+    """Shared solver settings; ``steps * dt`` must reproduce ``t_final``.
+    ``check_grid`` and ``require_noise`` are the rules for a run's inputs."""
 
     lattice: TorusLattice
     dt: float
@@ -129,6 +130,19 @@ class SolverConfig:
     def steps(self) -> int:
         return round(self.t_final / self.dt)
 
+    def check_grid(self, what: str, dt: float, steps: int, exact: bool = False) -> None:
+        """Refuse a series ``what`` (Wiener path, control, reference record) of
+        ``steps`` steps of ``dt`` unless it covers the run: the run's ``dt``
+        within 1e-15, and at least the run's steps (exactly them if ``exact``)."""
+        if (steps != self.steps if exact else steps < self.steps) or abs(dt - self.dt) > 1e-15:
+            raise ValueError(f"{what} grid does not match the config")
+
+    def require_noise(self) -> NoiseOperator:
+        """The noise operator, which the caller's run cannot do without."""
+        if self.noise is None:
+            raise ValueError("this run needs a noise operator in the config")
+        return self.noise
+
     def implicit_multiplier(self) -> np.ndarray:
         return 1.0 / (1.0 + self.dt * self.viscosity * self.lattice.eigenvalue)
 
@@ -161,16 +175,6 @@ class TrajectoryRecord:
         if self.fields is None:
             raise ValueError("this record was produced without snapshots")
         return SpectralField(lattice, self.fields[i])
-
-    def scalars_dict(self) -> dict:
-        return {
-            "time": self.times,
-            "norm_h": self.norm_h,
-            "norm_v": self.norm_v,
-            "norm_a": self.norm_a,
-            "norm_alpha": self.norm_alpha,
-            "dissipation": self.dissipation,
-        }
 
 
 def march(step, y: np.ndarray, steps: int, observe, lattice: TorusLattice) -> np.ndarray:
@@ -288,17 +292,9 @@ def dense_nse(xi: SpectralField, cfg: SolverConfig) -> TrajectoryRecord:
     return record
 
 
-def _require_noise(cfg):
-    if cfg.noise is None:
-        raise ValueError("this run needs a noise operator in the config")
-
-
 def _check_wiener(cfg, wiener):
     if wiener is not None:
-        if wiener.steps < cfg.steps:
-            raise ValueError("Wiener path is shorter than the run")
-        if abs(wiener.dt - cfg.dt) > 1e-15:
-            raise ValueError("Wiener path dt does not match the config")
+        cfg.check_grid("Wiener path", wiener.dt, wiener.steps)
         if cfg.noise is not None and wiener.rank != cfg.noise.rank:
             raise ValueError("Wiener path rank does not match the noise rank")
 
@@ -426,10 +422,9 @@ def _dense_fields(nse: Optional[TrajectoryRecord], cfg: SolverConfig, what: str,
     unless ``xi`` is None, its initial field."""
     if nse is None:
         raise ValueError(f"delta=1 {what} needs the dense reference record (run dense_nse first)")
-    if nse.fields is None or len(nse) != cfg.steps + 1:
-        raise ValueError("reference record must hold snapshots at every step of the same grid")
-    if abs(nse.dt - cfg.dt) > 1e-15:
-        raise ValueError("reference record dt does not match the config")
+    if nse.fields is None:
+        raise ValueError("reference record must hold snapshots at every step")
+    cfg.check_grid("reference record", nse.dt, len(nse) - 1)
     if xi is not None and nse.fields[0].tobytes() != xi.coeffs.tobytes():
         raise ValueError("reference record starts from another initial field")
     return nse.fields
@@ -451,9 +446,8 @@ def solve_unified(
     """
     _check_wiener(cfg, wiener)
     if h is not None:
-        if h.steps < cfg.steps or abs(h.dt - cfg.dt) > 1e-15:
-            raise ValueError("control grid does not match the config")
-        _require_noise(cfg)
+        cfg.check_grid("control", h.dt, h.steps)
+        cfg.require_noise()
     stepper = UnifiedStepper(cfg, delta)
     u_fields = _dense_fields(nse, cfg, "solve_unified", xi) if delta == 1 else None
     b_fields = nse.drifts if delta == 1 else None
@@ -524,10 +518,8 @@ def solve_skeleton(
     """
     if h is None:
         raise ValueError("solve_skeleton needs a control (possibly zero)")
-    if h.steps < cfg.steps or abs(h.dt - cfg.dt) > 1e-15:
-        raise ValueError("control grid does not match the config")
-    if cfg.noise is None:
-        raise ValueError("solve_skeleton needs the noise operator that shapes the control")
+    cfg.check_grid("control", h.dt, h.steps)
+    cfg.require_noise()  # it shapes the control
     if h.values.ndim != 2:
         raise ValueError(f"solve_skeleton takes one (steps, J) control, got {h.values.shape}")
     u_fields = _dense_fields(nse, cfg, "solve_skeleton", xi) if delta == 1 else None

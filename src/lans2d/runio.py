@@ -3,7 +3,8 @@
 Data files are deterministic: stable column order, floats at 17 significant
 digits (exact round-trip for doubles), no timestamps.  Units are documented in
 a comment line above the header; velocities are dimensionless torus units and
-times are in the solver's time unit (viscous scale).
+times are in the solver's time unit (viscous scale).  A missing number
+(``None``) is written ``nan``: a CSV cell, and the string ``"nan"`` in NDJSON.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if obj is None:
+        return "nan"
     return obj
 
 
@@ -149,22 +152,16 @@ def load_field(path, lattice: TorusLattice | None = None) -> SpectralField:
 # Trajectories and controls
 # ---------------------------------------------------------------------------
 
+# the record's series of each name, ``times`` as column "time"
 TRAJ_COLUMNS = ["time", "norm_h", "norm_v", "norm_a", "norm_alpha", "dissipation"]
 
 
-def trajectory_rows(traj: TrajectoryRecord) -> list[dict]:
-    cols = traj.scalars_dict()
-    return [
-        {name: cols[name][i] for name in TRAJ_COLUMNS} for i in range(len(traj))
-    ]
-
-
 def save_trajectory(traj: TrajectoryRecord, path, fmt: str = "csv") -> Path:
-    rows = trajectory_rows(traj)
-    if fmt == "csv":
-        return write_csv(path, rows, columns=TRAJ_COLUMNS,
+    """One row per recorded state, in ``fmt`` (``csv`` or ``ndjson``)."""
+    series = [traj.times] + [getattr(traj, name) for name in TRAJ_COLUMNS[1:]]
+    rows = [dict(zip(TRAJ_COLUMNS, values)) for values in zip(*series)]
+    return write_outputs(rows, path, fmt, columns=TRAJ_COLUMNS,
                          units="time: viscous units; norms: L2 velocity units")
-    return write_ndjson(path, rows)
 
 
 def save_control(h: Control, path) -> Path:

@@ -661,7 +661,8 @@ class _Inverse:
     transposed, and where they go in ``band``, whose other rows are its
     padding.  Then the band transposed, which is the half spectrum ``half``
     (``(..., n, K + 1)``, the band's columns only) and its float view; and
-    the samples ``phys``."""
+    the samples ``phys``.  Without a kernel scratch, ``allocate`` makes each
+    array on its own."""
 
     def __init__(self, n, K, coeffs, rows, band, half, phys, dft):
         transposed = coeffs.swapaxes(-1, -2)
@@ -679,11 +680,9 @@ class _Inverse:
     @classmethod
     def allocate(cls, n, K, coeffs, dft):
         lead, c16 = coeffs.shape[:-2], np.complex128
-        half = np.empty(lead + (n, K + 1), c16)
-        # the rows are read before the half spectrum is written
-        rows = _within(half, lead + (K + 1, 2 * K + 1)) if dft else None
-        return cls(n, K, coeffs, rows, np.empty(lead + (K + 1, n), c16), half,
-                   np.empty(lead + (n, n)), dft)
+        rows = np.empty(lead + (K + 1, 2 * K + 1), c16) if dft else None
+        return cls(n, K, coeffs, rows, np.empty(lead + (K + 1, n), c16),
+                   np.empty(lead + (n, K + 1), c16), np.empty(lead + (n, n)), dft)
 
 
 class _Forward:
@@ -697,7 +696,7 @@ class _Forward:
     copies through: the low columns of ``half``, transposed, and the
     transform's ``k1 >= 0`` rows, its ``k1 < 0`` rows but the ``k2 = 0``
     column's, and that column's ``k1 > 0`` entries mirrored, each with where
-    it goes in ``out``."""
+    it goes in ``out``.  ``allocate`` makes each array on its own."""
 
     def __init__(self, n, K, half, band, rows, out, dft):
         self.half, self.band, self.out = half, band, out
@@ -719,16 +718,10 @@ class _Forward:
     @classmethod
     def allocate(cls, n, K, phys, dft):
         lead, c16 = phys.shape[:-2], np.complex128
-        half = np.empty(lead + (n, cls.columns(n, K, dft)), c16)
-        # the rows are written after the half spectrum is read
-        rows = _within(half, lead + (K + 1, 2 * K + 1)) if dft else None
-        return cls(n, K, half, np.empty(lead + (K + 1, n), c16), rows,
+        rows = np.empty(lead + (K + 1, 2 * K + 1), c16) if dft else None
+        return cls(n, K, np.empty(lead + (n, cls.columns(n, K, dft)), c16),
+                   np.empty(lead + (K + 1, n), c16), rows,
                    np.empty(lead + (2 * K + 1, K + 1), c16), dft)
-
-
-def _within(a, shape):
-    """An array of ``shape`` at the start of the contiguous array ``a``'s memory."""
-    return a.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 class _KernelScratch:

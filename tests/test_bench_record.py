@@ -240,3 +240,28 @@ def test_run_outputs_reads_what_op_0_computed(workload, keys):
         assert schedule.shape == (6, 5, 3)
         assert schedule[:, :, 0].tolist() == [[1e1, 1e2, 1e3, 1e4, 1e5]] * 6
         assert np.all(schedule[:, -1, 2] == np.asarray(got["residuals"])[:, 0])
+
+
+def test_cli_reads_the_repository_identical_to_itself(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench_record.cli(argparse.Namespace(parent=root, change=root))
+    assert capsys.readouterr().out.splitlines() == ["cli: 120 runs, 0 differ"]
+
+
+def test_cli_names_each_differing_run_and_exits_1(monkeypatch, capsys):
+    parent = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "beef", "rate.ndjson": "cafe"}},
+              "skeleton --delta 0": {"exit": 0, "files": {"trajectory.csv": "d00d"}},
+              "mc-tails --delta 1": {"exit": 0, "files": {}}}
+    change = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "f00d", "rate.ndjson": "cafe"}},
+              "skeleton --delta 0": {"exit": 1, "files": {}},
+              "mc-tails --delta 1": {"exit": 0, "files": {}},
+              "weak-probe --delta 0": {"exit": 0, "files": {"weak_probe.csv": "abba"}}}
+    monkeypatch.setattr(bench_record, "run_cli_matrix",
+                        lambda tree: {"parent": parent, "change": change}[tree])
+    with pytest.raises(SystemExit) as exc:
+        bench_record.cli(argparse.Namespace(parent="parent", change="change"))
+    assert exc.value.code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cli: 4 runs, 3 differ", "  rate --delta 0: rate.csv",
+        "  skeleton --delta 0: exit 0 != 1, trajectory.csv",
+        "  weak-probe --delta 0: exit None != 0, weak_probe.csv"]

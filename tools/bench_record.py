@@ -3,6 +3,7 @@
     python3 tools/bench_record.py pairs PARENT CHANGE RUNS --workload W --seeds 211-220
     python3 tools/bench_record.py record PARENT CHANGE RUNS [--claim W --traced-seed S] --out FILE
     python3 tools/bench_record.py outputs PARENT CHANGE --seeds 211-212
+    python3 tools/bench_record.py cli PARENT CHANGE
 
 PARENT and CHANGE are checkouts of the two commits; each side runs its own
 ``perfbench/run.py`` with the benchmark's run length.  ``pairs`` runs one
@@ -39,6 +40,14 @@ each solve's control values.  It prints one line per workload, then each
 differing value (numbers by their largest relative difference, a value
 holding a None by both values), and exits 1 if any of them differs between
 the sides.
+
+``cli`` runs a matrix of small CLI runs on each side, all in one fresh process
+per side: every subcommand at every preset, at delta 0 and 1 and, where the
+subcommand takes ``--format``, in each format (120 runs), at n = 8 over 10
+steps with few samples and trials (``CLI_RUN``).  It compares each run's exit
+code and the sha256 of each file the run wrote but ``resolved_config.txt``,
+whose timestamp differs from run to run; it prints each differing run and
+exits 1 if any run differs.
 """
 
 import argparse
@@ -91,6 +100,40 @@ with tempfile.TemporaryDirectory() as work:
                              .hexdigest() for r in pair] for pair in result]}
     else:
         got = {"hits": result.hits}
+print(json.dumps(got))
+"""
+# the presets of the CLI matrix, and the settings every run adds to its
+# subcommand and preset
+CLI_PRESETS = ["taylor-green", "single-shear", "ou-toy", "unified-default"]
+CLI_RUN = ["--n", "8", "--dt", "0.005", "--t-final", "0.05", "--set", "experiment.samples=20",
+           "--set", "experiment.trials=5"]
+# run from the root of a checkout: the CLI matrix, each run's exit code and
+# the sha256 of its data files printed as one JSON object keyed by run
+CLI_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
+import worker
+from lans2d.cli import FORMATTED, SUBCOMMANDS, main
+presets, common = json.loads(sys.argv[1])
+got = {}
+with tempfile.TemporaryDirectory() as work:
+    for command in SUBCOMMANDS:
+        for name in presets:
+            for delta in (0, 1):
+                for fmt in ("csv", "ndjson") if command in FORMATTED else (None,):
+                    flags = [command, "--preset", name, "--delta", str(delta)]
+                    flags += ["--format", fmt] if fmt else []
+                    args = flags + common + (["--workers", "1"] if command == "mc-tails" else [])
+                    out = os.path.join(work, str(len(got)))
+                    with contextlib.redirect_stdout(io.StringIO()), \\
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(args + ["--out-dir", out])
+                    files = {}
+                    for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+                        if file != "resolved_config.txt":
+                            with open(os.path.join(out, file), "rb") as fh:
+                                files[file] = hashlib.sha256(fh.read()).hexdigest()
+                    got[" ".join(flags)] = {"exit": code, "files": files}
 print(json.dumps(got))
 """
 
@@ -164,6 +207,33 @@ def outputs(args):
         print(f"{workload}: seeds {args.seeds} {'differ' if diffs else 'identical'}",
               *diffs, sep="\n  ", flush=True)
         differ = differ or bool(diffs)
+    if differ:
+        raise SystemExit(1)
+
+
+def run_cli_matrix(tree):
+    """Each CLI run of ``CLI_SCRIPT`` on ``tree``: its exit code and its
+    files' digests, from one fresh process."""
+    proc = subprocess.run([sys.executable, "-c", CLI_SCRIPT, json.dumps([CLI_PRESETS, CLI_RUN])],
+                          cwd=tree, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: the CLI matrix exited {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def cli(args):
+    """Compare every CLI run's exit code and files on both sides; exit 1 on
+    a difference."""
+    got = {side: run_cli_matrix(getattr(args, side)) for side in SIDES}
+    runs = sorted(got["parent"].keys() | got["change"].keys())
+    differ = [run for run in runs if got["parent"].get(run) != got["change"].get(run)]
+    print(f"cli: {len(runs)} runs, {len(differ)} differ")
+    for run in differ:
+        parent, change = (got[side].get(run) or {"exit": None, "files": {}} for side in SIDES)
+        notes = [f"exit {parent['exit']} != {change['exit']}"] if parent["exit"] != change["exit"] else []
+        notes += [file for file in sorted(parent["files"].keys() | change["files"].keys())
+                  if parent["files"].get(file) != change["files"].get(file)]
+        print(f"  {run}: {', '.join(notes)}")
     if differ:
         raise SystemExit(1)
 
@@ -278,9 +348,9 @@ def record(args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("pairs", "record", "outputs"):
+    for name in ("pairs", "record", "outputs", "cli"):
         p = sub.add_parser(name)
-        for side in SIDES + (("runs",) if name != "outputs" else ()):
+        for side in SIDES + (("runs",) if name in ("pairs", "record") else ()):
             p.add_argument(side)
     sub.choices["pairs"].add_argument("--workload", required=True)
     for name in ("pairs", "outputs"):
@@ -291,8 +361,8 @@ def main():
     args = ap.parse_args()
     if args.command == "record" and (args.claim is None) != (args.traced_seed is None):
         ap.error("--claim and --traced-seed go together")
-    if args.command == "outputs":
-        return outputs(args)
+    if args.command in ("outputs", "cli"):
+        return {"outputs": outputs, "cli": cli}[args.command](args)
     os.makedirs(args.runs, exist_ok=True)
     (pairs if args.command == "pairs" else record)(args)
 
