@@ -356,7 +356,10 @@ def main(argv=None) -> int:
     out, made = _out_dir(args)
     _echo_config(cfg, out)
     try:
-        return _DRIVERS[args.command](cfg, args, out)
+        # march's rule turns a non-finite state into a numeric abort, so
+        # numpy's warnings on the way to it would only repeat that one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _DRIVERS[args.command](cfg, args, out)
     except BlowupError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         if exc.record is not None:

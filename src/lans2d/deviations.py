@@ -463,11 +463,11 @@ def wilson_upper_zero(n: int, z: float = 1.6448536269514722) -> float:
 # It bounds memory, not what a batch touches: the first step of a batch makes
 # the quadratic kernel's scratch and the stepper's buffers and peaks at 9-11
 # times the states by transforms (unified-default at T = 0.1, n = 16 and 32:
-# the grid samples of Btilde's three planes per field, 8-15 MB) and at 13
-# times by the drift tensor (ou-toy, n = 4: the products of the coordinates,
-# 5 MB); later steps allocate only the new state and numpy's iteration
-# buffers, 1.1-1.7 times the states (tracemalloc, one step of a fresh stepper
-# on a batch of this size)
+# the grid samples of Btilde's three planes per field, 8-15 MB) and at 4.6
+# times by the drift tensor (ou-toy, n = 4: the gathered coordinates, their
+# products and the contraction's output, 1.9 MB); later steps allocate only
+# the new state and numpy's iteration buffers, 1.1-1.7 times the states
+# (tracemalloc, one step of a fresh stepper on a batch of this size)
 _BATCH_BYTES = 1 << 21
 
 
@@ -521,9 +521,10 @@ def _mc_chunk(shared, start, stop):
 _worker_shared = None
 
 
-def _set_worker_shared(shared):
+def _set_worker_shared(shared, errors):
     global _worker_shared
     _worker_shared = shared
+    np.seterr(**errors)  # the caller's floating-point error policy
 
 
 def _worker_chunk(bounds):
@@ -573,7 +574,8 @@ def mc_tail(
         # the shared arguments (the dense reference among them) go to each
         # worker once, not with every batch
         with multiprocessing.Pool(processes=min(workers, len(bounds)),
-                                  initializer=_set_worker_shared, initargs=(shared,)) as pool:
+                                  initializer=_set_worker_shared,
+                                  initargs=(shared, np.geterr())) as pool:
             counts = pool.map(_worker_chunk, bounds)
     else:
         counts = [_mc_chunk(shared, a, b) for a, b in bounds]

@@ -419,10 +419,12 @@ class UnifiedStepper(_Stepper):
 def _dense_fields(nse: Optional[TrajectoryRecord], cfg: SolverConfig, what: str,
                   xi: Optional[SpectralField]):
     """The reference states of ``nse``, checked against the run's grid and,
-    unless ``xi`` is None, its initial field."""
+    unless ``xi`` is None, its initial field.  A record holds a state at
+    every step when its times are ``m * dt``, ``m = 0, 1, ...``; a strided one
+    (``record_stride > 1``) is refused."""
     if nse is None:
         raise ValueError(f"delta=1 {what} needs the dense reference record (run dense_nse first)")
-    if nse.fields is None:
+    if nse.fields is None or not np.array_equal(nse.times, np.arange(len(nse)) * nse.dt):
         raise ValueError("reference record must hold snapshots at every step")
     cfg.check_grid("reference record", nse.dt, len(nse) - 1)
     if xi is not None and nse.fields[0].tobytes() != xi.coeffs.tobytes():

@@ -61,31 +61,39 @@ against 40 and 33 us), but no workload runs there.
 
 On the two-thirds band that product is the exact Galerkin convolution
 (Orszag, J. Atmos. Sci. 28, 1971), so each quadratic form is a fixed bilinear
-map of the ``m`` real coordinates of its operands: the re/im parts of the
-stored entries but the ``k2 = 0`` column's ``k1 < 0`` rows and the mean's
-imaginary part (m = 18 at n = 4 and 6, 50 at n = 8).  The four forms take
-the kernel at every n; one map is kept as a tensor.  The LANS-alpha drift
-``J_a B~(u, (I + a^2 A) u)`` (``btilde_alpha``), which every Monte Carlo
-step takes, is a quadratic form of ``u`` alone.  Where ``B~``'s dense
-tensor, ``m*m x 4(2K+1)(K+1)`` floats, fits ``_TENSOR_BYTES`` (n = 4 and 6),
-the lattice builds it on first use by one batched kernel call on every pair
-of basis fields and keeps the rows of the 84 of 324 pairs that contribute,
-dropping rows that hold only the transforms' rounding.  The drift contracts
-with a tensor of its own per ``a``, kept with ``a``'s smoothing tables:
-``B~``'s rows, each pair's second coordinate scaled by ``1 + a^2 lambda``
-and each output coordinate by ``1 / (1 + a^2 lambda)``, with the rows of
-``(a, b)`` and ``(b, a)`` summed into one; one scratch serves every ``a``.
-That leaves 60 unordered pairs, both gathers read ``u``, and neither a
-transform nor a smoothing pass: 0.24 ms for 1 000 fields at n = 4 and 6
-(2-vCPU Xeon VM, one BLAS thread, best of three runs).  The bound sits at
-the measured crossover (same machine, a 1 000-field ``B~`` in rotational
-form): at n = 4 (62 KB per tensor) 0.32 ms by its tensor against 1.33 ms by
-the kernel, at n = 6 0.54 against 2.27 ms, at n = 8 (1.2 MB) 12.8 against
-3.8 ms.  The contraction runs as GEMMs of a fixed ``_BLOCK`` rows, so a
-field's rounding depends neither on its batch nor on its place in it; at
-n = 4 and 6 it does not depend on the BLAS thread count either, which larger
-GEMMs' does.  The contraction and the kernel agree to rounding (4e-16
-relative).
+map of its operands' coordinates.  The drift and the noise act on H, the
+divergence-free zero-mean fields, and a field of H has one complex amplitude
+per stored mode ``k != 0`` outside the ``k2 = 0`` column's ``k1 < 0`` rows,
+its velocity along ``k_perp = (-k2, k1)``: ``m`` real degrees of freedom (8
+at n = 4 and 6, 24 at n = 8), each one entry of the field's float view
+(``_h_basis``).  The four forms take the kernel at every n; one map is kept
+as a tensor.  The LANS-alpha drift ``J_a B~(u, (I + a^2 A) u)``
+(``btilde_alpha``), which every Monte Carlo step takes, is a quadratic form
+of ``u`` alone.  Where ``B~``'s tensor on H, ``m*m x 4(2K+1)(K+1)`` floats,
+fits ``_TENSOR_BYTES`` (n = 4 and 6: 12 KB), the lattice builds it on first
+use by one batched kernel call on every pair of basis fields and keeps the
+rows of the 40 of 64 pairs that contribute, dropping rows that hold only the
+transforms' rounding.  At K = 1 the basis's entries are 0 and +-1, so a field
+of H is exactly the sum of its coordinates times the basis fields, and every
+state a step makes stays in H bit for bit (the tests check it); on this route
+the drift reads nothing else of a field, so its domain is H.  The drift
+contracts with a tensor of its own per ``a``, kept with ``a``'s smoothing
+tables: ``B~``'s rows, each pair's second coordinate scaled by
+``1 + a^2 lambda`` and each output coordinate by ``1 / (1 + a^2 lambda)``,
+with the rows of ``(a, b)`` and ``(b, a)`` summed into one; one scratch
+serves every ``a``.  That leaves 16 unordered pairs, both gathers read ``u``,
+and neither a transform nor a smoothing pass: 0.05 ms for 1 000 fields at
+n = 4 and 6, where a tensor on the 18 coordinates of the whole band (its mean
+and divergent parts too, 60 unordered pairs) took 0.20 ms and the kernel
+0.70-0.81 ms (2-vCPU VM, one BLAS thread, best of five runs).  The bound
+keeps n = 8 (276 KB) on the kernel: the tensor on H took 0.87 ms there
+against the kernel's 1.6 ms, but a field at K = 2 is divergence-free only to
+rounding, so the basis would drop that rounding, and no workload runs at
+n = 8 (the whole band's tensor, 1.2 MB, took 12.8 ms against 3.8 ms).  The contraction runs
+as GEMMs of a fixed ``_BLOCK`` rows, so a field's rounding depends neither on
+its batch nor on its place in it; at n = 4 and 6 it does not depend on the
+BLAS thread count either, which larger GEMMs' does.  On fields of H the
+contraction and the kernel agree to rounding (5.5e-16 relative).
 
 The quadratic kernel allocates only the array it returns: its stack, grid
 samples and transform intermediates live in a scratch kept on the lattice,
@@ -127,9 +135,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# The drift btilde_alpha contracts with a Galerkin tensor when B~'s dense
-# tensor has at most this many bytes (n = 4 and 6: 62 KB), and goes through
-# the kernel otherwise (n = 8: 1.2 MB); the module docstring has the crossover.
+# The drift btilde_alpha contracts with a Galerkin tensor when B~'s tensor
+# on H has at most this many bytes (n = 4 and 6: 12 KB), and goes through
+# the kernel otherwise (n = 8: 276 KB); the module docstring has the timings.
 _TENSOR_BYTES = 1 << 18
 # Rows per GEMM of a tensor contraction.  BLAS picks its summation order by
 # the shape (and takes gemv for one row), so a fixed block keeps each row's
@@ -227,17 +235,13 @@ class TorusLattice:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # the real coordinates of a field, indices into its float view: the
-        # re/im parts of every stored entry but the k2 = 0 column's k1 < 0 rows
-        # (conjugates) and the mean mode's imaginary part
-        keep = np.ones((2, rows, edge + 1, 2), bool)
-        keep[:, edge + 1 :, 0] = False
-        keep[:, 0, 0, 1] = False
-        coords = np.flatnonzero(keep)
-        small = coords.size**2 * keep.size * 8 <= _TENSOR_BYTES
+        # a field of H has one complex amplitude per stored mode with k2 > 0
+        # or k2 = 0 < k1 (the others are their conjugates and the mean), so
+        # two real degrees of freedom each
+        dof = 2 * np.count_nonzero((k2 > 0) | (k1 > 0))
+        small = dof**2 * 4 * rows * (edge + 1) * 8 <= _TENSOR_BYTES
         object.__setattr__(self, "shape", (2, rows, edge + 1))
         object.__setattr__(self, "_edge", edge)
-        object.__setattr__(self, "_coords", coords)
         dft = self.n * self.n * 2 * (edge + 1) <= _DFT_WORK
         object.__setattr__(self, "_dft", _dft_tables(self.n, edge) if dft else None)
         object.__setattr__(self, "_galerkin", small)  # btilde_alpha contracts
@@ -470,19 +474,41 @@ class TorusLattice:
             np.add(w, vector, out=w)
         return self.leray(self.to_spectral(w, s), s)
 
+    def _h_basis(self):
+        """A real basis of H, ``(at, e)``: a field ``e[d]`` for the real and
+        the imaginary part of each stored mode ``k != 0`` outside the
+        ``k2 = 0`` column's ``k1 < 0`` rows, along ``k_perp = (-k2, k1)``: 1
+        (or ``1j``) in the component where ``|k_perp|`` is larger (the second
+        on a tie), the ratio of ``k_perp``'s components times that in the
+        other, the ``k2 = 0`` column mirrored.  ``at[d]`` indexes the entry
+        set to 1 in a float view, so a field ``u`` of H is
+        ``sum_d u[at[d]] e[d]``, exactly at K = 1 (ratios 0 and +-1)."""
+        K = self._edge
+        i1, i2 = np.nonzero((self.k2 > 0) | (self.k1 > 0))
+        perp = np.stack([-self.k2[i1, i2], self.k1[i1, i2]]).astype(np.float64)
+        c = (np.abs(perp[1]) >= np.abs(perp[0])).astype(np.int64)
+        mode = np.arange(i1.size)
+        ratio = perp[1 - c, mode] / perp[c, mode] + 0.0  # +0.0: no signed zero
+        e = np.zeros((i1.size, 2, 2) + self.shape[1:] + (2,))  # (mode, part, float view)
+        for part in (0, 1):
+            e[mode, part, c, i1, i2, part] = 1.0
+            e[mode, part, 1 - c, i1, i2, part] = ratio
+        e = e.view(np.complex128).reshape((2 * i1.size,) + self.shape)
+        e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+        real = np.ravel_multi_index((c, i1, i2, 0), self.shape + (2,))
+        return (real[:, None] + [0, 1]).ravel(), e
+
     @functools.cached_property
     def _btilde_tensor(self):
-        """``B~``'s Galerkin tensor ``(x_at, f_at, rows)``, which only
+        """``B~``'s Galerkin tensor on H ``(x_at, f_at, rows)``, which only
         :meth:`_drift_tensor` reads.  Row ``p`` of ``rows`` is ``B~(e_a, e_b)``
-        of basis fields ``e_a`` and ``e_b`` viewed as floats, for the pairs
-        ``p = (a, b)`` whose row holds more than rounding; ``x_at``, ``f_at``
-        index coordinates ``a``, ``b`` in a field's float view.  Built on first
-        use by one batched kernel call on every basis pair."""
-        m, K = len(self._coords), self._edge
-        e = np.zeros((m, 4 * math.prod(self.shape[1:])))
-        e[np.arange(m), self._coords] = 1.0
-        e = e.view(np.complex128).reshape((m,) + self.shape)
-        e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+        of basis fields ``e_a`` and ``e_b`` of :meth:`_h_basis` viewed as
+        floats, for the pairs ``p = (a, b)`` whose row holds more than
+        rounding; ``x_at``, ``f_at`` index coordinates ``a``, ``b`` in a
+        field's float view.  Built on first use by one batched kernel call on
+        every basis pair."""
+        at, e = self._h_basis()
+        m = len(at)
         # a fresh lattice, so that the basis pairs' scratch goes with it
         dense = TorusLattice(self.n)._quadratic([(e[:, None], "curl", e[None, :])])
         dense = dense.view(np.float64).reshape(m * m, -1)
@@ -490,7 +516,7 @@ class TorusLattice:
         size = np.abs(dense).max(axis=1)
         live = np.flatnonzero(size > _ROUNDING * size.max())
         a, b = np.divmod(live, m)
-        return self._coords[a], self._coords[b], dense[live]
+        return at[a], at[b], dense[live]
 
     def _drift_tensor(self, alpha):
         """The Galerkin tensor of the drift ``J_a B~(u, (I + a^2 A) u)``, a
@@ -546,7 +572,9 @@ class TorusLattice:
         """The LANS-alpha drift ``J_a Btilde(u, (I + a^2 A) u)`` of ``u``.  On a
         lattice whose ``B~`` tensor fits ``_TENSOR_BYTES`` (n = 4 and 6) it is
         one contraction with ``alpha``'s drift tensor (:meth:`_drift_tensor`),
-        whose two gathers read ``u``.  Otherwise ``(I + a^2 A) u`` is formed in
+        whose two gathers read ``u``'s coordinates on H (:meth:`_h_basis`)
+        only, so there ``u`` is to lie in H: its mean and divergent parts are
+        not read.  Otherwise ``(I + a^2 A) u`` is formed in
         ``work`` (``u``'s shape, complex; allocated if not given), ``Btilde``
         by the kernel and the smoother in place on it."""
         if self._galerkin:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -680,19 +681,22 @@ PAST_RANGE = {
 
 def run_edge_setting(command, delta, key, value):
     """Run ``command`` in process with one drawn setting on top of the tiny
-    run; returns the exit code, stderr, the echoed document (or None) and
-    the non-finite cells of its data files (``non_finite_cells``)."""
+    run; returns the exit code, stderr, the warnings it raised (which a
+    console run prints to stderr), the echoed document (or None) and the
+    non-finite cells of its data files (``non_finite_cells``)."""
     args = [command, *EDGE_BASE, "--set", f"model.delta={delta}", "--set", f"{key}={value}"]
     if command == "mc-tails":
         args += ["--workers", "1"]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(args + ["--out-dir", str(out)])
         echo = out / "resolved_config.txt"
-        return (code, err.getvalue(), echo.read_text() if echo.exists() else None,
-                list(non_finite_cells(out)))
+        return (code, err.getvalue(), [str(w.message) for w in caught],
+                echo.read_text() if echo.exists() else None, list(non_finite_cells(out)))
 
 
 def non_finite_cells(out):
@@ -729,7 +733,8 @@ class TestEdgeSettings:
     """No setting, however far out of range, ends a run in a traceback: in
     process, an exception out of ``cli.main`` is what a console run prints.
     A run that exits 0 writes no non-finite number but the documented ones
-    (``documented_non_finite``).  Over all 5 660 draws, run one by one,
+    (``documented_non_finite``).  No run raises a warning, so a numeric abort
+    writes its one line alone.  Over all 5 660 draws, run one by one,
     those are the only ones written: a missing rate estimate (126 runs) or
     KKT residual (60), an infeasible rate's cost (58) and the estimate
     rows' bound in ``identities.csv`` (172)."""
@@ -740,15 +745,17 @@ class TestEdgeSettings:
     @example(command="skeleton", delta=0, setting=("noise.variant", "none"))
     @example(command="simulate-nse", delta=0, setting=("time.t_final", "1e308"))
     @example(command="rate", delta=1, setting=("experiment.level", "1e308"))
+    @example(command="simulate-nse", delta=0, setting=("initial.amplitude", "1e308"))
     def test_every_exit_is_documented(self, command, delta, setting):
-        code, err, echo, cells = run_edge_setting(command, delta, *setting)
+        code, err, caught, echo, cells = run_edge_setting(command, delta, *setting)
         assert "Traceback" not in err
+        assert caught == []
         lines = err.splitlines()
         if code == 1:
             assert sum(line.startswith("config error:") for line in lines) == 1, err
             assert echo is None
         elif code == 2:
-            assert sum(line.startswith("numeric abort:") for line in lines) == 1, err
+            assert len(lines) == 1 and lines[0].startswith("numeric abort:"), err
         else:
             assert code == 0, err
             body = echo.split("\n", 1)[1]

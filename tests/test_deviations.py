@@ -919,6 +919,33 @@ class TestReferenceRecord:
         with pytest.raises(ValueError, match="another initial field"):
             mdp_rescale(xi, cfg, None, other)
 
+    @pytest.fixture
+    def strided(self):
+        # a stored run of 2T at stride 2 has the dt and the rows of a dense
+        # run of T (but every other state), and the dense run itself
+        lat = make_lattice(8)
+        xi = random_field(lat, np.random.default_rng(39), norm=0.5)
+        noise = additive_noise(lat, [0.5], [(1, 0)])
+        cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.05, alpha=0.1, noise=noise)
+        record = solve_nse(xi, replace(cfg, t_final=2 * cfg.t_final, store_fields=True,
+                                       record_stride=2))
+        assert len(record) == cfg.steps + 1 and record.dt == cfg.dt
+        return cfg, xi, record, dense_nse(xi, cfg)
+
+    def test_solvers_refuse_a_strided_record(self, strided):
+        cfg, xi, record, dense = strided
+        h = zero_control(1, cfg.dt, cfg.steps)
+        for nse, refused in ((record, True), (dense, False)):
+            runs = (lambda: solve_unified(1, xi, cfg, nse=nse),
+                    lambda: solve_skeleton(1, xi, cfg, h, nse=nse),
+                    lambda: mc_tail(1, 0.1, SupNormEvent(1.0), 4, cfg, xi, workers=1, nse=nse))
+            for run in runs:
+                if refused:
+                    with pytest.raises(ValueError, match="snapshots at every step"):
+                        run()
+                else:
+                    run()
+
 
 class TestConvergenceStudy:
     def test_chunked_rows_match_one_chunk(self, monkeypatch):

@@ -592,6 +592,30 @@ class TestUnified:
         traj = solve_lans(xi, cfg, w)
         SpectralField(lat, traj.fields[-1]).validate(tol=1e-10)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("delta", [0, 1])
+    @pytest.mark.parametrize("variant", ["additive", "multiplicative"])
+    def test_drift_tensor_route_stays_in_h_exactly(self, n, delta, variant):
+        # at n = 4 and 6 the drift reads a state's coordinates on H only, so
+        # every state a noisy run marches through must stay in H bit for bit:
+        # k . uhat == 0.0 and a zero mean, from a start (w_0 = xi for both
+        # deltas) where the drift is not zero
+        lat = make_lattice(n)
+        xi = random_field(lat, np.random.default_rng(92 + n))
+        if variant == "additive":
+            noise = additive_noise(lat, [0.5, 0.4], [(1, 0), (1, 1)])
+        else:
+            noise = projection_multiplicative_noise(lat, [0.4, 0.3], [(1, 0), (1, 1)],
+                                                    [(0, 1), (1, -1)], [0.5, -0.2])
+        cfg = cfg_for(lat, dt=1e-2, T=0.5, alpha=0.3, noise=noise, store_fields=True)
+        w = sample_wiener(2, cfg.dt, cfg.steps, 93)
+        nse = dense_nse(xi, cfg) if delta == 1 else None
+        fields = np.stack(solve_unified(delta, xi, cfg, wiener=w, nse=nse).fields)
+        assert fields.shape[0] == cfg.steps + 1
+        assert np.all(lat.k1 * fields[:, 0] + lat.k2 * fields[:, 1] == 0.0)
+        assert np.all(fields[:, :, 0, 0] == 0.0)
+        assert np.abs(lat.btilde_alpha(xi.coeffs, cfg.alpha)).max() > 1e-3
+
 
 class TestSkeleton:
     @pytest.fixture

@@ -666,7 +666,7 @@ class TestSymmetries:
 
 
 # prints a digest of every form and the drift, on a batch and on one field,
-# at n=4 (the forms by the kernel, the drift by its tensor), at n=16, 32 and
+# at n=4 and 6 (the forms by the kernel, the drift by its tensor), at n=16, 32 and
 # 72 (both by the kernel, whose real axis runs as GEMMs; 72 is the largest n
 # whose tables take it) and at n=122, whose real axis runs through pocketfft:
 # its tables' GEMMs are large enough for OpenBLAS to split them over two
@@ -678,7 +678,7 @@ import numpy as np
 from lans2d import make_lattice, random_field
 rng = np.random.default_rng(11)
 digest = hashlib.sha256()
-for n, fields in ((4, 1000), (16, 200), (32, 200), (72, 8), (122, 2)):
+for n, fields in ((4, 1000), (6, 200), (16, 200), (32, 200), (72, 8), (122, 2)):
     lat = make_lattice(n)
     u, v = (np.stack([random_field(lat, rng).coeffs for _ in range(fields)]) for _ in range(2))
     for x, y in ((u, v), (u[0], v[0])):
@@ -729,36 +729,34 @@ class TestGalerkinTensors:
         assert len(calls) == 2 * len(FORMS) * per_call
 
     def test_n6_keeps_the_rows_of_n4(self):
-        # the same band (K = 1): B~'s rows that hold only the transforms'
-        # rounding go, and 84 of the 324 pairs are left
-        assert [make_lattice(n)._btilde_tensor[2].shape[0] for n in (4, 6)] == [84, 84]
+        # the same band (K = 1) and basis of H (8 degrees of freedom): B~'s
+        # rows that hold only the transforms' rounding go, and 40 of the 64
+        # pairs are left
+        assert [make_lattice(n)._btilde_tensor[2].shape[0] for n in (4, 6)] == [40, 40]
 
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_drift_tensor_keeps_a_row_per_unordered_pair(self, n, alpha):
-        # the 84 ordered pairs of the ("curl",) tensor merge into 60 pairs a <= b
+        # the 40 ordered pairs of the ("curl",) tensor merge into 16 pairs a <= b
         x_at, f_at, rows = make_lattice(n)._drift_tensor(alpha)
-        assert rows.shape[0] == len(x_at) == len(f_at) == 60
-        assert np.all(x_at <= f_at) and np.unique(x_at * rows.size + f_at).size == 60
+        assert rows.shape[0] == len(x_at) == len(f_at) == 16
+        assert np.all(x_at <= f_at) and np.unique(x_at * rows.size + f_at).size == 16
 
     def test_rotational_btilde_tensor_is_the_advective_one(self):
         # at n = 4 B~'s tensor, built in rotational form, is the two-term
         # advective form's, built here by the kernel on the same basis pairs
-        # and pruned by the same rule, bit for bit (an exact zero may carry
-        # either sign, so zeros are taken as +0)
+        # of H and pruned by the same rule, bit for bit (an exact zero may
+        # carry either sign, so zeros are taken as +0)
         lat = make_lattice(4)
-        m, K = len(lat._coords), lat._edge
-        e = np.zeros((m, 4 * math.prod(lat.shape[1:])))
-        e[np.arange(m), lat._coords] = 1.0
-        e = e.view(np.complex128).reshape((m,) + lat.shape)
-        e[..., K + 1 :, 0] = np.conj(e[..., K:0:-1, 0])  # real fields
+        at, e = lat._h_basis()
+        m = len(at)
         x, f = e[:, None], e[None, :]
         dense = make_lattice(4)._quadratic([(x, "d", f), (f, "grad", x)])
         dense = dense.view(np.float64).reshape(m * m, -1)
         size = np.abs(dense).max(axis=1)
         live = np.flatnonzero(size > spectral._ROUNDING * size.max())
         a, b = np.divmod(live, m)
-        advective = lat._coords[a], lat._coords[b], dense[live]
+        advective = at[a], at[b], dense[live]
         for got, want in zip(lat._btilde_tensor, advective):
             assert (got + 0).tobytes() == (want + 0).tobytes()
 
