@@ -154,7 +154,7 @@ def _control_from_config(cfg: RunConfig, scfg):
     """Control source precedence: control file, inline constant."""
     if cfg.control_path:
         try:
-            return load_control(cfg.control_path, dt=cfg.dt)
+            return load_control(cfg.control_path)
         except OSError as exc:
             raise ConfigError(f"cannot read control.path: {exc}") from exc
     if cfg.control_constant is not None:

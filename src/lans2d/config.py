@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SolverConfig
+from .deviations import RateProblem
+from .dynamics import ScalingLaw, SolverConfig
 from .noise import NoiseOperator, additive_noise, projection_multiplicative_noise
 from .spectral import (
     SpectralField,
@@ -44,15 +45,6 @@ INITIAL_STREAM = 2**32 + 1  # sub-stream tag outside the trajectory-index range
 
 class ConfigError(ValueError):
     """Malformed run document or setting."""
-
-
-def _parse_bool(s):
-    v = s.lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _parse_float(s):
@@ -100,10 +92,9 @@ class RunConfig:
     dt: float = _setting("time", _parse_float, 1e-3)
     t_final: float = _setting("time", _parse_float, 1.0)
     record_stride: int = _setting("time", int, 1)
-    store_fields: bool = _setting("time", _parse_bool, False)
     alpha: float = _setting("model", _parse_float, 0.1)
     delta: int = _setting("model", int, 0)
-    kappa: float = _setting("model", _parse_float, 0.25)
+    kappa: float = _setting("model", _parse_float, ScalingLaw.kappa)
     viscosity: float = _setting("model", _parse_float, 1.0)
     noise_variant: str | None = _setting("noise", str, "additive")
     noise_sigma: tuple = _setting("noise", _parse_floats, (0.25, 0.25, 0.2, 0.2))
@@ -124,9 +115,9 @@ class RunConfig:
     alphas: tuple = _setting("experiment", _parse_floats, (0.4, 0.2, 0.1, 0.05))
     indices: tuple = _setting("experiment", _parse_ints, (2, 4, 8, 16, 32))
     basis_count: int = _setting("experiment", int, 128)
-    beta_schedule: tuple = _setting("experiment", _parse_floats, (1e1, 1e2, 1e3, 1e4))
-    tolerance: float = _setting("experiment", _parse_float, 1e-3)
-    max_iterations: int = _setting("experiment", int, 500)
+    beta_schedule: tuple = _setting("experiment", _parse_floats, RateProblem.beta_schedule)
+    tolerance: float = _setting("experiment", _parse_float, RateProblem.tolerance)
+    max_iterations: int = _setting("experiment", int, RateProblem.max_iterations)
     amplitude: float = _setting("experiment", _parse_float, 1.0)
     trials: int = _setting("experiment", int, 100)
     seed: int = _setting("run", int, 12345)
@@ -199,7 +190,6 @@ class RunConfig:
             noise=self.build_noise(lattice),
             viscosity=self.viscosity,
             record_stride=self.record_stride,
-            store_fields=self.store_fields,
         )
 
     def build_initial(self, lattice: TorusLattice) -> SpectralField:
@@ -247,8 +237,6 @@ def _render(v):
         if v and isinstance(v[0], tuple):
             return ", ".join(f"{a} {b}" for a, b in v)
         return ", ".join(_render(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return "%.17g" % v
     return str(v)

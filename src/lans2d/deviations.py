@@ -84,8 +84,7 @@ class RateProblem:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
+        ScalingLaw(delta=self.delta)  # refuses a delta other than 0 or 1
         betas = tuple(float(b) for b in self.beta_schedule)
         if not betas or not all(0.0 < b < math.inf for b in betas):
             raise ValueError(f"beta_schedule must hold positive finite weights, got {betas}")
@@ -260,9 +259,8 @@ def _response_matrix(cfg, xi, u_fields):
     alone; a field's bytes do not depend on its batch, so neither does ``R``."""
     steps, J = cfg.steps, cfg.noise.rank
     R = np.empty((steps * J,) + cfg.lattice.shape, np.complex128)
-    block = _batch_size(cfg)
-    for start in range(0, len(R), block):
-        cols = np.arange(start, min(start + block, len(R)))
+    for start, stop in _batches(len(R), cfg):
+        cols = np.arange(start, stop)
         hv = np.zeros((steps, len(cols), J))
         hv[cols // J, cols - start, cols % J] = 1.0
         R[cols] = _skeleton_march(1, hv, cfg, xi, u_fields, None)
@@ -297,8 +295,7 @@ def _svd_field(problem, cfg, xi, nse):
     tail = np.append(np.cumsum(c[::-1] ** 2)[::-1], 0.0)
     off_range = float(np.sum((b - U @ c) ** 2))
     predicted = np.sqrt(off_range + tail[:min(rank, problem.max_iterations) + 1])
-    x_norm = math.sqrt(max(float(lat.inner_h(x, x)), 1e-300))
-    bound = problem.tolerance * x_norm
+    bound = problem.tolerance * _target_scale(problem.target)
     meets = np.flatnonzero(predicted <= bound)
     k = int(meets[0]) if meets.size else len(predicted) - 1
     hv = ((c[:k] / s[:k]) @ Vt[:k]).reshape(cfg.steps, cfg.noise.rank)
@@ -319,10 +316,12 @@ def _svd_field(problem, cfg, xi, nse):
 
 
 def _target_scale(target):
-    """What a target's tolerance is relative to: ``max(1, |level|)`` or ``max(1, |x|_H)``."""
+    """What a target's tolerance is relative to: ``max(1, |level|)`` or
+    ``|x|_H`` (at least 1e-150, so that a zero field has a positive bound)."""
     if isinstance(target, TerminalObservable):
         return max(1.0, abs(target.level))
-    return max(1.0, float(target.x.lattice.norm_h(target.x.coeffs)))
+    x = target.x
+    return math.sqrt(max(float(x.lattice.inner_h(x.coeffs, x.coeffs)), 1e-300))
 
 
 def _penalized_descent(problem, cfg, xi):
@@ -478,6 +477,14 @@ def _batch_size(cfg):
     return max(1, _BATCH_BYTES // (state_bytes + 8 * cfg.steps * J))
 
 
+def _batches(count, cfg):
+    """The ``(start, stop)`` bounds of ``count`` runs in batches of ``_batch_size(cfg)``."""
+    if count <= 0:
+        raise ValueError("n_samples must be positive")
+    size = _batch_size(cfg)
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _chunk_increments(J, dt, steps, master_seed, start, stop):
     """Row ``i - start``: ``trajectory_wiener(J, dt, steps, master_seed, i).increments``,
     drawn in place and scaled once for the chunk.  Each row's PCG64 takes its
@@ -559,8 +566,7 @@ def mc_tail(
     this process may run on.  Either way there are no more workers than
     batches.  delta=1 needs the dense reference ``nse`` of ``xi``.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    bounds = _batches(n_samples, cfg)  # alpha does not size a batch
     if workers is None:
         workers = _available_cpus()
     elif workers < 1:
@@ -568,8 +574,6 @@ def mc_tail(
     run_cfg = replace(cfg, alpha=float(alpha))
     u_fields = _dense_fields(nse, run_cfg, "mc_tail", xi) if delta == 1 else None
     shared = (delta, run_cfg, xi.coeffs, u_fields, event, master_seed)
-    starts = list(range(0, n_samples, _batch_size(run_cfg))) + [n_samples]
-    bounds = list(zip(starts[:-1], starts[1:]))
     if workers > 1 and len(bounds) > 1:
         # the shared arguments (the dense reference among them) go to each
         # worker once, not with every batch
@@ -612,19 +616,16 @@ def convergence_study(
     Samples are marched in batches of about ``_BATCH_BYTES``, so memory stays
     bounded; sums are kept per sample, so the rows do not depend on batching.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    bounds = _batches(n_samples, cfg)
     lat = cfg.lattice
     u_path = dense_nse(xi, cfg).fields
-    chunk = _batch_size(cfg)
     rows = []
     for alpha in alpha_grid:
         run_cfg = replace(cfg, alpha=float(alpha))
         # per-sample sums: the means do not depend on the chunking
         sup_sq = np.zeros(n_samples)
         diss = np.zeros(n_samples)
-        for start in range(0, n_samples, chunk):
-            stop = min(start + chunk, n_samples)
+        for start, stop in bounds:
             sup, dis = sup_sq[start:stop], diss[start:stop]
 
             def observe(m, y):
@@ -714,14 +715,13 @@ def mdp_rescale(
     ``t = 0``, each equal bit for bit to the norm of the difference of the
     two separate runs' states; no state but the current one is kept.
     """
-    _check_wiener(cfg, wiener)
+    inc = _check_wiener(cfg, wiener)
     u_fields = _dense_fields(nse, cfg, "mdp_rescale", xi)
     if nse.drifts is None:
         raise ValueError("mdp_rescale needs the limit flow's drifts (run dense_nse)")
     lat = cfg.lattice
     stepper = UnifiedStepper(cfg, (0, 1))  # refuses an alpha outside (0, 1]
     fac = 1.0 / ScalingLaw(cfg.kappa, 1).lam_delta(cfg.alpha)
-    inc = None if (wiener is None or cfg.noise is None) else wiener.increments
     # the reference rows: zero for the delta=0 row, u_m and B(u_m, u_m) for
     # the delta=1 row, written at each step
     u_n = np.zeros((2,) + lat.shape, np.complex128)

@@ -67,7 +67,9 @@ class ScalingLaw:
     """Deviation scaling ``lambda(a) = a**-kappa`` with the delta switch.
 
     ``lam_delta`` is 1 for delta=0 and ``sqrt(a) * lambda(a)`` for delta=1;
-    the associated deviation speed is ``lam_delta(a)^2 / a``.
+    the associated deviation speed is ``lam_delta(a)^2 / a``.  The ranges of
+    kappa and delta and the default kappa are written here alone (the run
+    document repeats the ranges to name its keys).
     """
 
     kappa: float = 0.25
@@ -101,7 +103,7 @@ class SolverConfig:
     dt: float
     t_final: float
     alpha: float = 0.0
-    kappa: float = 0.25  # the fluctuation scaling lambda(a) = a**-kappa
+    kappa: float = ScalingLaw.kappa  # the fluctuation scaling lambda(a) = a**-kappa
     noise: Optional[NoiseOperator] = None
     viscosity: float = 1.0
     record_stride: int = 1
@@ -112,8 +114,7 @@ class SolverConfig:
             raise ValueError("dt and t_final must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 < self.kappa < 0.5:
-            raise ValueError("kappa must lie in (0, 1/2)")
+        ScalingLaw(self.kappa)  # refuses a kappa outside (0, 1/2)
         if self.viscosity <= 0:
             raise ValueError("viscosity must be positive")
         if self.record_stride < 1:
@@ -293,10 +294,14 @@ def dense_nse(xi: SpectralField, cfg: SolverConfig) -> TrajectoryRecord:
 
 
 def _check_wiener(cfg, wiener):
-    if wiener is not None:
-        cfg.check_grid("Wiener path", wiener.dt, wiener.steps)
-        if cfg.noise is not None and wiener.rank != cfg.noise.rank:
-            raise ValueError("Wiener path rank does not match the noise rank")
+    """The increments of ``wiener`` that the run's noise takes (None without
+    a path or a noise), once the path is checked against the run."""
+    if wiener is None:
+        return None
+    cfg.check_grid("Wiener path", wiener.dt, wiener.steps)
+    if cfg.noise is not None and wiener.rank != cfg.noise.rank:
+        raise ValueError("Wiener path rank does not match the noise rank")
+    return None if cfg.noise is None else wiener.increments
 
 
 def solve_lans(xi: SpectralField, cfg: SolverConfig, wiener: Optional[WienerPath] = None) -> TrajectoryRecord:
@@ -311,8 +316,7 @@ class _Stepper:
     changes."""
 
     def __init__(self, cfg: SolverConfig, delta: int):
-        if delta not in (0, 1):
-            raise ValueError("delta must be 0 or 1")
+        ScalingLaw(cfg.kappa, delta)  # refuses a delta other than 0 or 1
         self.lat = cfg.lattice
         self.S = cfg.implicit_multiplier()
         self.dt = cfg.dt
@@ -368,9 +372,9 @@ class UnifiedStepper(_Stepper):
             raise ValueError("the unified system needs alpha in (0, 1]")
         rows = np.ndim(delta) == 1
         deltas = tuple(delta) if rows else (delta,)
-        if not deltas or any(d not in (0, 1) for d in deltas):
-            raise ValueError("delta must be 0 or 1")
-        super().__init__(cfg, max(deltas))  # 1 when any row takes the delta=1 formula
+        # 1 when any row takes the delta=1 formula; None, which the law
+        # refuses, for an empty sequence
+        super().__init__(cfg, max(deltas, default=None))
         self.alpha = cfg.alpha
         lam = [ScalingLaw(cfg.kappa, d).lam_delta(cfg.alpha) for d in deltas]
         self.lam_delta = np.reshape(lam, (-1, 1, 1, 1)) if rows else lam[0]
@@ -446,14 +450,13 @@ def solve_unified(
     ``(u_smoothed - u) / lam_delta`` exactly for the discrete scheme, with the
     reference states taken from the dense ``nse`` record at left endpoints.
     """
-    _check_wiener(cfg, wiener)
+    inc = _check_wiener(cfg, wiener)
     if h is not None:
         cfg.check_grid("control", h.dt, h.steps)
         cfg.require_noise()
     stepper = UnifiedStepper(cfg, delta)
     u_fields = _dense_fields(nse, cfg, "solve_unified", xi) if delta == 1 else None
     b_fields = nse.drifts if delta == 1 else None
-    inc = None if (wiener is None or cfg.noise is None) else wiener.increments
     step = indexed_step(stepper.step, u_n=u_fields, b_n=b_fields, dw=inc,
                         h_n=None if h is None else h.values)
     return _drive(cfg, initial_state(delta, xi.coeffs), step, alpha_for_norms=cfg.alpha)

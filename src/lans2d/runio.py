@@ -4,7 +4,7 @@ Data files are deterministic: stable column order, floats at 17 significant
 digits (exact round-trip for doubles), no timestamps.  Units are documented in
 a comment line above the header; velocities are dimensionless torus units and
 times are in the solver's time unit (viscous scale).  A missing number
-(``None``) is written ``nan``: a CSV cell, and the string ``"nan"`` in NDJSON.
+(``None``) is written ``nan`` in a CSV cell and ``null`` in NDJSON.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if obj is None:
-        return "nan"
     return obj
 
 
@@ -174,20 +172,19 @@ def save_control(h: Control, path) -> Path:
                      units="value: K-coordinate amplitude; dt=" + (FLOAT_FMT % h.dt))
 
 
-def load_control(path, dt: float | None = None) -> Control:
-    text = Path(path).read_text().splitlines()
-    file_dt = None
-    for ln in text:
+def load_control(path) -> Control:
+    """Read a ``save_control`` table on the grid its ``dt=`` header names."""
+    dt = None
+    for ln in Path(path).read_text().splitlines():
         if ln.startswith("# units:") and "dt=" in ln:
-            file_dt = float(ln.split("dt=", 1)[1])
+            dt = float(ln.split("dt=", 1)[1])
+    if dt is None:
+        raise ValueError("control table carries no dt")
     rows = read_csv(path)
     steps = int(max(r["step"] for r in rows)) + 1
     rank = int(max(r["j"] for r in rows)) + 1
     vals = np.zeros((steps, rank))
     for r in rows:
         vals[int(r["step"]), int(r["j"])] = r["value"]
-    use_dt = dt if dt is not None else file_dt
-    if use_dt is None:
-        raise ValueError("control table carries no dt; pass dt explicitly")
-    return Control(use_dt, vals)
+    return Control(dt, vals)
 

@@ -3,6 +3,7 @@ record of a change that claims no gain, the verdict of each gated metric
 against its bound, and whether a claim is met."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -248,11 +249,29 @@ def test_cli_reads_the_repository_identical_to_itself(capsys):
     assert capsys.readouterr().out.splitlines() == ["cli: 120 runs, 0 differ"]
 
 
+def test_file_digest_reads_the_echo_without_its_timestamp(tmp_path):
+    echo = tmp_path / "resolved_config.txt"
+    digests = []
+    for stamp, body in (("2026-01-01T00:00:00", "[time]\ndt = 0.01\n"),
+                        ("2026-01-02T08:30:00", "[time]\ndt = 0.01\n"),
+                        ("2026-01-01T00:00:00", "[time]\ndt = 0.01\nstore_fields = false\n")):
+        echo.write_text(f"# written: {stamp}\n" + body)
+        digests.append(bench_record.file_digest(str(echo)))
+    # a run's timestamp is no difference; a changed setting line is
+    assert digests[0] == digests[1] != digests[2]
+    # every other file counts every byte
+    data = tmp_path / "rate.csv"
+    data.write_text("# written: 2026-01-01T00:00:00\ncost\n1\n")
+    assert bench_record.file_digest(str(data)) == hashlib.sha256(data.read_bytes()).hexdigest()
+
+
 def test_cli_names_each_differing_run_and_exits_1(monkeypatch, capsys):
-    parent = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "beef", "rate.ndjson": "cafe"}},
+    parent = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "beef", "rate.ndjson": "cafe",
+                                                      "resolved_config.txt": "0ddba11"}},
               "skeleton --delta 0": {"exit": 0, "files": {"trajectory.csv": "d00d"}},
               "mc-tails --delta 1": {"exit": 0, "files": {}}}
-    change = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "f00d", "rate.ndjson": "cafe"}},
+    change = {"rate --delta 0": {"exit": 0, "files": {"rate.csv": "f00d", "rate.ndjson": "cafe",
+                                                      "resolved_config.txt": "ba5eba11"}},
               "skeleton --delta 0": {"exit": 1, "files": {}},
               "mc-tails --delta 1": {"exit": 0, "files": {}},
               "weak-probe --delta 0": {"exit": 0, "files": {"weak_probe.csv": "abba"}}}
@@ -262,6 +281,6 @@ def test_cli_names_each_differing_run_and_exits_1(monkeypatch, capsys):
         bench_record.cli(argparse.Namespace(parent="parent", change="change"))
     assert exc.value.code == 1
     assert capsys.readouterr().out.splitlines() == [
-        "cli: 4 runs, 3 differ", "  rate --delta 0: rate.csv",
+        "cli: 4 runs, 3 differ", "  rate --delta 0: rate.csv, resolved_config.txt",
         "  skeleton --delta 0: exit 0 != 1, trajectory.csv",
         "  weak-probe --delta 0: exit None != 0, weak_probe.csv"]

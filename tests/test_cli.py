@@ -153,6 +153,13 @@ class TestWriters:
             json.loads(line)
         assert read_ndjson(p) == rows
 
+    def test_a_missing_number_is_null_in_ndjson_and_nan_in_csv(self, tmp_path):
+        rows = [{"rate_estimate": None, "hits": 0}]
+        assert (write_ndjson(tmp_path / "x.ndjson", rows).read_text()
+                == '{"rate_estimate": null, "hits": 0}\n')
+        assert read_ndjson(tmp_path / "x.ndjson") == rows
+        assert math.isnan(read_csv(write_csv(tmp_path / "x.csv", rows))[0]["rate_estimate"])
+
     def test_field_table_round_trip(self, tmp_path, lat16, rng):
         u = random_field(lat16, rng)
         p = save_field(u, tmp_path / "field.tsv")
@@ -626,6 +633,20 @@ class TestSettings:
         assert code == 1
         assert "config error: cannot read control.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["skeleton", "simulate-unified"])
+    def test_a_control_file_from_another_dt_exits_1(self, tmp_path, capsys, command):
+        # the control runs on the grid of its file's dt=, so a run at another
+        # dt is refused; it used to take the run's dt, and half the energy
+        hpath = save_control(Control(0.01, np.tile([2.0, 2.0, 0.0, 0.0], (10, 1))),
+                             tmp_path / "h.csv")
+        code, out = run_cli([command, "--preset", "unified-default", "--n", "8", "--dt", "0.005",
+                             "--t-final", "0.05", "--set", f"control.path={hpath}"], tmp_path,
+                            "grid")
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("config error:") == 1 and "Traceback" not in err
+        assert "config error: control grid does not match the config" in err
+
     def test_readme_config_block_and_flag_table_match_the_code(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"^```ini\n(.*?)^```", readme, re.M | re.S).group(1)
@@ -702,11 +723,11 @@ def run_edge_setting(command, delta, key, value):
 def non_finite_cells(out):
     """Every non-finite number in the data files of run directory ``out``,
     as ``(file, column, value)``; a missing number, written ``nan`` (in
-    NDJSON the string ``"nan"``), counts as nan."""
+    NDJSON ``null``), counts as nan."""
     for path in sorted(out.glob("*.csv")) + sorted(out.glob("*.ndjson")):
         for row in read_csv(path) if path.suffix == ".csv" else read_ndjson(path):
             for column, value in row.items():
-                value = math.nan if value == "nan" else value
+                value = math.nan if value is None else value
                 if isinstance(value, float) and not math.isfinite(value):
                     yield path.name, column, value
 

@@ -15,6 +15,7 @@ from lans2d import (
     Control,
     RateProblem,
     SolverConfig,
+    SpectralField,
     SupNormEvent,
     TerminalField,
     TerminalObservable,
@@ -115,16 +116,15 @@ class TestSkeletonGradient:
             an = float(np.sum(grad * d))
             assert an == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
-    def test_finite_difference_field_target_multiplicative(self):
-        # exercise the multiplicative-coefficient adjoint branch (delta=0)
-        from lans2d import projection_multiplicative_noise
-
+    @pytest.mark.parametrize("probe", [(0, 1), (1, 0)])
+    def test_finite_difference_field_target_multiplicative(self, probe):
+        # exercise the multiplicative-coefficient adjoint branch (delta=0):
+        # both probes agree to about 2e-8; without the coefficient's own term
+        # p += dt sum_k w_k probes_k the (1, 0) probe errs by 7e-3
         lat = make_lattice(8)
         rng = np.random.default_rng(22)
         xi = random_field(lat, rng, norm=0.5)
-        noise = projection_multiplicative_noise(
-            lat, [0.7], [(1, 0)], [(0, 1)], [0.5]
-        )
+        noise = projection_multiplicative_noise(lat, [0.7], [(1, 0)], [probe], [0.5])
         cfg = SolverConfig(lattice=lat, dt=5e-3, t_final=0.1, alpha=0.0, noise=noise)
         x_t = random_field(lat, rng, norm=0.1)
         target = TerminalField(x_t)
@@ -136,7 +136,7 @@ class TestSkeletonGradient:
             _, grad = skeleton_gradient(0, h, target, cfg, xi, beta=20.0)
             vp, _ = skeleton_gradient(0, Control(cfg.dt, h.values + eps * d), target, cfg, xi, beta=20.0)
             vm, _ = skeleton_gradient(0, Control(cfg.dt, h.values - eps * d), target, cfg, xi, beta=20.0)
-            assert float(np.sum(grad * d)) == pytest.approx((vp - vm) / (2 * eps), rel=2e-5, abs=1e-10)
+            assert float(np.sum(grad * d)) == pytest.approx((vp - vm) / (2 * eps), rel=1e-6, abs=1e-10)
 
     def test_forward_blowup_raises(self, small):
         lat, rng, xi, noise, cfg, g = small
@@ -367,6 +367,29 @@ class TestRateFunction:
             cfg, xi, nse=nse,
         )
         assert math.isinf(res_bad.cost) and not res_bad.converged
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
+    def test_field_solve_matches_the_decoupled_gramians(self, tolerance):
+        # from xi = 0 the delta=1 system is one scalar recursion per noise
+        # mode, so the least energy onto sum c_j e_j is sum c_j^2 / (2 W_j),
+        # W_j each mode's discrete Gramian, and R's singular values are
+        # sqrt(dt W_j).  |x|_H = 0.62 < 1: the bound is relative to it
+        lat = make_lattice(8)
+        modes = [(1, 0), (1, 1), (2, 0), (2, 1)]
+        sigma, c = [0.7, 1.1, 0.9, 1.3], [0.3, -0.2, 0.5, 0.1]
+        cfg = SolverConfig(lattice=lat, dt=1e-2, t_final=0.2, alpha=0.1,
+                           noise=additive_noise(lat, sigma, modes))
+        x = sum(c_j * eigenmode_field(lat, k).coeffs for c_j, k in zip(c, modes))
+        res = rate_function(RateProblem(1, TerminalField(SpectralField(lat, x)),
+                                        tolerance=tolerance), cfg, zero_field(lat))
+        W = [discrete_gramian(k1 * k1 + k2 * k2, s, cfg.dt, cfg.steps)
+             for (k1, k2), s in zip(modes, sigma)]
+        assert res.converged and res.residual <= tolerance * float(lat.norm_h(x))
+        assert res.cost == pytest.approx(sum(c_j**2 / (2 * w) for c_j, w in zip(c, W)),
+                                         rel=1e-14)
+        assert res.details["iterations"] == res.details["rank"] == 4
+        assert res.details["condition"] == pytest.approx(math.sqrt(max(W) / min(W)), rel=1e-14)
+        assert res.details["condition"] == pytest.approx(1.44397, abs=1e-5)
 
     def test_field_target_does_not_follow_the_rounding(self):
         # the response map has rank at most steps * J = 30 here; the solve
@@ -722,6 +745,17 @@ class TestMcTail:
                        32, cfg, xi, master_seed=5)
         assert low.p_hat == 1.0 and high.p_hat == 0.0
         assert high.rate_estimate is None and high.wilson_high > 0
+
+    def test_wilson_interval_is_the_closed_form(self):
+        # (2 n p + z^2 -+ z sqrt(z^2 + 4 n p (1 - p))) / (2 (n + z^2)) at 5 of 20
+        lo, hi = deviations.wilson_interval(5, 20)
+        assert lo == pytest.approx(0.111862, abs=1e-6)
+        assert hi == pytest.approx(0.468701, abs=1e-6)
+        # no hits and every hit: the ends clip to 0 and 1
+        assert deviations.wilson_interval(0, 20)[0] == 0.0
+        assert deviations.wilson_interval(20, 20)[1] == 1.0
+        assert deviations.wilson_interval(0, 20)[1] == pytest.approx(
+            1 - deviations.wilson_interval(20, 20)[0], rel=1e-12)
 
     def test_threshold_monotonicity(self):
         lat, cfg, xi, g = self.ou_cfg(0.2)

@@ -45,13 +45,15 @@ the sides.
 per side: every subcommand at every preset, at delta 0 and 1 and, where the
 subcommand takes ``--format``, in each format (120 runs), at n = 8 over 10
 steps with few samples and trials (``CLI_RUN``).  It compares each run's exit
-code and the sha256 of each file the run wrote but ``resolved_config.txt``,
-whose timestamp differs from run to run; it prints each differing run and
-exits 1 if any run differs.
+code and the sha256 of each file the run wrote, ``resolved_config.txt``
+without its timestamp line, which differs from run to run (``file_digest``);
+it prints each differing run and exits 1 if any run differs.
 """
 
 import argparse
 import glob
+import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -102,15 +104,29 @@ with tempfile.TemporaryDirectory() as work:
         got = {"hits": result.hits}
 print(json.dumps(got))
 """
+
+
+def file_digest(path):
+    """The sha256 of a run's file; of ``resolved_config.txt`` without the
+    ``# written:`` timestamp line, so that only a changed echo differs."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "resolved_config.txt":
+        data = b"".join(line for line in data.splitlines(True)
+                        if not line.startswith(b"# written:"))
+    return hashlib.sha256(data).hexdigest()
+
+
 # the presets of the CLI matrix, and the settings every run adds to its
 # subcommand and preset
 CLI_PRESETS = ["taylor-green", "single-shear", "ou-toy", "unified-default"]
 CLI_RUN = ["--n", "8", "--dt", "0.005", "--t-final", "0.05", "--set", "experiment.samples=20",
            "--set", "experiment.trials=5"]
 # run from the root of a checkout: the CLI matrix, each run's exit code and
-# the sha256 of its data files printed as one JSON object keyed by run
+# the digests of its files printed as one JSON object keyed by run
 CLI_SCRIPT = """
 import contextlib, hashlib, io, json, os, sys, tempfile
+""" + inspect.getsource(file_digest) + """
 sys.path[:0] = [os.path.abspath("src"), os.path.abspath("perfbench")]
 import worker
 from lans2d.cli import FORMATTED, SUBCOMMANDS, main
@@ -128,11 +144,8 @@ with tempfile.TemporaryDirectory() as work:
                     with contextlib.redirect_stdout(io.StringIO()), \\
                             contextlib.redirect_stderr(io.StringIO()):
                         code = main(args + ["--out-dir", out])
-                    files = {}
-                    for file in sorted(os.listdir(out)) if os.path.isdir(out) else ():
-                        if file != "resolved_config.txt":
-                            with open(os.path.join(out, file), "rb") as fh:
-                                files[file] = hashlib.sha256(fh.read()).hexdigest()
+                    files = {file: file_digest(os.path.join(out, file))
+                             for file in (sorted(os.listdir(out)) if os.path.isdir(out) else ())}
                     got[" ".join(flags)] = {"exit": code, "files": files}
 print(json.dumps(got))
 """
